@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"dtl/internal/dram"
 	"dtl/internal/sim"
 	"dtl/internal/telemetry"
@@ -60,8 +62,17 @@ type MigStats struct {
 // mappings); the migrator owns the timing windows, the conflict protocol
 // and the energy/latency accounting.
 type migrator struct {
-	d         *DTL
-	windows   [][]*inflight // per channel, chronological
+	d       *DTL
+	windows [][]*inflight // per channel, chronological
+	// minEnd is a per-channel lower bound on the earliest window end:
+	// completeUpTo skips a channel whose bound lies in the future, so the
+	// common case costs one comparison instead of a walk over every window.
+	minEnd []sim.Time
+	// named has one bit per DSN, set for every segment some window copies
+	// from or to (and possibly for segments whose windows have retired).
+	// Writes to a segment with a clear bit skip the channel's window scan:
+	// the §4.2 per-segment migration registers matched in parallel.
+	named     []uint64
 	busyUntil []sim.Time
 	busyNs    []sim.Time // accumulated migration bus time per channel
 	stats     MigStats
@@ -73,15 +84,38 @@ type migrator struct {
 }
 
 func newMigrator(d *DTL) *migrator {
-	ch := d.cfg.Geometry.Channels
-	return &migrator{
+	g := d.cfg.Geometry
+	m := &migrator{
 		d:         d,
-		windows:   make([][]*inflight, ch),
-		busyUntil: make([]sim.Time, ch),
-		busyNs:    make([]sim.Time, ch),
+		windows:   make([][]*inflight, g.Channels),
+		minEnd:    make([]sim.Time, g.Channels),
+		named:     make([]uint64, (g.TotalSegments()+63)/64),
+		busyUntil: make([]sim.Time, g.Channels),
+		busyNs:    make([]sim.Time, g.Channels),
 		latency:   d.reg.Timer("core.migration.latency_ns", telemetry.DefaultTimerBoundsNs()),
 	}
+	for ch := range m.minEnd {
+		m.minEnd[ch] = noWindow
+	}
+	return m
 }
+
+// noWindow is the watermark of a channel with no windows in flight.
+const noWindow = sim.Time(math.MaxInt64)
+
+// lowerWatermark keeps minEnd[ch] a lower bound after a window on ch was
+// given a new end.
+func (m *migrator) lowerWatermark(ch int, end sim.Time) {
+	if end < m.minEnd[ch] {
+		m.minEnd[ch] = end
+	}
+}
+
+func (m *migrator) setNamed(dsn dram.DSN) { m.named[dsn>>6] |= 1 << (dsn & 63) }
+
+func (m *migrator) clearNamed(dsn dram.DSN) { m.named[dsn>>6] &^= 1 << (dsn & 63) }
+
+func (m *migrator) isNamed(dsn dram.DSN) bool { return m.named[dsn>>6]&(1<<(dsn&63)) != 0 }
 
 // enqueueCopy schedules the copy of one segment from src to dst (same
 // channel) using the channel's idle bandwidth; copies on a channel are
@@ -104,6 +138,9 @@ func (m *migrator) enqueueCopy(src, dst dram.DSN, now sim.Time, reason string) {
 	}
 	*w = inflight{src: src, dst: dst, start: start, end: start + dur, dur: dur}
 	m.windows[ch] = append(m.windows[ch], w)
+	m.lowerWatermark(ch, w.end)
+	m.setNamed(src)
+	m.setNamed(dst)
 	m.busyUntil[ch] = w.end
 	m.busyNs[ch] += dur
 	m.stats.Enqueued++
@@ -151,18 +188,27 @@ func (m *migrator) enqueueSwap(a, b dram.DSN, now sim.Time, reason string) {
 // against its destination rank: a copy that completed onto a rank that
 // failed mid-flight is re-routed to a fresh destination (bounded by
 // MigrationRetryLimit), so data never strands on degrading media.
+//
+// A channel whose watermark lies after now has no window due and is
+// skipped; walking it would retire nothing, so retirement, verify and
+// re-route order are those of a walk over every channel.
 func (m *migrator) completeUpTo(now sim.Time) {
 	type reroute struct {
 		dst      dram.DSN
 		vretries int
 	}
 	for ch := range m.windows {
+		if m.minEnd[ch] > now {
+			continue
+		}
 		ws := m.windows[ch]
 		var failed []reroute
 		keep := ws[:0]
+		next := noWindow
 		for _, w := range ws {
 			if w.end > now {
 				keep = append(keep, w)
+				next = min(next, w.end)
 				continue
 			}
 			m.stats.Completed++
@@ -178,6 +224,7 @@ func (m *migrator) completeUpTo(now sim.Time) {
 			m.pool = append(m.pool, w)
 		}
 		m.windows[ch] = keep
+		m.minEnd[ch] = next
 		// Re-routes are applied after the compaction above: moveSegment
 		// enqueues a fresh copy, which appends to m.windows[ch] — doing
 		// that mid-compaction would alias the slice being rewritten.
@@ -216,17 +263,23 @@ func (m *migrator) completeUpTo(now sim.Time) {
 //   - a write to an already-copied line aborts the migration, which
 //     restarts; after MigrationRetryLimit aborts the request is moved to
 //     the tail of the channel's migration queue.
+//
+// A write to a segment whose filter bit is clear has no window to find and
+// returns before the scan. A scan that finds no window naming the segment
+// clears its bit, so a stale bit costs one scan and never changes a result.
 func (m *migrator) onForegroundAccess(dsn dram.DSN, write bool, now sim.Time) {
 	m.completeUpTo(now)
-	if !write {
+	if !write || !m.isNamed(dsn) {
 		return
 	}
 	loc := m.d.codec.DecodeDSN(dsn)
 	ch := loc.Channel
+	named := false
 	for _, w := range m.windows[ch] {
 		if w.src != dsn && w.dst != dsn {
 			continue
 		}
+		named = true
 		if now < w.start {
 			continue // queued but not copying yet
 		}
@@ -258,6 +311,7 @@ func (m *migrator) onForegroundAccess(dsn dram.DSN, write bool, now sim.Time) {
 			}
 			w.start = start
 			w.end = start + w.dur
+			m.lowerWatermark(ch, w.end)
 			m.busyUntil[ch] = w.end
 			m.busyNs[ch] += w.dur
 			m.chargeStall(w, now)
@@ -265,11 +319,15 @@ func (m *migrator) onForegroundAccess(dsn dram.DSN, write bool, now sim.Time) {
 		}
 		w.start = now
 		w.end = now + w.dur
+		m.lowerWatermark(ch, w.end)
 		if m.busyUntil[ch] < w.end {
 			m.busyUntil[ch] = w.end
 		}
 		m.busyNs[ch] += w.dur
 		m.chargeStall(w, now)
+	}
+	if !named {
+		m.clearNamed(dsn)
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"dtl/internal/dram"
 )
 
-// smcEntry is one HSN→DSN mapping held in a segment mapping cache.
+// smcEntry is one HSN→DSN mapping held in the set-associative L2.
 type smcEntry struct {
 	hsn   dram.HSN
 	dsn   dram.DSN
@@ -15,11 +15,11 @@ type smcEntry struct {
 // smc is the two-level segment mapping cache of §3.2: a small
 // fully-associative L1 backed by a set-associative L2, both LRU.
 type smc struct {
-	l1     []smcEntry
+	l1     l1Cache
 	l2     []smcEntry // sets x ways, row-major
 	l2Sets int
 	l2Ways int
-	stamp  uint64
+	stamp  uint64 // L2 recency clock
 
 	l1Hits, l1Misses int64
 	l2Hits, l2Misses int64
@@ -27,7 +27,7 @@ type smc struct {
 
 func newSMC(l1Entries, l2Entries, l2Ways int) *smc {
 	return &smc{
-		l1:     make([]smcEntry, l1Entries),
+		l1:     newL1Cache(l1Entries),
 		l2:     make([]smcEntry, l2Entries),
 		l2Sets: l2Entries / l2Ways,
 		l2Ways: l2Ways,
@@ -38,13 +38,9 @@ func newSMC(l1Entries, l2Entries, l2Ways int) *smc {
 // 1 = L1 hit, 2 = L2 hit (promoted into L1), 0 = miss.
 func (c *smc) lookup(hsn dram.HSN) (dram.DSN, int) {
 	c.stamp++
-	for i := range c.l1 {
-		e := &c.l1[i]
-		if e.valid && e.hsn == hsn {
-			e.lru = c.stamp
-			c.l1Hits++
-			return e.dsn, 1
-		}
+	if s := c.l1.get(hsn); s != noSlot {
+		c.l1Hits++
+		return c.l1.dsn[s], 1
 	}
 	c.l1Misses++
 	set := int(int64(hsn) % int64(c.l2Sets))
@@ -54,7 +50,7 @@ func (c *smc) lookup(hsn dram.HSN) (dram.DSN, int) {
 		if e.valid && e.hsn == hsn {
 			e.lru = c.stamp
 			c.l2Hits++
-			c.installL1(hsn, e.dsn)
+			c.l1.put(hsn, e.dsn)
 			return e.dsn, 2
 		}
 	}
@@ -62,25 +58,12 @@ func (c *smc) lookup(hsn dram.HSN) (dram.DSN, int) {
 	return 0, 0
 }
 
-// install caches a mapping in both levels (miss-path fill).
+// install caches a mapping in both levels (miss-path fill, so hsn is in
+// neither).
 func (c *smc) install(hsn dram.HSN, dsn dram.DSN) {
 	c.stamp++
-	c.installL1(hsn, dsn)
+	c.l1.put(hsn, dsn)
 	c.installL2(hsn, dsn)
-}
-
-func (c *smc) installL1(hsn dram.HSN, dsn dram.DSN) {
-	victim := 0
-	for i := range c.l1 {
-		if !c.l1[i].valid {
-			victim = i
-			break
-		}
-		if c.l1[i].lru < c.l1[victim].lru {
-			victim = i
-		}
-	}
-	c.l1[victim] = smcEntry{hsn: hsn, dsn: dsn, valid: true, lru: c.stamp}
 }
 
 func (c *smc) installL2(hsn dram.HSN, dsn dram.DSN) {
@@ -102,17 +85,145 @@ func (c *smc) installL2(hsn dram.HSN, dsn dram.DSN) {
 // invalidate drops any cached mapping for hsn (called after remapping, §3.4:
 // "an invalidation of the corresponding entry in the segment mapping cache").
 func (c *smc) invalidate(hsn dram.HSN) {
-	for i := range c.l1 {
-		if c.l1[i].valid && c.l1[i].hsn == hsn {
-			c.l1[i].valid = false
-		}
-	}
+	c.l1.remove(hsn)
 	set := int(int64(hsn) % int64(c.l2Sets))
 	base := set * c.l2Ways
 	for i := base; i < base+c.l2Ways; i++ {
 		if c.l2[i].valid && c.l2[i].hsn == hsn {
 			c.l2[i].valid = false
 		}
+	}
+}
+
+// l1Cache is the fully-associative L1. The hardware matches every entry in
+// parallel; the model gets the same constant cost from three structures
+// over one slot array: an open-addressed hsn→slot index (linear probing,
+// at most half full, backward-shift deletion so it never needs tombstones),
+// an intrusive most-recently-used list whose tail is the LRU victim, and a
+// stack of free slots. Nothing allocates after newL1Cache.
+//
+// An HSN occupies at most one slot, and every hit or fill moves its slot to
+// the list head, so the tail is always the strict LRU entry. Which free
+// slot a fill takes is not observable.
+type l1Cache struct {
+	hsn        []dram.HSN
+	dsn        []dram.DSN
+	prev, next []int32 // MRU list links; noSlot ends the list
+	head, tail int32   // most and least recently used slots
+	free       []int32 // stack of unused slots
+	index      []int32 // slot+1 per bucket, 0 when empty
+	shift      uint    // 64 - log2(len(index))
+}
+
+const noSlot = -1
+
+func newL1Cache(entries int) l1Cache {
+	buckets, bits := 2, uint(1)
+	for buckets < 2*entries {
+		buckets <<= 1
+		bits++
+	}
+	c := l1Cache{
+		hsn:   make([]dram.HSN, entries),
+		dsn:   make([]dram.DSN, entries),
+		prev:  make([]int32, entries),
+		next:  make([]int32, entries),
+		head:  noSlot,
+		tail:  noSlot,
+		free:  make([]int32, entries),
+		index: make([]int32, buckets),
+		shift: 64 - bits,
+	}
+	for i := range c.free {
+		c.free[i] = int32(entries - 1 - i)
+	}
+	return c
+}
+
+// home is hsn's preferred bucket (Fibonacci hashing: HSNs are dense runs).
+func (c *l1Cache) home(hsn dram.HSN) int {
+	return int(uint64(hsn) * 0x9e3779b97f4a7c15 >> c.shift)
+}
+
+// find returns hsn's bucket and slot, or the empty bucket that ends its
+// probe sequence and noSlot.
+func (c *l1Cache) find(hsn dram.HSN) (int, int32) {
+	mask := len(c.index) - 1
+	for b := c.home(hsn); ; b = (b + 1) & mask {
+		s := c.index[b] - 1
+		if s == noSlot || c.hsn[s] == hsn {
+			return b, s
+		}
+	}
+}
+
+// get returns hsn's slot, made most recently used, or noSlot.
+func (c *l1Cache) get(hsn dram.HSN) int32 {
+	_, s := c.find(hsn)
+	if s != noSlot && s != c.head {
+		c.unlink(s)
+		c.pushFront(s)
+	}
+	return s
+}
+
+// put caches hsn→dsn as the most recently used entry, evicting the least
+// recently used one when every slot is taken. hsn must not be cached: the
+// SMC fills the L1 only after an L1 miss.
+func (c *l1Cache) put(hsn dram.HSN, dsn dram.DSN) {
+	if len(c.free) == 0 {
+		c.remove(c.hsn[c.tail])
+	}
+	s := c.free[len(c.free)-1]
+	c.free = c.free[:len(c.free)-1]
+	b, _ := c.find(hsn)
+	c.index[b] = s + 1
+	c.hsn[s], c.dsn[s] = hsn, dsn
+	c.pushFront(s)
+}
+
+// remove drops hsn if cached, closing the hole its bucket leaves by
+// shifting back the entries whose probe sequences ran through it.
+func (c *l1Cache) remove(hsn dram.HSN) {
+	hole, s := c.find(hsn)
+	if s == noSlot {
+		return
+	}
+	mask := len(c.index) - 1
+	for b := (hole + 1) & mask; c.index[b] != 0; b = (b + 1) & mask {
+		// The entry at b may move into the hole only if its home bucket
+		// does not lie cyclically within (hole, b].
+		if h := c.home(c.hsn[c.index[b]-1]); (b-h)&mask >= (b-hole)&mask {
+			c.index[hole] = c.index[b]
+			hole = b
+		}
+	}
+	c.index[hole] = 0
+	c.unlink(s)
+	c.free = append(c.free, s)
+}
+
+func (c *l1Cache) pushFront(s int32) {
+	c.prev[s], c.next[s] = noSlot, c.head
+	if c.head != noSlot {
+		c.prev[c.head] = s
+	} else {
+		c.tail = s
+	}
+	c.head = s
+}
+
+func (c *l1Cache) unlink(s int32) {
+	p, n := c.prev[s], c.next[s]
+	if p != noSlot {
+		c.next[p] = n
+	} else {
+		c.head = n
+	}
+	if n != noSlot {
+		c.prev[n] = p
+	} else {
+		c.tail = p
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"dtl/internal/dram"
@@ -183,5 +184,196 @@ func TestAMATFromConfig(t *testing.T) {
 	}
 	if m.Penalty != 2*cfg.SRAMTableHit+cfg.DRAMTableMiss {
 		t.Fatalf("penalty = %v", m.Penalty)
+	}
+}
+
+// refSMC is the linear-scan segment mapping cache the constant-time L1
+// replaced, kept verbatim as the reference TestSMCMatchesLinearScan checks
+// the current cache against.
+type refSMC struct {
+	l1     []smcEntry
+	l2     []smcEntry
+	l2Sets int
+	l2Ways int
+	stamp  uint64
+
+	l1Hits, l1Misses int64
+	l2Hits, l2Misses int64
+}
+
+func newRefSMC(l1Entries, l2Entries, l2Ways int) *refSMC {
+	return &refSMC{
+		l1:     make([]smcEntry, l1Entries),
+		l2:     make([]smcEntry, l2Entries),
+		l2Sets: l2Entries / l2Ways,
+		l2Ways: l2Ways,
+	}
+}
+
+func (c *refSMC) lookup(hsn dram.HSN) (dram.DSN, int) {
+	c.stamp++
+	for i := range c.l1 {
+		e := &c.l1[i]
+		if e.valid && e.hsn == hsn {
+			e.lru = c.stamp
+			c.l1Hits++
+			return e.dsn, 1
+		}
+	}
+	c.l1Misses++
+	set := int(int64(hsn) % int64(c.l2Sets))
+	base := set * c.l2Ways
+	for i := base; i < base+c.l2Ways; i++ {
+		e := &c.l2[i]
+		if e.valid && e.hsn == hsn {
+			e.lru = c.stamp
+			c.l2Hits++
+			c.installL1(hsn, e.dsn)
+			return e.dsn, 2
+		}
+	}
+	c.l2Misses++
+	return 0, 0
+}
+
+func (c *refSMC) install(hsn dram.HSN, dsn dram.DSN) {
+	c.stamp++
+	c.installL1(hsn, dsn)
+	c.installL2(hsn, dsn)
+}
+
+func (c *refSMC) installL1(hsn dram.HSN, dsn dram.DSN) {
+	victim := 0
+	for i := range c.l1 {
+		if !c.l1[i].valid {
+			victim = i
+			break
+		}
+		if c.l1[i].lru < c.l1[victim].lru {
+			victim = i
+		}
+	}
+	c.l1[victim] = smcEntry{hsn: hsn, dsn: dsn, valid: true, lru: c.stamp}
+}
+
+func (c *refSMC) installL2(hsn dram.HSN, dsn dram.DSN) {
+	set := int(int64(hsn) % int64(c.l2Sets))
+	base := set * c.l2Ways
+	victim := base
+	for i := base; i < base+c.l2Ways; i++ {
+		if !c.l2[i].valid {
+			victim = i
+			break
+		}
+		if c.l2[i].lru < c.l2[victim].lru {
+			victim = i
+		}
+	}
+	c.l2[victim] = smcEntry{hsn: hsn, dsn: dsn, valid: true, lru: c.stamp}
+}
+
+func (c *refSMC) invalidate(hsn dram.HSN) {
+	for i := range c.l1 {
+		if c.l1[i].valid && c.l1[i].hsn == hsn {
+			c.l1[i].valid = false
+		}
+	}
+	set := int(int64(hsn) % int64(c.l2Sets))
+	base := set * c.l2Ways
+	for i := base; i < base+c.l2Ways; i++ {
+		if c.l2[i].valid && c.l2[i].hsn == hsn {
+			c.l2[i].valid = false
+		}
+	}
+}
+
+func (c *refSMC) stats() SMCStats {
+	return SMCStats{L1Hits: c.l1Hits, L1Misses: c.l1Misses, L2Hits: c.l2Hits, L2Misses: c.l2Misses}
+}
+
+// checkL1 verifies the L1's internal structure: the MRU list and the free
+// stack partition the slots, and the index holds exactly the listed slots,
+// each reachable from its home bucket.
+func checkL1(t *testing.T, c *l1Cache) {
+	t.Helper()
+	listed := 0
+	prev := int32(noSlot)
+	for s := c.head; s != noSlot; s = c.next[s] {
+		if c.prev[s] != prev {
+			t.Fatalf("slot %d: prev link %d, want %d", s, c.prev[s], prev)
+		}
+		if _, got := c.find(c.hsn[s]); got != s {
+			t.Fatalf("hsn %d in slot %d: index finds slot %d", c.hsn[s], s, got)
+		}
+		prev = s
+		listed++
+		if listed > len(c.hsn) {
+			t.Fatal("MRU list has a cycle")
+		}
+	}
+	if c.tail != prev {
+		t.Fatalf("tail %d, want %d", c.tail, prev)
+	}
+	if listed+len(c.free) != len(c.hsn) {
+		t.Fatalf("%d listed + %d free != %d slots", listed, len(c.free), len(c.hsn))
+	}
+	buckets := 0
+	for _, v := range c.index {
+		if v != 0 {
+			buckets++
+		}
+	}
+	if buckets != listed {
+		t.Fatalf("index holds %d entries, list %d", buckets, listed)
+	}
+}
+
+// TestSMCMatchesLinearScan drives random lookup/install/invalidate sequences
+// through the constant-time cache and the linear-scan reference and requires
+// the same hit level, DSN and counters at every step. Installs follow a full
+// miss, as on the DTL's access path, so an HSN is never cached twice.
+func TestSMCMatchesLinearScan(t *testing.T) {
+	sizes := []struct{ l1, l2, ways int }{
+		{1, 16, 4}, {2, 16, 4}, {64, 1024, 4}, // edge sizes and the paper's
+		{16, 256, 4}, {256, 4096, 4}, // the abl-smc sweep
+	}
+	for _, sz := range sizes {
+		for seed := int64(1); seed <= 4; seed++ {
+			c := newSMC(sz.l1, sz.l2, sz.ways)
+			ref := newRefSMC(sz.l1, sz.l2, sz.ways)
+			rng := rand.New(rand.NewSource(seed))
+			// A universe a few times the L1 keeps hits, L2 promotions and
+			// evictions all common; a stride spreads HSNs over the index.
+			universe := 3*sz.l1 + 8
+			stride := dram.HSN(1 + rng.Intn(97))
+			gen := map[dram.HSN]dram.DSN{}
+			for step := 0; step < 20000; step++ {
+				h := dram.HSN(rng.Intn(universe)) * stride
+				op := rng.Intn(10)
+				if op == 0 {
+					c.invalidate(h)
+					ref.invalidate(h)
+					gen[h]++ // the next fill carries a new mapping
+				} else {
+					dsn, lvl := c.lookup(h)
+					wantDSN, wantLvl := ref.lookup(h)
+					if dsn != wantDSN || lvl != wantLvl {
+						t.Fatalf("L1 %d seed %d step %d: lookup(%d) = (%d, %d), want (%d, %d)",
+							sz.l1, seed, step, h, dsn, lvl, wantDSN, wantLvl)
+					}
+					if lvl == 0 && op > 2 {
+						c.install(h, gen[h]*1000+dram.DSN(h))
+						ref.install(h, gen[h]*1000+dram.DSN(h))
+					}
+				}
+				if got, want := c.stats(), ref.stats(); got != want {
+					t.Fatalf("L1 %d seed %d step %d: stats %+v, want %+v", sz.l1, seed, step, got, want)
+				}
+				if step%97 == 0 {
+					checkL1(t, &c.l1)
+				}
+			}
+			checkL1(t, &c.l1)
+		}
 	}
 }

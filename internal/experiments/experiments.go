@@ -112,6 +112,9 @@ type Options struct {
 	// watchExperiment labels Watch snapshots with the runner id; stamped by
 	// RunAll so single-runner invocations need no wiring.
 	watchExperiment string
+	// srRuns shares self-refresh replays between Fig14 and Fig15 within one
+	// RunAll call; nil (a runner called directly) replays every time.
+	srRuns *srMemo
 }
 
 // canceledPanic carries the context error from an experiment's run loop up

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"dtl/internal/core"
 	"dtl/internal/dram"
@@ -208,6 +209,57 @@ func runSelfRefresh(o Options, cfg srConfig) srRunResult {
 	}
 }
 
+// srMemo holds the self-refresh replays of one RunAll call. Fig14 and Fig15
+// replay the same four configurations; with the memo each replays once,
+// whichever runner reaches it first, even when the two run concurrently.
+type srMemo struct {
+	mu   sync.Mutex
+	runs map[srKey]*srRun
+}
+
+// srKey names a replay: every Options field that could change a result
+// (the telemetry sinks, report writer, context and memo cleared), plus the
+// configuration.
+type srKey struct {
+	opts Options
+	cfg  srConfig
+}
+
+type srRun struct {
+	mu  sync.Mutex // held while the replay runs, so a second caller waits
+	ok  bool
+	res srRunResult
+}
+
+// selfRefresh returns runSelfRefresh(o, cfg), from o's memo when the same
+// replay already finished. A replay with telemetry sinks always runs, since
+// the files it writes are part of its output; its result is then shared. A
+// replay abandoned by a panic (cancellation) leaves nothing behind.
+func (o Options) selfRefresh(cfg srConfig) srRunResult {
+	m := o.srRuns
+	if m == nil {
+		return runSelfRefresh(o, cfg)
+	}
+	fp := o.withoutTelemetry()
+	fp.Out, fp.Ctx, fp.watchExperiment, fp.srRuns = nil, nil, "", nil
+	key := srKey{fp, cfg}
+	m.mu.Lock()
+	r := m.runs[key]
+	if r == nil {
+		r = &srRun{}
+		m.runs[key] = r
+	}
+	m.mu.Unlock()
+
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.ok || o.observed() {
+		r.res = runSelfRefresh(o, cfg)
+		r.ok = true
+	}
+	return r.res
+}
+
 // Fig14 reproduces the hotness-aware self-refresh study: extra savings over
 // rank-level power-down at four allocation levels, with savings collapsing
 // when the active ranks' cold+free capacity per channel falls below a rank.
@@ -228,7 +280,7 @@ func Fig14(o Options) Result {
 		if i > 0 {
 			ro = o.withoutTelemetry() // only the headline config writes files
 		}
-		r := runSelfRefresh(ro, cfg)
+		r := ro.selfRefresh(cfg)
 		saving := r.additionalSaving()
 		if csv != nil {
 			fmt.Fprintf(csv, "%s,%d,%d,%d,%d,%.4f\n",
@@ -256,7 +308,7 @@ func Fig15(o Options) Result {
 
 	tab := metrics.NewTable("config", "power-down only", "with self-refresh", "paper")
 	for _, cfg := range srConfigs() {
-		r := runSelfRefresh(o.withoutTelemetry(), cfg)
+		r := o.withoutTelemetry().selfRefresh(cfg)
 		// Power-down-only saving for the same configuration: idle groups
 		// in MPSM, active groups fully standby.
 		idle := float64(r.totalRanks - r.activeRanks)

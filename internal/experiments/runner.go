@@ -26,6 +26,7 @@ import (
 // experiment writes distinctly-named series files.
 func RunAll(runners []Runner, opts Options, parallel int) []Result {
 	results := make([]Result, len(runners))
+	opts.srRuns = &srMemo{runs: map[srKey]*srRun{}}
 	if parallel > len(runners) {
 		parallel = len(runners)
 	}

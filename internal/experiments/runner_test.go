@@ -119,3 +119,40 @@ func TestAblationSweepParallelMatchesSerial(t *testing.T) {
 		t.Fatal("sweep report bytes differ between serial and parallel")
 	}
 }
+
+// TestSelfRefreshReplaysShared: within one RunAll, Fig15 takes the four
+// replays Fig14 ran instead of repeating them. Sharing changes nothing: a
+// shared replay equals a fresh one, and serial and parallel runs agree byte
+// for byte.
+func TestSelfRefreshReplaysShared(t *testing.T) {
+	if testing.Short() {
+		t.Skip("self-refresh replay is slow")
+	}
+	var serialOut bytes.Buffer
+	o := quickOpts()
+	o.Out = &serialOut
+	o.srRuns = &srMemo{runs: map[srKey]*srRun{}}
+	serial := []Result{Fig14(o), Fig15(o)}
+	if n := len(o.srRuns.runs); n != len(srConfigs()) {
+		t.Fatalf("fig14 and fig15 made %d distinct replays, want %d", n, len(srConfigs()))
+	}
+	cfg := srConfigs()[0]
+	shared, ok := o.srRuns.runs[srKey{quickOpts(), cfg}]
+	if !ok {
+		t.Fatal("replay not keyed by the options without their report writer")
+	}
+	if fresh := runSelfRefresh(quickOpts(), cfg); shared.res != fresh {
+		t.Fatalf("shared replay %+v, fresh %+v", shared.res, fresh)
+	}
+
+	var parOut bytes.Buffer
+	o = quickOpts()
+	o.Out = &parOut
+	par := RunAll(runnersByID(t, "fig14", "fig15"), o, 2)
+	if !reflect.DeepEqual(serial, par) {
+		t.Fatalf("parallel results differ:\nserial: %+v\nparallel: %+v", serial, par)
+	}
+	if !bytes.Equal(serialOut.Bytes(), parOut.Bytes()) {
+		t.Fatal("parallel report differs from serial")
+	}
+}

@@ -86,7 +86,7 @@ func (o Options) telemetryForFabric(f *rack.Fabric, defaultPeriod, horizon sim.T
 }
 
 func (o Options) telemetryForSource(src attrSource, snapshot func(sim.Time, bool) WatchSnapshot, defaultPeriod, horizon sim.Time) *runTelemetry {
-	if o.TracePath == "" && o.MetricsPath == "" && o.LedgerPath == "" && o.Watch == nil {
+	if !o.observed() {
 		return nil
 	}
 	rt := &runTelemetry{
@@ -302,6 +302,12 @@ func writeTo(path string, fn func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// observed reports whether o has any of the telemetry outputs that
+// withoutTelemetry clears.
+func (o Options) observed() bool {
+	return o.TracePath != "" || o.MetricsPath != "" || o.LedgerPath != "" || o.Watch != nil
 }
 
 // withoutTelemetry clears the telemetry outputs; used by experiments that
