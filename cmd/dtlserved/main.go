@@ -65,7 +65,6 @@ func run() int {
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "graceful-shutdown bound before in-flight jobs are canceled")
 	chaosSpec := flag.String("chaos", "", `fault-injection spec, e.g. "seed=1;panic=0.1;crash-commit=0.05" (default: disabled)`)
 	parallel := flag.Int("parallel", 1, "default sweep fan-out for jobs that leave 'parallel' unset")
-	shards := flag.Int("shards", 1, "default replay shard count for jobs that leave 'shards' unset (artifacts identical at every count)")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
 	logLevel := flag.String("log-level", "info", "log floor: debug, info, warn or error")
 	pprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof (off by default: exposes heap contents)")
@@ -84,31 +83,18 @@ func run() int {
 		return 2
 	}
 
-	bounded := func(name string, v int) (int, bool) {
-		explicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == name {
-				explicit = true
-			}
-		})
-		n, warn, err := cliflag.CheckWorkers(name, v, explicit)
-		if err != nil {
-			logger.Error("invalid flag", "err", err)
-			return 0, false
-		}
-		if warn != nil {
-			logger.Warn("worker count capped", "flag", warn.Flag,
-				"requested", warn.Requested, "capped", warn.Capped)
-		}
-		return n, true
-	}
-	ok := true
-	if *parallel, ok = bounded("parallel", *parallel); !ok {
+	explicit := false
+	flag.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "parallel" })
+	n, warn, err := cliflag.CheckWorkers("parallel", *parallel, explicit)
+	if err != nil {
+		logger.Error("invalid flag", "err", err)
 		return 2
 	}
-	if *shards, ok = bounded("shards", *shards); !ok {
-		return 2
+	if warn != nil {
+		logger.Warn("worker count capped", "flag", warn.Flag,
+			"requested", warn.Requested, "capped", warn.Capped)
 	}
+	*parallel = n
 
 	harness, err := chaos.Parse(*chaosSpec)
 	if err != nil {
@@ -123,7 +109,6 @@ func run() int {
 		JobTimeout:      *jobTimeout,
 		Chaos:           harness,
 		DefaultParallel: *parallel,
-		DefaultShards:   *shards,
 		Logger:          logger,
 		EnablePprof:     *pprof,
 		// A chaos crash point behaves like a power cut: the process dies on

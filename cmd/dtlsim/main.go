@@ -38,11 +38,8 @@
 // -parallel N runs the selected experiments across N workers; reports print
 // in the same order and with the same bytes as a serial run (when several
 // experiments run in parallel the shared -trace/-metrics files are disabled,
-// since they would interleave). -shards N additionally parallelizes *inside*
-// an experiment: controller replays split by channel across N per-shard
-// event heaps (sim.ShardedEngine) that meet at sampling barriers, with
-// output byte-identical to a serial run at every shard count. Both flags
-// reject negative or explicit-zero values and are capped at GOMAXPROCS.
+// since they would interleave). It rejects negative or explicit-zero values
+// and is capped at GOMAXPROCS.
 // -cpuprofile/-memprofile write pprof profiles of the run for
 // `go tool pprof`.
 package main
@@ -66,7 +63,7 @@ import (
 	"dtl/internal/telemetry"
 )
 
-// boundedWorkers validates a -parallel/-shards value, rejecting negatives
+// boundedWorkers validates the -parallel value, rejecting negatives
 // and explicit zeros (exit 2) and capping at GOMAXPROCS with a warning.
 func boundedWorkers(name string, v int) int {
 	explicit := false
@@ -106,14 +103,12 @@ func main() {
 		watch    = flag.Bool("watch", false, "live dashboard on stderr (power-state strip, counters, ETA)")
 
 		parallel   = flag.Int("parallel", 1, "run experiments across N workers (reports stay in serial order)")
-		shards     = flag.Int("shards", 1, "shard controller replays by channel across N event heaps (output stays byte-identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit")
 	)
 	flag.Parse()
 
 	*parallel = boundedWorkers("parallel", *parallel)
-	*shards = boundedWorkers("shards", *shards)
 
 	samplePeriod, err := time.ParseDuration(*sample)
 	if err != nil || samplePeriod < 0 {
@@ -173,7 +168,6 @@ func main() {
 		SamplePeriod: sim.Time(samplePeriod.Nanoseconds()),
 		FaultSpec:    *faults,
 		Parallel:     *parallel,
-		Shards:       *shards,
 		Policy:       pol,
 		Rack:         rackCount,
 		Fabric:       *fabric,

@@ -19,8 +19,6 @@
 //	dtlstat timeline timeline.json                       # where did my wall-clock go?
 //	dtlstat timeline -check stage=queued,p99<100ms timeline.json
 //
-//	dtlstat [-check band.json] trace.json                # legacy spelling of 'read'
-//
 // `read` renders one trace's summary. -check compares the device-wide
 // residency share of each power state against a tolerance band (JSON:
 // {"states": {"mpsm": {"share": 0.4, "tol": 0.1}, ...}}) and exits nonzero
@@ -58,27 +56,33 @@ import (
 	"dtl/internal/telemetry"
 )
 
-func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "read":
-			os.Exit(cmdRead(args[1:]))
-		case "diff":
-			os.Exit(cmdDiff(args[1:]))
-		case "top":
-			os.Exit(cmdTop(args[1:]))
-		case "jobs":
-			os.Exit(cmdJobs(args[1:]))
-		case "timeline":
-			os.Exit(cmdTimeline(args[1:]))
-		case "help", "-h", "-help", "--help":
-			usage()
-			return
-		}
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run dispatches args to a subcommand and returns the exit status. Anything
+// else, a bare trace path or flag included, prints usage and exits 2.
+func run(args []string) int {
+	if len(args) == 0 {
+		usage()
+		return 2
 	}
-	// Legacy spelling: dtlstat [-check band.json] <trace.json>.
-	os.Exit(cmdRead(args))
+	switch args[0] {
+	case "read":
+		return cmdRead(args[1:])
+	case "diff":
+		return cmdDiff(args[1:])
+	case "top":
+		return cmdTop(args[1:])
+	case "jobs":
+		return cmdJobs(args[1:])
+	case "timeline":
+		return cmdTimeline(args[1:])
+	case "help", "-h", "-help", "--help":
+		usage()
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "dtlstat: unknown command %q\n", args[0])
+	usage()
+	return 2
 }
 
 func usage() {
@@ -89,7 +93,6 @@ func usage() {
   dtlstat jobs [-addr host:port] [-state S] [-json]
   dtlstat timeline [-json] [-check stage=queued,p99<100ms]... <timeline.json>
   dtlstat timeline [-json] [-check ...] -addr host:port -job j000001
-  dtlstat [-check band.json] <trace>     (same as 'read')
 
 Traces may be chrome JSON, JSONL, or events CSV; the format is sniffed.
 'top' also accepts the attribution ledger JSON written by dtlsim -ledger.

@@ -245,14 +245,17 @@ type (
 )
 
 // Registry returns the device's always-on metrics registry. Every counter
-// behind Stats() lives here; callers may add their own metrics and sample
-// the registry on a sim interval timer (Registry.StartSampling).
+// behind Stats() lives here; callers may add their own metrics and stream
+// the registry as CSV on a sim interval timer (Registry.StreamTo, then
+// StreamSampler.Start).
 func (d *Device) Registry() *Registry { return d.dtl.Registry() }
 
 // StartTrace attaches a new event tracer sized for this device (capacity 0
 // selects the default ring size) and returns it. Call Finish on the tracer
-// at the run horizon, then export with telemetry.WriteChromeTrace,
-// WriteJSONL, or WriteEventsCSV. Tracing costs nothing until started.
+// at the run horizon, then export with telemetry.WriteChromeTrace; for
+// JSONL or CSV, attach a telemetry.TraceStream (Tracer.AttachStream) right
+// after starting, and every record is written as it happens. Tracing costs
+// nothing until started.
 func (d *Device) StartTrace(capacity int, now Time) *Tracer {
 	return d.dtl.StartTrace(capacity, now)
 }

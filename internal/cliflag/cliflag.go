@@ -1,9 +1,9 @@
-// Package cliflag validates worker-count knobs (-parallel, -shards) shared
-// by the dtl front ends. The commands differ in how they report problems
-// (dtlsim prints to stderr and exits 2, dtlserved logs structured records),
-// so validation returns the verdict and lets the caller render it, mirroring
-// the repo's "unknown policy keys fail loudly" convention instead of
-// silently misbehaving on nonsense values.
+// Package cliflag validates the worker-count and model-size knobs
+// (-parallel, -rack) shared by the dtl front ends. The commands differ in
+// how they report problems (dtlsim prints to stderr and exits 2, dtlserved
+// logs structured records), so validation returns the verdict and lets the
+// caller render it, mirroring the repo's "unknown policy keys fail loudly"
+// convention instead of silently misbehaving on nonsense values.
 package cliflag
 
 import (
@@ -26,7 +26,7 @@ func (w *Warning) String() string {
 		w.Flag, w.Requested, w.Capped, w.Capped)
 }
 
-// CheckWorkers validates a worker/shard count v for the flag -name.
+// CheckWorkers validates a worker count v for the flag -name.
 // explicit reports whether the user set the flag on the command line (see
 // flag.Visit): an explicit zero is rejected — it always indicates a typo'd
 // invocation, never a meaningful request — while an unset zero falls back

@@ -83,7 +83,7 @@ func TestCheckCount(t *testing.T) {
 
 func TestCheckWorkersStructuredWarning(t *testing.T) {
 	max := runtime.GOMAXPROCS(0)
-	n, w, err := CheckWorkers("shards", max+3, true)
+	n, w, err := CheckWorkers("parallel", max+3, true)
 	if err != nil {
 		t.Fatalf("CheckWorkers: %v", err)
 	}
@@ -93,13 +93,13 @@ func TestCheckWorkersStructuredWarning(t *testing.T) {
 	if w == nil {
 		t.Fatal("CheckWorkers returned nil warning for an above-cap count")
 	}
-	if w.Flag != "shards" || w.Requested != max+3 || w.Capped != max {
-		t.Fatalf("warning fields = %+v, want {shards %d %d}", w, max+3, max)
+	if w.Flag != "parallel" || w.Requested != max+3 || w.Capped != max {
+		t.Fatalf("warning fields = %+v, want {parallel %d %d}", w, max+3, max)
 	}
-	if !strings.Contains(w.String(), "-shards") {
+	if !strings.Contains(w.String(), "-parallel") {
 		t.Fatalf("warning string %q does not name the flag", w.String())
 	}
-	if _, w, _ := CheckWorkers("shards", 1, true); w != nil {
+	if _, w, _ := CheckWorkers("parallel", 1, true); w != nil {
 		t.Fatalf("CheckWorkers(1) warning = %+v, want nil", w)
 	}
 }

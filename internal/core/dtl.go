@@ -24,13 +24,9 @@ const dsnFree dram.HSN = -1
 //
 // DTL is single-threaded and driven by a trace replay loop that presents
 // accesses in nondecreasing time order; this mirrors the hardware, where
-// the translation pipeline is a single in-order datapath per device. This
-// is also why DTL-driven experiments keep the serial sim.Engine when
-// Options.Shards asks for sharded execution: the SMC, segMap/revMap, and
-// the allocator are device-global structures every access may touch, so
-// there is no channel decomposition to exploit — the per-channel sharding
-// of sim.ShardedEngine applies to the raw controller replays, where state
-// partitions cleanly by channel (see memctrl.Controller).
+// the translation pipeline is a single in-order datapath per device. The
+// SMC, segMap/revMap, and the allocator are device-global structures every
+// access may touch, so there is no channel decomposition to exploit.
 type DTL struct {
 	cfg   Config
 	dev   *dram.Device

@@ -75,16 +75,6 @@ type Options struct {
 	// sweep point builds an independent device); <= 1 runs points serially.
 	// Results and report bytes are identical either way.
 	Parallel int
-	// Shards shards the controller replays inside an experiment by channel
-	// on a sim.ShardedEngine (per-channel event heaps and clocks meeting at
-	// sampling barriers); <= 1 replays serially. The DTL-driven experiments
-	// (fig9's replay, the 6-hour schedule loops, faults, amat) keep the
-	// serial engine regardless — core.DTL models a single in-order
-	// translation datapath — so for them Shards is a documented no-op.
-	// Results and artifact bytes are identical at every setting, and Shards
-	// composes with Parallel (shards split one experiment's channels;
-	// Parallel fans out across experiments and sweep points).
-	Shards int
 	// Rack is the expander count for the rack experiment: N independent
 	// DTL devices composed behind a simulated CXL fabric. 0 picks the
 	// default rack size (4); other experiments ignore it.

@@ -63,6 +63,7 @@ func TestFig1Shape(t *testing.T) {
 
 func TestFig2Shape(t *testing.T) {
 	res := Fig2(quickOpts())
+	checkMetricsGolden(t, res)
 	s2 := res.Metrics["slowdown_2ranks"]
 	if s2 <= 0 || s2 > 0.05 {
 		t.Errorf("2-rank slowdown %.4f, want small positive (paper: 0.007)", s2)
@@ -80,6 +81,7 @@ func TestFig2Shape(t *testing.T) {
 
 func TestFig5Shape(t *testing.T) {
 	res := Fig5(quickOpts())
+	checkMetricsGolden(t, res)
 	local := res.Metrics["loss_local"]
 	cxl := res.Metrics["loss_cxl"]
 	if local <= 0 || local > 0.06 {
@@ -140,6 +142,7 @@ func TestFig11Shape(t *testing.T) {
 
 func TestFig12Shape(t *testing.T) {
 	res := Fig12(quickOpts())
+	checkMetricsGolden(t, res)
 	saving := res.Metrics["energy_saving"]
 	if saving < 0.1 || saving > 0.9 {
 		t.Errorf("energy saving %.3f outside plausible band (paper: 0.316)", saving)

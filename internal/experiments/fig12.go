@@ -277,11 +277,11 @@ func measurePerfOverhead(o Options, activeRanks int) float64 {
 	base := replayController(dram.Geometry{
 		Channels: 4, RanksPerChannel: 8, BanksPerRank: 16,
 		SegmentBytes: 2 * dram.MiB, RankBytes: 32 * dram.GiB,
-	}, true, cxl.CXLMemoryLatency, profiles, n, o.Seed, nil, o.Shards)
+	}, true, cxl.CXLMemoryLatency, profiles, n, o.Seed, nil)
 	tech := replayController(dram.Geometry{
 		Channels: 4, RanksPerChannel: activeRanks, BanksPerRank: 16,
 		SegmentBytes: 2 * dram.MiB, RankBytes: 32 * dram.GiB,
-	}, false, cxl.CXLMemoryLatency, profiles, n, o.Seed, nil, o.Shards)
+	}, false, cxl.CXLMemoryLatency, profiles, n, o.Seed, nil)
 	const translationOverhead = 0.0018
 	return tech.execTime()/base.execTime() - 1 + translationOverhead
 }

@@ -40,7 +40,7 @@ func Fig2(o Options) Result {
 		if rk == 2 {
 			rt = o.telemetryForRegistry(telemetry.NewRegistry(), 100*sim.Microsecond, 0)
 		}
-		st := replayController(g, true, cxl.NativeDRAMLatency, profiles, n, o.Seed, rt, o.Shards)
+		st := replayController(g, true, cxl.NativeDRAMLatency, profiles, n, o.Seed, rt)
 		if err := rt.finish(st.endTime); err != nil {
 			panic(err)
 		}

@@ -33,8 +33,8 @@ func Fig5(o Options) Result {
 		if link.lat == cxl.CXLMemoryLatency {
 			rt = o.telemetryForRegistry(telemetry.NewRegistry(), 100*sim.Microsecond, 0)
 		}
-		ri := replayController(g, true, link.lat, profiles, n, o.Seed, nil, o.Shards)
-		nori := replayController(g, false, link.lat, profiles, n, o.Seed, rt, o.Shards)
+		ri := replayController(g, true, link.lat, profiles, n, o.Seed, nil)
+		nori := replayController(g, false, link.lat, profiles, n, o.Seed, rt)
 		if err := rt.finish(nori.endTime); err != nil {
 			panic(err)
 		}

@@ -40,10 +40,9 @@ const pressure = 2.0
 
 // chanReplay is one channel's slice of the replay stream in struct-of-arrays
 // form — three dense parallel slices the replay kernel walks front to back —
-// plus that channel's private accumulators. Accumulating latency per channel
-// (instead of into one shared float) is what makes the serial and sharded
-// replays byte-identical: float addition is non-associative, so both paths
-// keep per-channel partial sums and reduce them in fixed channel order.
+// plus that channel's private accumulators. Latency is summed per channel
+// and the partial sums are reduced in fixed channel order: float addition is
+// non-associative, so that order is part of the output bytes.
 type chanReplay struct {
 	dpa    []dram.DPA
 	write  []bool
@@ -54,57 +53,26 @@ type chanReplay struct {
 	rowHits int64
 }
 
-// access replays entry i against the controller. The controller's Access
-// path touches only channel- and rank-local state (see memctrl.Controller),
-// so concurrent calls for different channels do not race.
-func (cr *chanReplay) access(ctrl *memctrl.Controller, linkLat sim.Time, i int) {
-	arrive := cr.arrive[i]
-	res := ctrl.Access(memctrl.Request{Addr: cr.dpa[i], Write: cr.write[i], Arrive: arrive})
-	cr.latSum += float64(res.Done-arrive) + float64(linkLat)
-	if res.RowHit {
-		cr.rowHits++
-	}
-}
-
-// runTo replays entries arriving strictly before limit — the serial half of
-// the round structure both replay paths share (the sharded path's
-// BarrierBefore has the same strictly-before contract).
+// runTo replays the channel's entries arriving strictly before limit.
 func (cr *chanReplay) runTo(ctrl *memctrl.Controller, linkLat sim.Time, limit sim.Time) {
-	for cr.next < len(cr.arrive) && cr.arrive[cr.next] < limit {
-		cr.access(ctrl, linkLat, cr.next)
-		cr.next++
-	}
-}
-
-// scheduleChanReplay installs the channel's stream on a shard engine as a
-// self-rescheduling event chain: each firing replays one access at its
-// arrival time and schedules the next. Arrival times are non-decreasing
-// within a channel, and equal-time entries fire in insertion order, so the
-// chain replays the channel in exactly the order runTo does.
-func scheduleChanReplay(eng *sim.Engine, cr *chanReplay, ctrl *memctrl.Controller, linkLat sim.Time) {
-	if len(cr.arrive) == 0 {
-		return
-	}
-	var step sim.Event
-	step = func(now sim.Time) {
-		cr.access(ctrl, linkLat, cr.next)
-		cr.next++
-		if cr.next < len(cr.arrive) {
-			eng.At(cr.arrive[cr.next], step)
+	for ; cr.next < len(cr.arrive) && cr.arrive[cr.next] < limit; cr.next++ {
+		i := cr.next
+		arrive := cr.arrive[i]
+		res := ctrl.Access(memctrl.Request{Addr: cr.dpa[i], Write: cr.write[i], Arrive: arrive})
+		cr.latSum += float64(res.Done-arrive) + float64(linkLat)
+		if res.RowHit {
+			cr.rowHits++
 		}
 	}
-	eng.At(cr.arrive[0], step)
 }
 
 // rt, when non-nil, samples the controller's registry metrics over the
 // replay's virtual clock (the caller finishes it with the returned endTime).
-// shards > 1 replays the channels concurrently on a sharded engine; any
-// value (including 0 and 1) replays serially. Both paths quiesce every
-// channel at each sampling boundary before the sample fires, so a sample at
-// time T always reflects exactly the accesses arriving before T and the
-// output is byte-identical at every shard count.
+// Every channel is replayed up to each sampling boundary before the sample
+// fires, so a sample at time T reflects exactly the accesses arriving
+// before T.
 func replayController(g dram.Geometry, rankInterleave bool, linkLat sim.Time,
-	profiles []trace.Profile, n int, seed int64, rt *runTelemetry, shards int) replayStats {
+	profiles []trace.Profile, n int, seed int64, rt *runTelemetry) replayStats {
 
 	dev := dram.MustDevice(g, dram.DefaultPowerModel(), dram.DefaultTiming())
 	ctrl := memctrl.New(dev)
@@ -127,8 +95,7 @@ func replayController(g dram.Geometry, rankInterleave bool, linkLat sim.Time,
 	}
 
 	// Generation phase: materialize the merged stream into per-channel SoA
-	// buffers. The trace RNG is consumed identically at every shard count,
-	// and arrival stamps are non-decreasing, so endTime is the last stamp.
+	// buffers. Arrival stamps are non-decreasing, so endTime is the last one.
 	chans := make([]chanReplay, g.Channels)
 	var endTime sim.Time
 	for i := 0; i < n; i++ {
@@ -144,51 +111,22 @@ func replayController(g dram.Geometry, rankInterleave bool, linkLat sim.Time,
 		endTime = arrive
 	}
 
-	// Replay phase: rounds bounded by the sampling clock's next event, then
-	// a final drain past endTime. The serial path walks the channels in
-	// index order; the sharded path runs them concurrently and meets the
-	// serial path at every boundary via the barrier protocol.
-	if shards > 1 {
-		nsh := shards
-		if nsh > g.Channels {
-			nsh = g.Channels
-		}
-		seng := sim.NewSharded(nsh)
-		for ch := range chans {
-			scheduleChanReplay(seng.Shard(ch%nsh), &chans[ch], ctrl, linkLat)
-		}
-		for {
-			b, ok := rt.next()
-			if !ok || b > endTime {
-				break
-			}
-			seng.BarrierBefore(b)
-			rt.tick(b)
-		}
-		seng.Drain(endTime)
-		seng.Close()
-	} else {
-		for {
-			b, ok := rt.next()
-			if !ok || b > endTime {
-				break
-			}
-			for ch := range chans {
-				chans[ch].runTo(ctrl, linkLat, b)
-			}
-			rt.tick(b)
+	// Replay phase: rounds bounded by the sampling clock's next event, each
+	// walking the channels in index order, then a final round past endTime.
+	for {
+		b, ok := rt.next()
+		if !ok || b > endTime {
+			break
 		}
 		for ch := range chans {
-			chans[ch].runTo(ctrl, linkLat, endTime+1)
+			chans[ch].runTo(ctrl, linkLat, b)
 		}
+		rt.tick(b)
 	}
-
-	// Reduce the per-channel accumulators in fixed channel order (float
-	// addition is non-associative; a fixed order keeps every shard count
-	// byte-identical).
 	var latSum float64
 	var rowHits, accesses int64
 	for ch := range chans {
+		chans[ch].runTo(ctrl, linkLat, endTime+1)
 		latSum += chans[ch].latSum
 		rowHits += chans[ch].rowHits
 		accesses += int64(len(chans[ch].arrive))

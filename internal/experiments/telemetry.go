@@ -193,8 +193,9 @@ func (rt *runTelemetry) tick(now sim.Time) {
 }
 
 // next reports the sampling clock's next due time; ok is false when rt is
-// nil or nothing is scheduled. The replay loops use it as the round boundary:
-// quiesce every channel strictly before next(), then tick the sample.
+// nil or nothing is scheduled. The controller replay uses it as the round
+// boundary: replay every channel strictly before next(), then tick the
+// sample.
 func (rt *runTelemetry) next() (at sim.Time, ok bool) {
 	if rt == nil {
 		return 0, false

@@ -57,16 +57,6 @@ type RankStats struct {
 }
 
 // Controller services requests for all channels of one device.
-//
-// Hot state is laid out struct-of-arrays and indexed only by the request's
-// channel and the ranks belonging to it, so requests on disjoint channels
-// touch disjoint memory. The sharded replay path (experiments.Options.Shards,
-// sim.ShardedEngine) relies on that: each shard services one channel's
-// request stream from its own goroutine. That is safe provided (a) each
-// channel's stream keeps the nondecreasing arrival order documented above,
-// and (b) no cross-channel aggregate (TotalBytes, WindowStats, registry
-// gauges, ...) is read concurrently with Access — the sharded engine's
-// barrier provides exactly that quiescence.
 type Controller struct {
 	dev   *dram.Device
 	codec *dram.AddressCodec
@@ -86,13 +76,10 @@ type Controller struct {
 	winAccesses  []int64    // per global rank, since last ResetWindow
 	lifeAccesses []int64    // per global rank, total
 	busyNs       []sim.Time // per channel: accumulated bus occupancy
-	// Telemetry counters, kept per channel (struct-of-arrays, indexed by
-	// the request's channel) so Access never writes cross-channel state;
-	// the exported accessors and RegisterMetrics gauges sum them at read
-	// time, which the sharded replay only does at barriers.
-	wakeups  []int64
-	stalls   []int64
-	degraded []int64
+
+	wakeups  int64 // accesses that found their rank in self-refresh
+	stalls   int64 // accesses delayed by a refresh window
+	degraded int64 // accesses that paid the failed-rank penalty
 
 	// refreshEnabled blocks each standby rank for TRFC every TREFI, with
 	// per-rank phase staggering (all-bank refresh). Self-refresh and MPSM
@@ -114,9 +101,6 @@ func New(dev *dram.Device) *Controller {
 		winAccesses:  make([]int64, nRanks),
 		lifeAccesses: make([]int64, nRanks),
 		busyNs:       make([]sim.Time, g.Channels),
-		wakeups:      make([]int64, g.Channels),
-		stalls:       make([]int64, g.Channels),
-		degraded:     make([]int64, g.Channels),
 	}
 	for ch := range c.lastRank {
 		c.lastRank[ch] = -1
@@ -151,7 +135,7 @@ func (c *Controller) Access(req Request) Result {
 	case dram.SelfRefresh:
 		ready := c.dev.SetState(id, dram.Standby, req.Arrive)
 		wake = ready - req.Arrive
-		c.wakeups[ch]++
+		c.wakeups++
 	}
 
 	rankReady := c.dev.ReadyAt(id)
@@ -165,7 +149,7 @@ func (c *Controller) Access(req Request) Result {
 	row := c.codec.RowOf(req.Addr)
 	start := maxT(busSlot, rankReady, c.bankFree[gr][bank])
 	if c.refreshEnabled {
-		start = c.afterRefresh(ch, gr, start)
+		start = c.afterRefresh(gr, start)
 	}
 
 	if c.lastRank[ch] >= 0 && c.lastRank[ch] != rk {
@@ -194,7 +178,7 @@ func (c *Controller) Access(req Request) Result {
 	if c.dev.FailedGlobal(gr) {
 		degraded = c.tim.DegradedAccess
 		accessLat += degraded
-		c.degraded[ch]++
+		c.degraded++
 	}
 
 	done := start + accessLat + c.tim.TBL
@@ -237,13 +221,11 @@ func (c *Controller) Access(req Request) Result {
 func (c *Controller) EnableRefresh() { c.refreshEnabled = true }
 
 // RefreshStalls reports how many requests were delayed by a refresh window.
-func (c *Controller) RefreshStalls() int64 { return sumI64(c.stalls) }
+func (c *Controller) RefreshStalls() int64 { return c.stalls }
 
 // RegisterMetrics attaches the controller's counters and per-channel bus
 // gauges to a telemetry registry under the "memctrl" prefix, so sampled time
-// series include queue/bus behavior ("memctrl.ch0.busy_ns", ...). The
-// counters are per-channel internally and summed at read time; the sharded
-// replay samples only at barriers, with every shard quiesced.
+// series include queue/bus behavior ("memctrl.ch0.busy_ns", ...).
 func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("memctrl.wakeups", func() float64 { return float64(c.Wakeups()) })
 	reg.GaugeFunc("memctrl.refresh_stalls", func() float64 { return float64(c.RefreshStalls()) })
@@ -264,9 +246,8 @@ func (c *Controller) RegisterMetrics(reg *telemetry.Registry) {
 
 // afterRefresh pushes t past the rank's refresh window if it falls inside
 // one. Rank gr refreshes during [phase + k*TREFI, phase + k*TREFI + TRFC)
-// where phase staggers ranks evenly across the interval. ch is the rank's
-// channel, charged with the stall.
-func (c *Controller) afterRefresh(ch, gr int, t sim.Time) sim.Time {
+// where phase staggers ranks evenly across the interval.
+func (c *Controller) afterRefresh(gr int, t sim.Time) sim.Time {
 	trefi, trfc := c.tim.TREFI, c.tim.TRFC
 	if trefi <= 0 || trfc <= 0 {
 		return t
@@ -277,7 +258,7 @@ func (c *Controller) afterRefresh(ch, gr int, t sim.Time) sim.Time {
 		offset += trefi
 	}
 	if offset < trfc {
-		c.stalls[ch]++
+		c.stalls++
 		return t + (trfc - offset)
 	}
 	return t
@@ -320,11 +301,11 @@ func (c *Controller) TotalBytes() int64 {
 }
 
 // Wakeups reports how many accesses found their rank in self-refresh.
-func (c *Controller) Wakeups() int64 { return sumI64(c.wakeups) }
+func (c *Controller) Wakeups() int64 { return c.wakeups }
 
 // DegradedAccesses reports how many accesses hit a failed rank and paid the
 // degraded-mode penalty.
-func (c *Controller) DegradedAccesses() int64 { return sumI64(c.degraded) }
+func (c *Controller) DegradedAccesses() int64 { return c.degraded }
 
 func sumI64(xs []int64) int64 {
 	var n int64

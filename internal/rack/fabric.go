@@ -38,11 +38,9 @@
 // the one shared sim.Engine (total event order), and the link model is a
 // single busy-until clock. Identical configs therefore produce
 // byte-identical artifacts, the same invariant the single-expander
-// experiments enforce. The composition is shard-per-expander ready:
-// expanders never share mutable state — only the ledger, the link clock,
-// and the allocator touch cross-expander state, all of it owned by the
-// serial driver — so a sharded engine could run one lane per expander and
-// meet at the same barriers the channel shards use today.
+// experiments enforce. Expanders never share mutable state: only the
+// ledger, the link clock, and the allocator touch cross-expander state, all
+// of it owned by the serial driver.
 package rack
 
 import (

@@ -59,10 +59,6 @@ type JobSpec struct {
 	TraceFormat string `json:"trace_format,omitempty"`
 	// Parallel bounds the sweep fan-out inside the experiment; <= 1 serial.
 	Parallel int `json:"parallel,omitempty"`
-	// Shards shards the experiment's controller replays by channel across
-	// per-shard event heaps (experiments.Options.Shards); <= 1 serial.
-	// Artifacts are byte-identical at every shard count.
-	Shards int `json:"shards,omitempty"`
 	// TimeoutSec overrides the server's per-job timeout; 0 keeps the
 	// server default.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
@@ -109,9 +105,6 @@ func (s JobSpec) normalized() (JobSpec, error) {
 	if s.Parallel < 0 {
 		return s, fmt.Errorf("parallel must be >= 0")
 	}
-	if s.Shards < 0 {
-		return s, fmt.Errorf("shards must be >= 0")
-	}
 	if s.TimeoutSec < 0 {
 		return s, fmt.Errorf("timeout_sec must be >= 0")
 	}
@@ -119,11 +112,11 @@ func (s JobSpec) normalized() (JobSpec, error) {
 }
 
 // digest is the job's canonical identity: the hex SHA-256 of the normalized
-// spec fields that influence artifact bytes. TimeoutSec, Parallel, Shards,
-// and Force are excluded — they shape scheduling, not output (sharded runs
-// are byte-identical to serial ones) — so two submissions that would produce
-// identical artifacts always share a digest. Only call it on normalized
-// specs, so filled defaults (seed 1, jsonl) don't split the key. The rack
+// spec fields that influence artifact bytes. TimeoutSec, Parallel and Force
+// are excluded — they shape scheduling, not output — so two submissions
+// that would produce identical artifacts always share a digest. Only call
+// it on normalized specs, so filled defaults (seed 1, jsonl) don't split
+// the key. The rack
 // fields carry omitempty so specs that predate them keep their digests:
 // a zero-rack spec marshals the exact bytes it did before the fields existed.
 func (s JobSpec) digest() string {

@@ -331,6 +331,40 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestJournaledRetiredSpecFieldRecovers: a submitted record written by an
+// older server, whose spec still carries the retired field, replays under
+// its original digest. Recovery decodes leniently, so the field is dropped,
+// and the digest never included it: a fresh submission of the same spec
+// coalesces onto the recovered job instead of running it twice.
+func TestJournaledRetiredSpecFieldRecovers(t *testing.T) {
+	// The frozen digest of the normalized fig12 quick spec
+	// (TestSpecDigestStableWithoutRackFields).
+	const digest = "55f302e28b25736410415c7f52817157a34fc26381ce86439fb61c15b5d5e89f"
+	dir := t.TempDir()
+	rec := `{"type":"submitted","id":"j000001","time":"2026-01-01T00:00:00Z",` +
+		`"spec":{"experiment":"fig12","seed":1,"quick":true,"trace_format":"jsonl",` + retiredSpecField + `},` +
+		`"digest":"` + digest + `"}`
+	if err := journal.Rewrite(filepath.Join(dir, "journal.jsonl"), [][]byte{[]byte(rec)}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := serve.New(serve.Config{Workers: 0, StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Recovery(); got.Reenqueued != 1 || got.CorruptRecords != 0 {
+		t.Fatalf("recovery = %+v, want the journaled job re-enqueued", got)
+	}
+	st, ok := srv.Job("j000001")
+	if !ok || st.SpecDigest != digest {
+		t.Fatalf("recovered job: ok=%v digest %s, want %s", ok, st.SpecDigest, digest)
+	}
+	again, err := srv.Submit(serve.JobSpec{Experiment: "fig12", Quick: true})
+	if err != nil || again.ID != "j000001" {
+		t.Fatalf("resubmit: %v id %s, want coalesced onto j000001", err, again.ID)
+	}
+}
+
 // A crash/restart cycle must be observable after the fact: every recovered
 // job carries a recovery-replay span in its wall-clock timeline, and the
 // per-stage histogram on /metrics counts the replay.

@@ -66,12 +66,11 @@ type Config struct {
 	// daemon exits the process here; tests leave it nil and start a
 	// successor server on the same StoreDir instead.
 	OnCrash func()
-	// DefaultParallel and DefaultShards apply when a job spec leaves the
-	// corresponding field 0 (the dtlserved -parallel/-shards flags). Both
-	// shape scheduling only — artifacts and spec digests are unaffected —
-	// so changing the server defaults never invalidates the result cache.
+	// DefaultParallel applies when a job spec leaves Parallel 0 (the
+	// dtlserved -parallel flag). It shapes scheduling only — artifacts and
+	// spec digests are unaffected — so changing it never invalidates the
+	// result cache.
 	DefaultParallel int
-	DefaultShards   int
 	// Logger receives the daemon's structured wall-clock records (job
 	// lifecycle, rejections, recovery, chaos, drain); every job-scoped
 	// record carries job_id, spec_digest, and stage attributes. Nil
@@ -570,7 +569,6 @@ func (s *Server) run(j *job) {
 		Rack:        j.spec.Rack,
 		Fabric:      j.spec.Fabric,
 		Parallel:    defaultInt(j.spec.Parallel, s.cfg.DefaultParallel),
-		Shards:      defaultInt(j.spec.Shards, s.cfg.DefaultShards),
 		Watch:       watch,
 		Ctx:         ctx,
 	}

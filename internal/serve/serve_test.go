@@ -114,7 +114,6 @@ func TestRejectsUnknownExperimentAndPolicyKey(t *testing.T) {
 		{serve.JobSpec{Experiment: "fig12", TraceFormat: "xml"}, "trace format"},
 		{serve.JobSpec{Experiment: "fig12", TimeoutSec: -1}, "timeout_sec"},
 		{serve.JobSpec{Experiment: "fig12", Parallel: -1}, "parallel"},
-		{serve.JobSpec{Experiment: "fig12", Shards: -2}, "shards"},
 	}
 	for _, tc := range cases {
 		_, err := c.Submit(ctx, tc.spec)
@@ -131,60 +130,32 @@ func TestRejectsUnknownExperimentAndPolicyKey(t *testing.T) {
 	}
 }
 
-// TestShardsExcludedFromDigest pins the result-cache contract for sharding:
-// Shards shapes scheduling, not output, so a sharded resubmission of an
-// identical spec coalesces onto the cached job instead of re-running, and a
-// forced sharded execution produces artifacts with the same content digests
-// as the serial run.
-func TestShardsExcludedFromDigest(t *testing.T) {
-	_, c := newServer(t, serve.Config{Workers: 1})
-	ctx := ctxT(t)
+// retiredSpecField is a JobSpec field that older servers accepted and
+// journaled. It never entered the spec digest, and this server no longer
+// has it.
+const retiredSpecField = `"shards":4`
 
-	a, err := c.Submit(ctx, serve.JobSpec{Experiment: "fig2", Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa, err := c.Wait(ctx, a.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fa.State != serve.StateDone {
-		t.Fatalf("serial job state %s (%s)", fa.State, fa.Error)
-	}
+// TestSubmitRejectsRetiredSpecField: the API decodes specs strictly, so a
+// client still sending the retired field gets a 400 naming it instead of a
+// job that silently ignores it.
+func TestSubmitRejectsRetiredSpecField(t *testing.T) {
+	srv, _ := newServer(t, serve.Config{Workers: 0})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(hs.Close)
 
-	// Same spec plus Shards: must coalesce onto the cached serial job.
-	b, err := c.Submit(ctx, serve.JobSpec{Experiment: "fig2", Quick: true, Shards: 4})
+	body := `{"experiment":"fig2","quick":true,` + retiredSpecField + `}`
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.ID != a.ID {
-		t.Fatalf("sharded resubmission got job %s, want cache hit on %s", b.ID, a.ID)
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, msg)
 	}
-
-	// Forced sharded execution: same artifact bytes, by content digest.
-	f, err := c.Submit(ctx, serve.JobSpec{Experiment: "fig2", Quick: true, Shards: 4, Force: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ff, err := c.Wait(ctx, f.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.State != serve.StateDone {
-		t.Fatalf("sharded job state %s (%s)", ff.State, ff.Error)
-	}
-	want := map[string]string{}
-	for _, art := range fa.Artifacts {
-		want[art.Name] = art.Digest
-	}
-	for _, art := range ff.Artifacts {
-		if art.Name == "timeline.json" {
-			continue // wall-clock bytes; exempt from determinism by design
-		}
-		if want[art.Name] != art.Digest {
-			t.Errorf("artifact %s differs between serial and sharded runs: %s vs %s",
-				art.Name, want[art.Name], art.Digest)
-		}
+	field, _, _ := strings.Cut(retiredSpecField, ":")
+	if !strings.Contains(string(msg), "unknown field") || !strings.Contains(string(msg), strings.Trim(field, `"`)) {
+		t.Fatalf("error %q does not name the retired field %s", msg, field)
 	}
 }
 

@@ -205,38 +205,10 @@ func (e *Engine) Run() {
 	}
 }
 
-// Drain fires every pending event with time ≤ deadline in (time, insertion)
-// order, then advances the clock to deadline (even if no event was pending
-// there), and reports how many events fired. It is the shared catch-up loop
-// behind RunUntil and the sharded engine's barrier protocol.
-func (e *Engine) Drain(deadline Time) int {
-	fired := 0
-	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-		fired++
-	}
-	if deadline > e.now {
-		e.now = deadline
-	}
-	return fired
-}
-
-// drainBefore fires every pending event with time strictly before limit,
-// then advances the clock to limit. It is the shard half of the sharded
-// barrier: stopping strictly before the boundary gives events on the global
-// timeline priority over shard-local events scheduled at the same instant.
-func (e *Engine) drainBefore(limit Time) {
-	for len(e.events) > 0 && e.events[0].at < limit {
-		e.Step()
-	}
-	if limit > e.now {
-		e.now = limit
-	}
-}
-
 // NextEventAt reports the earliest pending event's time without firing it;
-// ok is false when the queue is empty. Barrier coordinators (the sharded
-// engine, the sharded replay loop) use it to pick the next round boundary.
+// ok is false when the queue is empty. A caller that steps its own timeline
+// between engine events (the controller replay loop) uses it to find the
+// next boundary.
 func (e *Engine) NextEventAt() (at Time, ok bool) {
 	if len(e.events) == 0 {
 		return 0, false
@@ -244,10 +216,17 @@ func (e *Engine) NextEventAt() (at Time, ok bool) {
 	return e.events[0].at, true
 }
 
-// RunUntil fires events with time ≤ deadline, then advances the clock to
-// deadline (even if no event was pending there).
+// RunUntil fires every pending event with time ≤ deadline in (time,
+// insertion) order, then advances the clock to deadline (even if no event
+// was pending there). A deadline before now fires nothing and leaves the
+// clock where it is.
 func (e *Engine) RunUntil(deadline Time) {
-	e.Drain(deadline)
+	for len(e.events) > 0 && e.events[0].at <= deadline {
+		e.Step()
+	}
+	if deadline > e.now {
+		e.now = deadline
+	}
 }
 
 // Advance moves the clock forward by d without firing events scheduled in

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -147,6 +148,52 @@ func TestRunUntilAdvancesClockWithoutEvents(t *testing.T) {
 	e.RunUntil(500)
 	if e.Now() != 500 {
 		t.Fatalf("now = %v, want 500", e.Now())
+	}
+}
+
+func TestDrainFiresThroughDeadlineAndCounts(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	for _, at := range []Time{5, 10, 10, 20} {
+		at := at
+		e.At(at, func(now Time) { fired = append(fired, now) })
+	}
+	e.RunUntil(10)
+	if want := []Time{5, 10, 10}; !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired = %v, want %v", fired, want)
+	}
+	if e.Now() != 10 || e.Pending() != 1 {
+		t.Fatalf("now = %v, pending = %d; want 10, 1", e.Now(), e.Pending())
+	}
+	// Advancing past the last event still moves the clock to the deadline.
+	e.RunUntil(100)
+	if len(fired) != 4 || e.Now() != 100 {
+		t.Fatalf("RunUntil(100) fired %d events total, now %v; want 4, 100", len(fired), e.Now())
+	}
+}
+
+func TestDrainOnEmptyQueueAdvancesClock(t *testing.T) {
+	e := NewEngine()
+	e.RunUntil(42)
+	// A deadline in the past is a no-op, not a clock rewind.
+	e.RunUntil(7)
+	if e.Now() != 42 {
+		t.Fatalf("now = %v, want 42", e.Now())
+	}
+}
+
+func TestNextEventAt(t *testing.T) {
+	e := NewEngine()
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("NextEventAt on empty queue reported ok")
+	}
+	e.At(30, func(Time) {})
+	e.At(10, func(Time) {})
+	if at, ok := e.NextEventAt(); !ok || at != 10 {
+		t.Fatalf("NextEventAt = %v, %v; want 10, true", at, ok)
+	}
+	if e.Now() != 0 || e.Pending() != 2 {
+		t.Fatal("NextEventAt must not fire or advance anything")
 	}
 }
 

@@ -145,18 +145,19 @@ func TestLedgerWriteJSONDeterministicAndParses(t *testing.T) {
 // checks that every export format rebuilds identical attribution entries —
 // the cross-format agreement `dtlstat top` and `dtlstat diff` rely on.
 func TestLedgerRoundTripThroughTraceSinks(t *testing.T) {
-	tr := testTracer(4, 0)
-	tr.PowerTransition(0, 1, 100)
-	l := NewLedger(LedgerConfig{Ranks: 4})
-	l.Charge(5, 2, CauseBaseline, 1234, 0.125)
-	l.Charge(5, 2, CauseSelfRefreshWake, 17, 0)
-	l.Charge(SystemVM, -1, CauseFaultRetry, 500, 0)
-	l.End(l.Begin(5, 1, CauseMigrationCopy, 100), 400, 2.5)
-	tr.AttrSpan(5, 1, CauseMigrationCopy.String(), 100, 400, 2.5)
-	tr.Finish(1000)
-	l.EmitTo(tr, 1000)
-
-	want := l.Snapshot().Entries
+	var want []LedgerEntry
+	drive := func(tr *Tracer) {
+		tr.PowerTransition(0, 1, 100)
+		l := NewLedger(LedgerConfig{Ranks: 4})
+		l.Charge(5, 2, CauseBaseline, 1234, 0.125)
+		l.Charge(5, 2, CauseSelfRefreshWake, 17, 0)
+		l.Charge(SystemVM, -1, CauseFaultRetry, 500, 0)
+		l.End(l.Begin(5, 1, CauseMigrationCopy, 100), 400, 2.5)
+		tr.AttrSpan(5, 1, CauseMigrationCopy.String(), 100, 400, 2.5)
+		tr.Finish(1000)
+		l.EmitTo(tr, 1000)
+		want = l.Snapshot().Entries
+	}
 	check := func(name string, s *TraceSummary, err error) {
 		t.Helper()
 		if err != nil {
@@ -176,6 +177,8 @@ func TestLedgerRoundTripThroughTraceSinks(t *testing.T) {
 		}
 	}
 
+	tr := testTracer(4, 0)
+	drive(tr)
 	var chrome bytes.Buffer
 	if err := WriteChromeTrace(&chrome, tr); err != nil {
 		t.Fatal(err)
@@ -183,18 +186,12 @@ func TestLedgerRoundTripThroughTraceSinks(t *testing.T) {
 	s, err := SummarizeChromeTrace(bytes.NewReader(chrome.Bytes()))
 	check("chrome", s, err)
 
-	var jsonl bytes.Buffer
-	if err := WriteJSONL(&jsonl, tr); err != nil {
-		t.Fatal(err)
-	}
-	s, err = SummarizeJSONL(bytes.NewReader(jsonl.Bytes()))
+	jsonl, _ := streamed(t, FormatJSONL, drive)
+	s, err = SummarizeJSONL(jsonl)
 	check("jsonl", s, err)
 
-	var csv bytes.Buffer
-	if err := WriteEventsCSV(&csv, tr); err != nil {
-		t.Fatal(err)
-	}
-	s, err = SummarizeEventsCSV(bytes.NewReader(csv.Bytes()))
+	csv, _ := streamed(t, FormatCSV, drive)
+	s, err = SummarizeEventsCSV(csv)
 	check("csv", s, err)
 }
 
@@ -209,10 +206,7 @@ func TestSummarizeTruncatedTraces(t *testing.T) {
 	tr := traceFixture(t)
 	cut := func(b []byte, n int) []byte { return b[:len(b)-n] }
 
-	var jsonl bytes.Buffer
-	if err := WriteJSONL(&jsonl, tr); err != nil {
-		t.Fatal(err)
-	}
+	jsonl := streamFixture(t, FormatJSONL)
 	_, err := SummarizeJSONL(bytes.NewReader(cut(jsonl.Bytes(), 9)))
 	if !errors.Is(err, ErrTruncatedTrace) {
 		t.Fatalf("jsonl err = %v, want ErrTruncatedTrace", err)
@@ -221,10 +215,7 @@ func TestSummarizeTruncatedTraces(t *testing.T) {
 		t.Fatalf("jsonl truncation error lacks position: %v", err)
 	}
 
-	var csv bytes.Buffer
-	if err := WriteEventsCSV(&csv, tr); err != nil {
-		t.Fatal(err)
-	}
+	csv := streamFixture(t, FormatCSV)
 	_, err = SummarizeEventsCSV(bytes.NewReader(cut(csv.Bytes(), 12)))
 	if !errors.Is(err, ErrTruncatedTrace) {
 		t.Fatalf("csv err = %v, want ErrTruncatedTrace", err)

@@ -2,13 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
-	"math"
-	"sort"
-	"strings"
 
 	"dtl/internal/metrics"
-	"dtl/internal/sim"
 )
 
 // Counter is a monotonically increasing int64 metric. The zero value is
@@ -106,16 +101,11 @@ type entry struct {
 // "core.migq.depth", ...). Registering the same name twice returns the same
 // metric; registering a name as two different kinds panics (a model bug).
 //
-// Sample snapshots every metric at a virtual timestamp, turning the registry
-// into a set of aligned time series; StartSampling drives Sample from a sim
-// interval timer. The registry is single-threaded, like the simulator.
+// StreamTo turns the registry into a set of aligned time series written as
+// CSV rows. The registry is single-threaded, like the simulator.
 type Registry struct {
 	names   []string // registration order
 	metrics map[string]entry
-
-	sampleTimes []sim.Time
-	sampleRows  [][]float64 // row i: values in column order at sampleTimes[i]
-	sampleCols  [][]string  // column names captured at each sample
 }
 
 // NewRegistry builds an empty registry.
@@ -160,12 +150,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a gauge evaluated from fn at read time. Reads happen
-// only at sampling instants, and under sharded execution samples fire only
-// at barriers with every shard quiesced — so fn may freely reduce
-// per-shard or per-channel state (e.g. memctrl's counter slices) without
-// synchronization: batched per-shard accumulation with a deterministic
-// merge at the barrier, instead of per-event synchronized writes.
+// GaugeFunc registers a gauge evaluated from fn at read time, so a model
+// can expose derived state (sums, ratios) without updating a gauge on every
+// event.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.add(name, entry{kind: kindGauge, gauge: &Gauge{fn: fn}})
 }
@@ -222,74 +209,6 @@ func (r *Registry) columns() []string {
 	return cols
 }
 
-// Sample snapshots every metric at virtual time now, appending one row to
-// the registry's time series.
-func (r *Registry) Sample(now sim.Time) {
-	cols := r.columns()
-	row := make([]float64, 0, len(cols))
-	for _, n := range r.names {
-		e := r.metrics[n]
-		switch e.kind {
-		case kindCounter:
-			row = append(row, float64(e.counter.Value()))
-		case kindGauge:
-			row = append(row, e.gauge.Value())
-		default:
-			row = append(row, float64(e.timer.Count()), e.timer.Mean())
-		}
-	}
-	r.sampleTimes = append(r.sampleTimes, now)
-	r.sampleRows = append(r.sampleRows, row)
-	r.sampleCols = append(r.sampleCols, cols)
-}
-
-// StartSampling schedules Sample every period on the engine, starting one
-// period from now, until the returned cancel function is called.
-func (r *Registry) StartSampling(eng *sim.Engine, period sim.Time) (cancel func()) {
-	return eng.Every(period, func(now sim.Time) { r.Sample(now) })
-}
-
-// SampleCount reports how many samples have been taken.
-func (r *Registry) SampleCount() int { return len(r.sampleTimes) }
-
-// WriteCSV renders the sampled time series as CSV: a time_ns column followed
-// by one column per metric (two per timer). Metrics registered after
-// sampling began render as empty cells in earlier rows.
-func (r *Registry) WriteCSV(w io.Writer) error {
-	final := r.columns()
-	if _, err := fmt.Fprintf(w, "time_ns,%s\n", strings.Join(final, ",")); err != nil {
-		return err
-	}
-	for i, at := range r.sampleTimes {
-		// Align this row's columns (a prefix of the final set, since
-		// registration only appends) against the final header.
-		have := map[string]float64{}
-		for j, c := range r.sampleCols[i] {
-			have[c] = r.sampleRows[i][j]
-		}
-		cells := make([]string, 0, len(final)+1)
-		cells = append(cells, fmt.Sprintf("%d", int64(at)))
-		for _, c := range final {
-			if v, ok := have[c]; ok && !math.IsNaN(v) {
-				cells = append(cells, formatSampleValue(v))
-			} else {
-				cells = append(cells, "")
-			}
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func formatSampleValue(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
-}
-
 // Snapshot returns the current value of every metric keyed by name (as
 // Value reports it), for tests and ad-hoc dumps.
 func (r *Registry) Snapshot() map[string]float64 {
@@ -299,18 +218,4 @@ func (r *Registry) Snapshot() map[string]float64 {
 		out[n] = v
 	}
 	return out
-}
-
-// WriteSnapshot renders the current values as "name value" lines sorted by
-// name, a quick human-readable dump.
-func (r *Registry) WriteSnapshot(w io.Writer) error {
-	names := r.Names()
-	sort.Strings(names)
-	for _, n := range names {
-		v, _ := r.Value(n)
-		if _, err := fmt.Fprintf(w, "%-40s %s\n", n, formatSampleValue(v)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -73,7 +73,9 @@ func TestSamplingDrivenByIntervalTimer(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hits")
 	eng := sim.NewEngine()
-	cancel := r.StartSampling(eng, 10)
+	var sb strings.Builder
+	s := r.StreamTo(&sb)
+	cancel := s.Start(eng, 10)
 
 	c.Inc()
 	eng.RunUntil(25) // samples at 10, 20
@@ -82,44 +84,15 @@ func TestSamplingDrivenByIntervalTimer(t *testing.T) {
 	cancel()
 	eng.RunUntil(100) // no more samples
 
-	if got := r.SampleCount(); got != 4 {
-		t.Fatalf("samples = %d, want 4", got)
-	}
-	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
+	if err := s.Finish(); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Rows(); got != 4 {
+		t.Fatalf("samples = %d, want 4", got)
 	}
 	want := "time_ns,hits\n10,1\n20,1\n30,10\n40,10\n"
 	if sb.String() != want {
 		t.Fatalf("csv = %q, want %q", sb.String(), want)
-	}
-}
-
-func TestWriteCSVPadsLateRegisteredMetrics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("early").Inc()
-	r.Sample(5)
-	r.Gauge("late").Set(3)
-	tm := r.Timer("lat", nil)
-	tm.Observe(50)
-	r.Sample(10)
-
-	var sb strings.Builder
-	if err := r.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("lines = %v", lines)
-	}
-	if lines[0] != "time_ns,early,late,lat.count,lat.mean_ns" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[1] != "5,1,,," {
-		t.Fatalf("first row should pad missing columns, got %q", lines[1])
-	}
-	if lines[2] != "10,1,3,1,50" {
-		t.Fatalf("second row = %q", lines[2])
 	}
 }
 
@@ -130,12 +103,5 @@ func TestSnapshot(t *testing.T) {
 	snap := r.Snapshot()
 	if snap["c"] != 3 || snap["g"] != 1.5 {
 		t.Fatalf("snapshot = %v", snap)
-	}
-	var sb strings.Builder
-	if err := r.WriteSnapshot(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "c") || !strings.Contains(sb.String(), "1.5") {
-		t.Fatalf("snapshot dump = %q", sb.String())
 	}
 }

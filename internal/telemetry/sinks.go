@@ -225,10 +225,9 @@ func pointArgs(ev Event) map[string]any {
 	return args
 }
 
-// Row renderers shared by the batch writers (WriteJSONL, WriteEventsCSV) and
-// the streaming TraceStream sink. Rows are appended to a caller-owned buffer
-// (the StreamSampler discipline), so the per-event cost on the streaming
-// path is an append-and-write with no allocation once the buffer has grown.
+// Row renderers of the streaming TraceStream sink. Rows are appended to a
+// caller-owned buffer (the StreamSampler discipline), so the per-event cost
+// is an append-and-write with no allocation once the buffer has grown.
 //
 // The record schema is stable and documented in DESIGN.md §8:
 //
@@ -364,58 +363,6 @@ func csvSafe(s string) string {
 		return s
 	}
 	return strings.ReplaceAll(s, ",", ";")
-}
-
-// WriteJSONL exports the tracer as JSON Lines: one record per power span
-// (type "power") followed by one per retained event (type by kind). Times
-// are integer nanoseconds; the schema matches the streaming TraceStream
-// sink record for record.
-func WriteJSONL(w io.Writer, t *Tracer) error {
-	if t == nil {
-		return fmt.Errorf("telemetry: nil tracer")
-	}
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for _, s := range t.PowerSpans() {
-		buf = appendPowerJSONL(buf[:0], t.RankName(s.Rank), t.StateName(s.State), s)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	for _, ev := range t.Events() {
-		buf = appendEventJSONL(buf[:0], ev)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteEventsCSV exports power spans and events as flat CSV with a leading
-// record-type column, for spreadsheet-style analysis. The schema matches the
-// streaming TraceStream sink.
-func WriteEventsCSV(w io.Writer, t *Tracer) error {
-	if t == nil {
-		return fmt.Errorf("telemetry: nil tracer")
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, eventsCSVHeader); err != nil {
-		return err
-	}
-	var buf []byte
-	for _, s := range t.PowerSpans() {
-		buf = appendPowerCSV(buf[:0], t.StateName(s.State), s)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	for _, ev := range t.Events() {
-		buf = appendEventCSV(buf[:0], ev)
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // TraceSummary is the decoded aggregate view of a trace file, produced by
@@ -571,7 +518,7 @@ type jsonlRecord struct {
 	Energy   float64 `json:"energy"`
 }
 
-// SummarizeJSONL parses a JSONL trace (WriteJSONL or a TraceStream) into the
+// SummarizeJSONL parses a JSONL trace (a TraceStream's output) into the
 // same summary model SummarizeChromeTrace produces, so downstream residency
 // math is format-independent.
 func SummarizeJSONL(r io.Reader) (*TraceSummary, error) {
@@ -633,8 +580,8 @@ func SummarizeJSONL(r io.Reader) (*TraceSummary, error) {
 	return s, nil
 }
 
-// SummarizeEventsCSV parses an events-CSV trace (WriteEventsCSV or a
-// TraceStream) into the shared summary model. The CSV format carries no rank
+// SummarizeEventsCSV parses an events-CSV trace (a TraceStream's output)
+// into the shared summary model. The CSV format carries no rank
 // names, so RankNames stays empty and labels fall back to numeric ids.
 func SummarizeEventsCSV(r io.Reader) (*TraceSummary, error) {
 	s := newTraceSummary()

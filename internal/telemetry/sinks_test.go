@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -10,11 +9,9 @@ import (
 	"dtl/internal/sim"
 )
 
-// traceFixture builds a finished tracer with a mixed history: transitions,
-// migrations, and point events.
-func traceFixture(t *testing.T) *Tracer {
-	t.Helper()
-	tr := testTracer(4, 0)
+// fixtureHistory drives a mixed history through tr and finishes it:
+// transitions, migrations, and point events on four ranks.
+func fixtureHistory(tr *Tracer) {
 	tr.PowerTransition(0, 2, 100)
 	tr.PowerTransition(1, 1, 200)
 	tr.PowerTransition(1, 0, 700)
@@ -24,6 +21,13 @@ func traceFixture(t *testing.T) *Tracer {
 	tr.Wake(1, 700, 15)
 	tr.Scrub(800, 64)
 	tr.Finish(1000)
+}
+
+// traceFixture builds a finished tracer holding the fixture history.
+func traceFixture(t *testing.T) *Tracer {
+	t.Helper()
+	tr := testTracer(4, 0)
+	fixtureHistory(tr)
 	return tr
 }
 
@@ -114,54 +118,6 @@ func TestChromeTraceIsValidTraceEventJSON(t *testing.T) {
 	}
 	if phases["i"] != 3 {
 		t.Fatalf("instant events = %d, want 3", phases["i"])
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	tr := traceFixture(t)
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	var power, events int
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		if rec["type"] == "power" {
-			power++
-		} else {
-			events++
-		}
-	}
-	if power != 7 {
-		t.Fatalf("power records = %d, want 7", power)
-	}
-	if events != 5 {
-		t.Fatalf("event records = %d, want 5", events)
-	}
-}
-
-func TestWriteEventsCSV(t *testing.T) {
-	tr := traceFixture(t)
-	var buf bytes.Buffer
-	if err := WriteEventsCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "record,at_ns,dur_ns,rank,channel,state_or_reason,src,dst" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	// Header + 7 spans + 5 events.
-	if len(lines) != 13 {
-		t.Fatalf("lines = %d, want 13", len(lines))
-	}
-	for _, l := range lines[1:] {
-		if got := strings.Count(l, ","); got != 7 {
-			t.Fatalf("row %q has %d commas, want 7", l, got)
-		}
 	}
 }
 

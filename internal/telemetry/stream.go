@@ -96,7 +96,8 @@ func (s *StreamSampler) Sample(now sim.Time) {
 	s.rows++
 }
 
-// appendSampleValue renders v like formatSampleValue, without allocating.
+// appendSampleValue renders one cell without allocating: integral values as
+// integers, others in shortest round-trip form, NaN as an empty cell.
 func appendSampleValue(buf []byte, v float64) []byte {
 	if math.IsNaN(v) {
 		return buf

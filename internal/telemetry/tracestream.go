@@ -7,9 +7,8 @@ import (
 
 // TraceStream is a streaming trace sink: attached to a Tracer with
 // AttachStream, it renders every closed power span and every structured
-// event to w the moment the tracer records it, using the same row renderers
-// (and the same alloc-free append-buffer discipline as StreamSampler) as the
-// batch writers, so streamed and batch output share one schema.
+// event to w the moment the tracer records it, with the same alloc-free
+// append-buffer discipline as StreamSampler.
 //
 // Streaming sidesteps the event ring entirely: a long run whose point events
 // overflow the tracer's ring capacity still produces a complete JSONL/CSV

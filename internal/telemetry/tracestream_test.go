@@ -1,10 +1,12 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -14,8 +16,9 @@ import (
 
 // TestRingWraparoundEvictionOrderInSink is the wraparound contract end to
 // end: once the ring is full the *oldest* events are evicted first, Events()
-// stays chronological, and the batch sinks render the survivors in sorted
-// order — a wrapped trace must never interleave old and new records.
+// stays chronological, and the Chrome sink (the one export that reads the
+// ring) renders the survivors in sorted order — a wrapped trace must never
+// interleave old and new records.
 func TestRingWraparoundEvictionOrderInSink(t *testing.T) {
 	const cap = 8
 	tr := testTracer(1, cap)
@@ -39,20 +42,18 @@ func TestRingWraparoundEvictionOrderInSink(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr); err != nil {
+	if err := WriteChromeTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	var ct chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil {
 		t.Fatal(err)
 	}
 	var ats []int64
-	sc := bufio.NewScanner(bytes.NewReader(buf.Bytes()))
-	for sc.Scan() {
-		var rec jsonlRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatal(err)
+	for _, ev := range ct.TraceEvents {
+		if ev.Name == "smc_miss" {
+			ats = append(ats, int64(ev.Ts*1e3))
 		}
-		if rec.Type != "smc_miss" {
-			continue
-		}
-		ats = append(ats, rec.AtNs)
 	}
 	if len(ats) != cap {
 		t.Fatalf("sink rendered %d smc_miss records, want %d", len(ats), cap)
@@ -65,9 +66,9 @@ func TestRingWraparoundEvictionOrderInSink(t *testing.T) {
 	}
 }
 
-// streamFixture drives the traceFixture history through a tracer with an
-// attached TraceStream and returns the streamed bytes.
-func streamFixture(t *testing.T, format TraceFormat) *bytes.Buffer {
+// streamed drives a fresh four-rank tracer with a TraceStream of the given
+// format attached and returns the streamed bytes and the stream.
+func streamed(t *testing.T, format TraceFormat, drive func(*Tracer)) (*bytes.Buffer, *TraceStream) {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := testTracer(4, 0)
@@ -76,23 +77,22 @@ func streamFixture(t *testing.T, format TraceFormat) *bytes.Buffer {
 		t.Fatal(err)
 	}
 	tr.AttachStream(ts)
-	tr.PowerTransition(0, 2, 100)
-	tr.PowerTransition(1, 1, 200)
-	tr.PowerTransition(1, 0, 700)
-	tr.Migration(0, 5, 9, "powerdown-drain", 100, 400)
-	tr.Migration(1, 7, 3, "hotness-swap", 150, 450)
-	tr.SMCMiss(320)
-	tr.Wake(1, 700, 15)
-	tr.Scrub(800, 64)
-	tr.Finish(1000)
+	drive(tr)
 	if err := ts.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return &buf, ts
+}
+
+// streamFixture streams the fixture history and returns the streamed bytes.
+func streamFixture(t *testing.T, format TraceFormat) *bytes.Buffer {
+	t.Helper()
+	buf, ts := streamed(t, format, fixtureHistory)
 	// 7 spans + 5 events, streamed as they happened.
 	if ts.Rows() != 12 {
 		t.Fatalf("streamed rows = %d, want 12", ts.Rows())
 	}
-	return &buf
+	return buf
 }
 
 // assertFixtureSummary checks the quantities every reader must agree on for
@@ -149,27 +149,34 @@ func TestStreamedCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamedMatchesBatch pins that the streaming sink and the batch writer
-// produce the same record set (streamed order differs: spans appear when
-// closed, interleaved with events).
-func TestStreamedMatchesBatch(t *testing.T) {
-	streamed := streamFixture(t, FormatJSONL)
-	var batch bytes.Buffer
-	if err := WriteJSONL(&batch, traceFixture(t)); err != nil {
-		t.Fatal(err)
-	}
-	sortLines := func(b []byte) []string {
-		lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-		sort.Strings(lines)
-		return lines
-	}
-	got, want := sortLines(streamed.Bytes()), sortLines(batch.Bytes())
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d records, batch %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("record mismatch:\nstream: %s\nbatch:  %s", got[i], want[i])
+// update rewrites the streamed-trace goldens instead of comparing.
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestStreamedFixtureGolden pins the exact streamed JSONL and CSV bytes of
+// the fixture history. Records appear in completion order: events when
+// emitted, power spans when the rank leaves the state, the rest at Finish.
+// Regenerate with
+//
+//	go test ./internal/telemetry -run TestStreamedFixtureGolden -update
+func TestStreamedFixtureGolden(t *testing.T) {
+	for _, tc := range []struct {
+		format TraceFormat
+		file   string
+	}{{FormatJSONL, "fixture.stream.jsonl"}, {FormatCSV, "fixture.stream.csv"}} {
+		got := streamFixture(t, tc.format).Bytes()
+		golden := filepath.Join("testdata", tc.file)
+		if *update {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("streamed %v drifted from %s\n--- got ---\n%s--- want ---\n%s", tc.format, golden, got, want)
 		}
 	}
 }
