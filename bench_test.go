@@ -181,6 +181,53 @@ func BenchmarkAllocDealloc(b *testing.B) {
 	}
 }
 
+// BenchmarkVMChurnDrain measures a VM lifecycle whose deallocation drains a
+// rank group, the §3.3 power-down path the schedule experiments replay
+// thousands of times. Each iteration starts with a 144 MiB filler alone in
+// the one active 256 MiB rank group: a 160 MiB VM wakes a second group, a
+// 64 MiB VM lands there, freeing the 160 MiB VM drains the 64 MiB VM's 32
+// segments into the first group so the second powers down, and freeing the
+// 64 MiB VM restores the starting state.
+func BenchmarkVMChurnDrain(b *testing.B) {
+	cfg := core.DefaultConfig(smallGeometry())
+	cfg.AUBytes = 16 * dram.MiB
+	dev, err := Open(WithConfig(cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Steps of 1 ms let each drain's copies (8 per channel, ~100 µs each)
+	// retire before the next one, so the migration queue stays short.
+	const step = Time(1_000_000)
+	now := Time(0)
+	if _, err := dev.AllocateVM(1, 0, 144*dram.MiB, now); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += step
+		if _, err := dev.AllocateVM(2, 0, 160*dram.MiB, now); err != nil {
+			b.Fatal(err)
+		}
+		now += step
+		if _, err := dev.AllocateVM(3, 0, 64*dram.MiB, now); err != nil {
+			b.Fatal(err)
+		}
+		now += step
+		if err := dev.DeallocateVM(2, now); err != nil {
+			b.Fatal(err)
+		}
+		now += step
+		if err := dev.DeallocateVM(3, now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got, want := dev.Stats().SegmentsMigrated, int64(b.N)*32; got != want {
+		b.Fatalf("migrated %d segments over %d iterations, want %d", got, b.N, want)
+	}
+}
+
 // --- Ablation benchmarks (design choices of §4.1, §3.4, §3.3) ---
 // Each delegates to the registered abl-* experiment so `go test -bench`
 // and `dtlsim -exp abl-...` report the same sweeps.

@@ -51,7 +51,7 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 	// Allocation is balanced, so EVERY channel must supply its share; a
 	// global count would overlook per-channel shortfalls (e.g. after a
 	// rank retirement made capacities asymmetric).
-	perChannelNeed := aus * d.cfg.SegmentsPerAU() / int64(d.cfg.Geometry.Channels)
+	perChannelNeed := aus * d.segsPerAU / int64(d.cfg.Geometry.Channels)
 
 	// Wake rank groups until every channel's active free pool covers its
 	// share of the request.
@@ -77,12 +77,8 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 		return Allocation{}, fmt.Errorf("core: host %d out of AU ids", host)
 	}
 
-	segsPerAU := d.cfg.SegmentsPerAU()
-	st := &vmState{
-		host: host,
-		aus:  make([]int64, 0, aus),
-		hsns: make([]dram.HSN, 0, aus*segsPerAU),
-	}
+	segsPerAU := d.segsPerAU
+	st := &vmState{host: host, aus: make([]int64, 0, aus)}
 	alloc := Allocation{
 		VM: vm, Host: host, Bytes: aus * d.cfg.AUBytes, Reactivated: reactivated,
 		AUBases: make([]dram.HPA, 0, aus),
@@ -93,7 +89,7 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 	for i := int64(0); i < aus; i++ {
 		auID := d.auFree[host].popFront()
 		st.aus = append(st.aus, auID)
-		d.auOwner[int64(host)*d.cfg.TotalAUs()+auID] = int64(vm)
+		d.auOwner[int64(host)*d.totalAUs+auID] = int64(vm)
 		alloc.AUBases = append(alloc.AUBases, d.auBase(host, auID))
 
 		// Each channel contributes an equal number of segments; consecutive
@@ -110,7 +106,6 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 			hsn := d.hsnOf(host, auID, off)
 			d.segMap.set(hsn, dsn)
 			d.revMap[dsn] = hsn
-			st.hsns = append(st.hsns, hsn)
 		}
 	}
 	d.vms[vm] = st
@@ -242,22 +237,25 @@ func (d *DTL) DeallocateVM(vm VMID, now sim.Time) error {
 	}
 	d.mig.completeUpTo(now)
 
-	for _, hsn := range st.hsns {
-		dsn, ok := d.segMap.get(hsn)
-		if !ok {
-			return fmt.Errorf("core: vm %d hsn %d missing from segment mapping table", vm, hsn)
-		}
-		d.segMap.del(hsn)
-		d.revMap[dsn] = dsnFree
-		d.smc.invalidate(hsn)
-		l := d.codec.DecodeDSN(dsn)
-		gr := d.codec.GlobalRank(l.Channel, l.Rank)
-		d.free[gr].push(dsn)
-		d.allocated[gr]--
-		d.hot.onSegmentFreed(dsn)
-	}
+	// Free segments in the order AllocateVM mapped them (AU by AU, offsets
+	// ascending): it fixes the free-queue push order.
 	for _, au := range st.aus {
-		d.auOwner[int64(st.host)*d.cfg.TotalAUs()+au] = telemetry.SystemVM
+		d.auOwner[int64(st.host)*d.totalAUs+au] = telemetry.SystemVM
+		base := d.hsnOf(st.host, au, 0)
+		for hsn := base; hsn < base+dram.HSN(d.segsPerAU); hsn++ {
+			dsn, ok := d.segMap.get(hsn)
+			if !ok {
+				return fmt.Errorf("core: vm %d hsn %d missing from segment mapping table", vm, hsn)
+			}
+			d.segMap.del(hsn)
+			d.revMap[dsn] = dsnFree
+			d.smc.invalidate(hsn)
+			l := d.codec.DecodeDSN(dsn)
+			gr := d.codec.GlobalRank(l.Channel, l.Rank)
+			d.free[gr].push(dsn)
+			d.allocated[gr]--
+			d.hot.onSegmentFreed(dsn)
+		}
 	}
 	d.auFree[st.host].pushAll(st.aus)
 	delete(d.vms, vm)

@@ -58,9 +58,10 @@ type DTL struct {
 	// (the free AU queue of Table 5).
 	auFree []fifo[int64]
 
-	// allocScratch holds the per-channel segment staging buffers AllocateVM
-	// fills from the free queues, reused across calls so the allocation
-	// fast path stays off the heap.
+	// allocScratch holds per-channel segment staging buffers, reused across
+	// calls so the VM lifecycle stays off the heap: AllocateVM fills them
+	// from the free queues, and drainRank collects a victim rank's live
+	// segments in its channel's buffer (never while AllocateVM holds them).
 	allocScratch [][]dram.DSN
 
 	// poweredDown is the stack of virtual rank groups currently in MPSM,
@@ -86,12 +87,14 @@ type DTL struct {
 	// is zero-cost when disabled, like the tracer). auOwner maps a global
 	// AU slot (host × TotalAUs + au) to the owning VM id so the access
 	// fast path can attribute a charge without a map lookup; unowned slots
-	// hold telemetry.SystemVM. migEnergyPerSeg is the precomputed active
-	// energy proxy of copying one segment (ActivePowerPerGBs × bytes).
-	ledger          *telemetry.Ledger
-	auOwner         []int64
-	segsPerAU       int64
-	migEnergyPerSeg float64
+	// hold telemetry.SystemVM. segsPerAU and totalAUs cache the Config
+	// quotients the HSN arithmetic divides by. migEnergyPerSeg is the
+	// precomputed active energy proxy of copying one segment
+	// (ActivePowerPerGBs × bytes).
+	ledger              *telemetry.Ledger
+	auOwner             []int64
+	segsPerAU, totalAUs int64
+	migEnergyPerSeg     float64
 }
 
 // statCounters are the registry-backed counters behind the Stats view.
@@ -120,10 +123,10 @@ func newStatCounters(reg *telemetry.Registry) statCounters {
 	}
 }
 
+// vmState is one VM's allocation. It owns every segment of its AUs.
 type vmState struct {
 	host HostID
-	aus  []int64    // AU ids assigned to this VM
-	hsns []dram.HSN // every host segment the VM owns
+	aus  []int64 // AU ids assigned to this VM
 }
 
 // Stats aggregates DTL-level counters.
@@ -184,9 +187,9 @@ func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
 	}
 	d.st = newStatCounters(d.reg)
 	d.ctrl.RegisterMetrics(d.reg)
-	d.segsPerAU = cfg.SegmentsPerAU()
+	d.segsPerAU, d.totalAUs = cfg.SegmentsPerAU(), cfg.TotalAUs()
 	d.migEnergyPerSeg = dev.Power().ActivePowerPerGBs * float64(g.SegmentBytes)
-	d.auOwner = make([]int64, int64(cfg.MaxHosts)*cfg.TotalAUs())
+	d.auOwner = make([]int64, int64(cfg.MaxHosts)*d.totalAUs)
 	for i := range d.auOwner {
 		d.auOwner[i] = telemetry.SystemVM
 	}
@@ -204,14 +207,13 @@ func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
 		d.free[gr].push(s)
 	}
 	// Each host gets its own AU id space.
-	ausPerHost := cfg.TotalAUs()
 	for h := range d.auFree {
-		d.auFree[h] = newFIFO[int64](ausPerHost)
-		for i := int64(0); i < ausPerHost; i++ {
+		d.auFree[h] = newFIFO[int64](d.totalAUs)
+		for i := int64(0); i < d.totalAUs; i++ {
 			d.auFree[h].push(i)
 		}
 	}
-	perChannel := cfg.SegmentsPerAU() / int64(g.Channels)
+	perChannel := d.segsPerAU / int64(g.Channels)
 	for ch := range d.allocScratch {
 		d.allocScratch[ch] = make([]dram.DSN, 0, perChannel)
 	}
@@ -434,9 +436,7 @@ func (d *DTL) Migrator() *Migrator { return (*Migrator)(d.mig) }
 // hsnOf composes the host segment number for (host, au, offset) — the
 // Figure 4 HSN decomposition, arithmetic form.
 func (d *DTL) hsnOf(host HostID, au int64, off int64) dram.HSN {
-	perAU := d.cfg.SegmentsPerAU()
-	maxAUs := d.cfg.TotalAUs()
-	return dram.HSN((int64(host)*maxAUs+au)*perAU + off)
+	return dram.HSN((int64(host)*d.totalAUs+au)*d.segsPerAU + off)
 }
 
 // AccessResult describes one translated and serviced memory access.

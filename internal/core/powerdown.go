@@ -146,14 +146,15 @@ func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 	ch := victim.Channel
 	victimGR := d.codec.GlobalRank(ch, victim.Rank)
 
-	// Collect live segments on the victim.
-	var live []dram.DSN
+	// Collect live segments on the victim (into the channel's scratch).
+	live := d.allocScratch[ch][:0]
 	for idx := int64(0); idx < d.cfg.Geometry.SegmentsPerRank(); idx++ {
 		dsn := d.codec.EncodeDSN(dram.Loc{Rank: victim.Rank, Channel: ch, Index: idx})
 		if d.revMap[dsn] != dsnFree {
 			live = append(live, dsn)
 		}
 	}
+	d.allocScratch[ch] = live
 
 	for _, src := range live {
 		dst := d.takeDrainTarget(ch, victim.Rank)

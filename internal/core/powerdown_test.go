@@ -201,3 +201,51 @@ func TestMigrationChargedToMigrator(t *testing.T) {
 		t.Fatal("no migration bus time charged")
 	}
 }
+
+// TestDrainAllocsIndependentOfVMSize pins the power-down drain path's heap
+// use: one steady-state VM lifecycle that drains a victim rank group must
+// allocate the same number of objects whether the drained VM spans 2 or 6
+// AUs, so no allocation scales with the number of segments moved.
+//
+// Each cycle starts with a 9-AU filler alone in the one active rank group
+// (16 AUs). A 10-AU VM wakes a second group, a k-AU VM lands there, and
+// freeing the 10-AU VM leaves the second group the least utilized: the
+// k-AU VM drains into the first group and the second powers down. Freeing
+// the k-AU VM restores the starting state.
+func TestDrainAllocsIndependentOfVMSize(t *testing.T) {
+	allocs := map[int64]float64{}
+	for _, aus := range []int64{2, 6} {
+		d := newTestDTL(t)
+		au := d.Config().AUBytes
+		now := sim.Time(0)
+		mustAlloc(t, d, 1, 0, 9*au, now)
+		cycle := func() {
+			before := d.Stats().SegmentsMigrated
+			for _, step := range []func() error{
+				func() error { _, err := d.AllocateVM(2, 0, 10*au, now); return err },
+				func() error { _, err := d.AllocateVM(3, 0, aus*au, now); return err },
+				func() error { return d.DeallocateVM(2, now) },
+				func() error { return d.DeallocateVM(3, now) },
+			} {
+				now += sim.Millisecond
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := d.Stats().SegmentsMigrated-before, aus*d.segsPerAU; got != want {
+				t.Fatalf("%d-AU cycle migrated %d segments, want %d", aus, got, want)
+			}
+		}
+		for i := 0; i < 4; i++ { // reach steady state: pools and maps sized
+			cycle()
+		}
+		allocs[aus] = testing.AllocsPerRun(20, cycle)
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs[2] != allocs[6] {
+		t.Fatalf("drain cycle allocs/op: %v at 2 AUs, %v at 6 AUs; want equal", allocs[2], allocs[6])
+	}
+	t.Logf("drain cycle: %v allocs", allocs[2])
+}

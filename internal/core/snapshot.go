@@ -316,12 +316,11 @@ func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
 			return nil, err
 		}
 		for _, au := range st.aus {
-			for off := int64(0); off < d.cfg.SegmentsPerAU(); off++ {
+			for off := int64(0); off < d.segsPerAU; off++ {
 				hsn := d.hsnOf(st.host, au, off)
 				if _, ok := d.segMap.get(hsn); !ok {
 					return nil, fmt.Errorf("core: snapshot vm %d missing mapping for hsn %d", id, hsn)
 				}
-				st.hsns = append(st.hsns, hsn)
 			}
 		}
 		d.vms[VMID(id)] = st

@@ -286,7 +286,30 @@ func TestPropertySnapshotRoundTripRandomStates(t *testing.T) {
 				}
 			}
 		}
-		return r.CheckInvariants() == nil
+		if err := r.CheckInvariants(); err != nil {
+			t.Logf("seed %d: restored: %v", seed, err)
+			return false
+		}
+		// A VM's segments are derived from its AUs, so freeing every live
+		// VM must empty the restored device exactly as it empties the
+		// original.
+		for _, dev := range []*DTL{d, r} {
+			for id := range live {
+				if err := dev.DeallocateVM(id, now); err != nil {
+					t.Logf("seed %d: dealloc vm %d: %v", seed, id, err)
+					return false
+				}
+			}
+			if err := dev.CheckInvariants(); err != nil {
+				t.Logf("seed %d: after freeing every VM: %v", seed, err)
+				return false
+			}
+			if b := dev.AllocatedBytes(); b != 0 {
+				t.Logf("seed %d: %d bytes still allocated after freeing every VM", seed, b)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

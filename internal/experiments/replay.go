@@ -96,7 +96,17 @@ func replayController(g dram.Geometry, rankInterleave bool, linkLat sim.Time,
 
 	// Generation phase: materialize the merged stream into per-channel SoA
 	// buffers. Arrival stamps are non-decreasing, so endTime is the last one.
+	// Each channel's buffers are sized up front for its even share of n plus
+	// a quarter: segment interleaving keeps every channel's share within
+	// ~12% of even, so they fill without regrowing (append still covers an
+	// outlier).
 	chans := make([]chanReplay, g.Channels)
+	perChan := n/g.Channels + n/(4*g.Channels) + 1
+	for ch := range chans {
+		chans[ch].dpa = make([]dram.DPA, 0, perChan)
+		chans[ch].write = make([]bool, 0, perChan)
+		chans[ch].arrive = make([]sim.Time, 0, perChan)
+	}
 	var endTime sim.Time
 	for i := 0; i < n; i++ {
 		a := mix.Next()

@@ -129,6 +129,8 @@ const DefaultCapacity = 1 << 16
 type Tracer struct {
 	cfg TracerConfig
 
+	rankNames []string // RankName per global rank, rendered once
+
 	state []int      // current power state per rank
 	since []sim.Time // when the rank entered it
 	spans []PowerSpan
@@ -154,11 +156,13 @@ func NewTracer(cfg TracerConfig) *Tracer {
 		cfg.Capacity = DefaultCapacity
 	}
 	t := &Tracer{
-		cfg:   cfg,
-		state: make([]int, cfg.Ranks),
-		since: make([]sim.Time, cfg.Ranks),
+		cfg:       cfg,
+		rankNames: make([]string, cfg.Ranks),
+		state:     make([]int, cfg.Ranks),
+		since:     make([]sim.Time, cfg.Ranks),
 	}
 	for i := range t.state {
+		t.rankNames[i] = formatRankName(i, cfg.Channels)
 		t.state[i] = cfg.InitialState
 		t.since[i] = cfg.Start
 	}
@@ -178,8 +182,15 @@ func (t *Tracer) StateName(code int) string {
 
 // RankName renders a global rank as "chX/rkY" (or "rkN" without channels).
 func (t *Tracer) RankName(rank int) string {
-	if t.cfg.Channels > 0 {
-		return fmt.Sprintf("ch%d/rk%d", rank%t.cfg.Channels, rank/t.cfg.Channels)
+	if rank >= 0 && rank < len(t.rankNames) {
+		return t.rankNames[rank]
+	}
+	return formatRankName(rank, t.cfg.Channels)
+}
+
+func formatRankName(rank, channels int) string {
+	if channels > 0 {
+		return fmt.Sprintf("ch%d/rk%d", rank%channels, rank/channels)
 	}
 	return fmt.Sprintf("rk%d", rank)
 }

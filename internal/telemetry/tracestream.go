@@ -10,9 +10,10 @@ import (
 // event to w the moment the tracer records it, with the same alloc-free
 // append-buffer discipline as StreamSampler.
 //
-// Streaming sidesteps the event ring entirely: a long run whose point events
-// overflow the tracer's ring capacity still produces a complete JSONL/CSV
-// trace, because each event was written before it could be evicted. Records
+// Streaming does not depend on the event ring: the tracer still fills its
+// ring while a stream is attached, but a long run whose point events
+// overflow the ring's capacity still produces a complete JSONL/CSV trace,
+// because each event was written before it could be evicted. Records
 // appear in completion order — events when emitted, power spans when the
 // rank leaves the state (so a span's start_ns can precede the at_ns of
 // records written before it).

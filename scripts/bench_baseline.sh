@@ -20,7 +20,7 @@ out="${1:-BENCH_seed.json}"
 # below: an unanchored `-bench BenchmarkEngineStep` also matches
 # BenchmarkEngineStepDeep (go test matches substrings), which once let two
 # names share one set of averaged numbers in the seed baseline.
-pattern="${2:-BenchmarkAccessPath|BenchmarkAccessPathMigrating|BenchmarkAttributedAccessPath|BenchmarkAllocDealloc|BenchmarkEngineStep|BenchmarkEngineStepDeep|BenchmarkFabricAccessPath|BenchmarkSMCHit|BenchmarkSMCMissWalk|BenchmarkSwapMigration|BenchmarkTimelineRecord}"
+pattern="${2:-BenchmarkAccessPath|BenchmarkAccessPathMigrating|BenchmarkAttributedAccessPath|BenchmarkAllocDealloc|BenchmarkVMChurnDrain|BenchmarkEngineStep|BenchmarkEngineStepDeep|BenchmarkFabricAccessPath|BenchmarkSMCHit|BenchmarkSMCMissWalk|BenchmarkSwapMigration|BenchmarkTimelineRecord}"
 count="${3:-5}"
 
 tmp="$(mktemp)"
