@@ -52,6 +52,7 @@ func TestExperimentsWriteReports(t *testing.T) {
 
 func TestFig1Shape(t *testing.T) {
 	res := Fig1(quickOpts())
+	checkMetricsGolden(t, res)
 	mean := res.Metrics["mean_mem_utilization"]
 	if mean <= 0 || mean >= 0.5 {
 		t.Errorf("mean utilization %.3f, want in (0, 0.5) per the paper", mean)
@@ -98,6 +99,7 @@ func TestFig5Shape(t *testing.T) {
 
 func TestFig6Shape(t *testing.T) {
 	res := Fig6(quickOpts())
+	checkMetricsGolden(t, res)
 	if res.Metrics["channel_interleaved"] != 1 || res.Metrics["rank_bits_msb"] != 1 {
 		t.Fatalf("address layout properties violated: %v", res.Metrics)
 	}
@@ -105,6 +107,7 @@ func TestFig6Shape(t *testing.T) {
 
 func TestFig9Shape(t *testing.T) {
 	res := Fig9(quickOpts())
+	checkMetricsGolden(t, res)
 	share := res.Metrics["mix8_ge4mb_share"]
 	if share < 0.7 || share > 1.0 {
 		t.Errorf("mix-8 >=4MB share %.3f, want > 0.7 (paper: 0.893)", share)
@@ -113,6 +116,7 @@ func TestFig9Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	res := Fig10(quickOpts())
+	checkMetricsGolden(t, res)
 	c2 := res.Metrics["cold_2mb_mean"]
 	c4 := res.Metrics["cold_4mb_mean"]
 	if c2 <= c4 {
@@ -125,6 +129,7 @@ func TestFig10Shape(t *testing.T) {
 
 func TestFig11Shape(t *testing.T) {
 	res := Fig11(quickOpts())
+	checkMetricsGolden(t, res)
 	if res.Metrics["bg_norm_8ranks"] != 1 {
 		t.Error("8-rank point should be the unit baseline")
 	}
@@ -158,6 +163,7 @@ func TestFig12Shape(t *testing.T) {
 
 func TestFig13Shape(t *testing.T) {
 	res := Fig13(quickOpts())
+	checkMetricsGolden(t, res)
 	bg := res.Metrics["background_saving"]
 	total := res.Metrics["total_saving"]
 	if bg <= 0 || total <= 0 {
@@ -175,6 +181,7 @@ func TestFig14Shape(t *testing.T) {
 		t.Skip("self-refresh replay is slow")
 	}
 	res := Fig14(quickOpts())
+	checkMetricsGolden(t, res)
 	low := res.Metrics["saving_26gib-5grp"]
 	mid := res.Metrics["saving_32gib-5grp"]
 	high := res.Metrics["saving_34gib-5grp"]
@@ -197,6 +204,7 @@ func TestFig15Shape(t *testing.T) {
 		t.Skip("self-refresh replay is slow")
 	}
 	res := Fig15(quickOpts())
+	checkMetricsGolden(t, res)
 	// Combined savings exceed power-down alone where self-refresh works.
 	if res.Metrics["total_26gib-5grp"] <= res.Metrics["pdonly_26gib-5grp"] {
 		t.Errorf("combined %.4f not above power-down-only %.4f",
@@ -213,6 +221,7 @@ func TestFig15Shape(t *testing.T) {
 
 func TestTable2Shape(t *testing.T) {
 	res := Table2(quickOpts())
+	checkMetricsGolden(t, res)
 	if res.Metrics["standby"] != 1.0 || res.Metrics["self-refresh"] != 0.2 || res.Metrics["mpsm"] != 0.068 {
 		t.Fatalf("table 2 values: %v", res.Metrics)
 	}
@@ -223,6 +232,7 @@ func TestTable4Shape(t *testing.T) {
 		t.Skip("cache replay is slow")
 	}
 	res := Table4(quickOpts())
+	checkMetricsGolden(t, res)
 	// Measured MAPKI within 2x of every target, and ordering preserved for
 	// the extremes.
 	targets := map[string]float64{
@@ -242,6 +252,7 @@ func TestTable4Shape(t *testing.T) {
 
 func TestTable5Shape(t *testing.T) {
 	res := Table5(quickOpts())
+	checkMetricsGolden(t, res)
 	if res.Metrics["sram_4tb_mb"] < 1 || res.Metrics["sram_4tb_mb"] > 20 {
 		t.Errorf("4TB SRAM %.2f MB, want single-digit MB (paper: 5.3)", res.Metrics["sram_4tb_mb"])
 	}
@@ -255,6 +266,7 @@ func TestTable5Shape(t *testing.T) {
 
 func TestTable6Shape(t *testing.T) {
 	res := Table6(quickOpts())
+	checkMetricsGolden(t, res)
 	if res.Metrics["power_4tb_mw"] <= res.Metrics["power_384gb_mw"] {
 		t.Error("4TB controller should cost more power")
 	}
@@ -271,6 +283,7 @@ func TestAMATShape(t *testing.T) {
 		t.Skip("AMAT replay is slow")
 	}
 	res := AMAT(quickOpts())
+	checkMetricsGolden(t, res)
 	tr := res.Metrics["translation_ns"]
 	if tr <= 0 || tr > 21 {
 		t.Errorf("translation %.2f ns, want single-digit ns (<10%% of CXL latency; paper: 4.2)", tr)
@@ -317,6 +330,7 @@ func TestAblationShapes(t *testing.T) {
 		t.Skip("ablation replays are slow")
 	}
 	seg := AblationSegmentSize(quickOpts())
+	checkMetricsGolden(t, seg)
 	if !(seg.Metrics["cold_1mb"] >= seg.Metrics["cold_2mb"] &&
 		seg.Metrics["cold_2mb"] >= seg.Metrics["cold_4mb"] &&
 		seg.Metrics["cold_4mb"] >= seg.Metrics["cold_8mb"]) {
@@ -327,12 +341,18 @@ func TestAblationShapes(t *testing.T) {
 	}
 
 	smc := AblationSMC(quickOpts())
+	checkMetricsGolden(t, smc)
 	if smc.Metrics["translation_ns_16x256"] <= smc.Metrics["translation_ns_256x4096"] {
 		t.Errorf("bigger SMC should translate faster: %v", smc.Metrics)
 	}
 
 	rg := AblationRankGroup(quickOpts())
+	checkMetricsGolden(t, rg)
 	if rg.Metrics["bg_perrank_6free"] > rg.Metrics["bg_group_6free"] {
 		t.Error("per-rank power-down cannot cost more background power than rank-group")
 	}
+
+	// No other test runs the threshold sweep, so its pin costs one quick
+	// run here.
+	checkMetricsGolden(t, AblationProfilingThreshold(quickOpts()))
 }

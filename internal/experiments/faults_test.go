@@ -15,6 +15,7 @@ func TestFaultsChaosSmoke(t *testing.T) {
 	opts := quickOpts()
 	opts.Out = &b
 	res := Faults(opts)
+	checkMetricsGolden(t, res)
 
 	if res.Metrics["probe_failures"] != 0 {
 		t.Fatalf("probe_failures = %v, want 0 (data loss)", res.Metrics["probe_failures"])

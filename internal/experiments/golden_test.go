@@ -15,7 +15,7 @@ import (
 
 // update rewrites the exact-metrics golden instead of comparing against it:
 //
-//	go test ./internal/experiments -run 'TestFig(2|5|12)Shape' -update
+//	go test ./internal/experiments -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
 var metricsGolden = filepath.Join("testdata", "metrics.golden.json")
@@ -30,8 +30,9 @@ func formatMetrics(res Result) map[string]string {
 	return out
 }
 
-// checkMetricsGolden pins res.Metrics (a quick-scale run at seed 1) bit for
-// bit against its entry in testdata/metrics.golden.json. The shape tests
+// checkMetricsGolden pins res.Metrics (a quick-scale run at seed 1; the
+// rack entry adds rackOpts' fabric) bit for bit against its entry in
+// testdata/metrics.golden.json, one entry per experiment. The shape tests
 // call it on the result they already computed, so pinning costs no extra
 // run. With -update it rewrites only res.ID's entry.
 func checkMetricsGolden(t *testing.T, res Result) {
@@ -45,7 +46,7 @@ func checkMetricsGolden(t *testing.T, res Result) {
 		}
 	case errors.Is(err, fs.ErrNotExist) && *update:
 	default:
-		t.Fatalf("%v (regenerate with go test ./internal/experiments -run 'TestFig(2|5|12)Shape' -update)", err)
+		t.Fatalf("%v (regenerate with go test ./internal/experiments -update)", err)
 	}
 
 	got := formatMetrics(res)

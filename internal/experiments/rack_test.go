@@ -24,6 +24,8 @@ func rackOpts() Options {
 // (nonzero fabric stall and copy bytes).
 func TestRackPackBeatsSpread(t *testing.T) {
 	res := Rack(rackOpts())
+	// The rack entry pins rackOpts' pack leg, not the quick default's spread.
+	checkMetricsGolden(t, res)
 	pack, spread := res.Metrics["energy_proxy_pack"], res.Metrics["energy_proxy_spread"]
 	if pack <= 0 || spread <= 0 {
 		t.Fatalf("degenerate energy proxies: pack %g, spread %g", pack, spread)

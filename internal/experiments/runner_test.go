@@ -111,6 +111,7 @@ func TestAblationSweepParallelMatchesSerial(t *testing.T) {
 	}
 	var serialOut, parOut bytes.Buffer
 	serial := AblationTSPTimeout(Options{Quick: true, Seed: 1, Out: &serialOut})
+	checkMetricsGolden(t, serial)
 	par := AblationTSPTimeout(Options{Quick: true, Seed: 1, Out: &parOut, Parallel: 3})
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("sweep results differ:\nserial: %+v\nparallel: %+v", serial, par)
