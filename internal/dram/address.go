@@ -13,10 +13,11 @@ package dram
 // immediately above the segment offset so that consecutive segments rotate
 // across channels, preserving channel-level parallelism for every VM.
 //
-// The implementation uses arithmetic (div/mod) rather than literal bit
-// slicing so that non-power-of-two channel and rank counts (e.g. the
-// 6-rank configurations of Figure 2) decode with the same ordering; for
-// power-of-two counts the two are identical.
+// When the channel, rank, bank and per-(rank,channel) segment counts are
+// all powers of two, as in every paper geometry, AddressCodec decodes by
+// literal bit slicing (shifts and masks). Other counts (e.g. the 6-rank
+// configurations of Figure 2) decode by div/mod arithmetic with the same
+// ordering; on power-of-two counts the two agree for every address.
 type DPA int64
 
 // HPA is a host physical address as issued over CXL, before DTL translation.
@@ -44,6 +45,19 @@ type AddressCodec struct {
 	segShift    uint // log2(segment size)
 	channels    int64
 	segsPerRkCh int64
+
+	// pow2 selects the shift/mask decode: every count below is a power of
+	// two, so each div/mod by it is a shift/mask on a non-negative value.
+	// Negative inputs always take the div/mod path, whose rounding differs.
+	pow2     bool
+	chShift  uint // log2(channels)
+	rkShift  uint // log2(ranks per channel)
+	idxShift uint // log2(segments per (rank, channel))
+	rowShift uint // log2(row block × banks per rank)
+	chMask   int64
+	rkMask   int64
+	idxMask  int64
+	bankMask int64
 }
 
 // NewAddressCodec builds a codec for g.
@@ -51,11 +65,22 @@ func NewAddressCodec(g Geometry) (*AddressCodec, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	segs := g.SegmentsPerRank()
 	return &AddressCodec{
 		geom:        g,
 		segShift:    log2(g.SegmentBytes),
 		channels:    int64(g.Channels),
-		segsPerRkCh: g.SegmentsPerRank(),
+		segsPerRkCh: segs,
+		pow2: isPow2(int64(g.Channels)) && isPow2(int64(g.RanksPerChannel)) &&
+			isPow2(int64(g.BanksPerRank)) && isPow2(segs),
+		chShift:  log2(int64(g.Channels)),
+		rkShift:  log2(int64(g.RanksPerChannel)),
+		idxShift: log2(segs),
+		rowShift: rowBlockShift + log2(int64(g.BanksPerRank)),
+		chMask:   int64(g.Channels) - 1,
+		rkMask:   int64(g.RanksPerChannel) - 1,
+		idxMask:  segs - 1,
+		bankMask: int64(g.BanksPerRank) - 1,
 	}, nil
 }
 
@@ -88,6 +113,19 @@ func (c *AddressCodec) OffsetOf(a DPA) int64 { return int64(a) & (c.geom.Segment
 // index.
 func (c *AddressCodec) DecodeDSN(s DSN) Loc {
 	v := int64(s)
+	if !c.pow2 || v < 0 {
+		return c.decodeDSNDiv(v)
+	}
+	block := v >> c.chShift
+	return Loc{
+		Channel: int(v & c.chMask),
+		Index:   block & c.idxMask,
+		Rank:    int(block >> c.idxShift),
+	}
+}
+
+// decodeDSNDiv is DecodeDSN by div/mod, for any geometry and sign.
+func (c *AddressCodec) decodeDSNDiv(v int64) Loc {
 	ch := v % c.channels
 	block := v / c.channels
 	return Loc{
@@ -113,22 +151,46 @@ func (c *AddressCodec) Compose(s DSN, offset int64) DPA {
 
 // RankOf reports the (channel, rank) pair servicing the device address.
 func (c *AddressCodec) RankOf(a DPA) (channel, rank int) {
-	l := c.DecodeDSN(c.SegmentOf(a))
-	return l.Channel, l.Rank
+	v := int64(a) >> c.segShift
+	if !c.pow2 || v < 0 {
+		l := c.decodeDSNDiv(v)
+		return l.Channel, l.Rank
+	}
+	return int(v & c.chMask), int(v >> c.chShift >> c.idxShift)
 }
 
 // BankOf reports the bank within the rank servicing the device address.
 // Banks are interleaved across 4 KiB row-buffer-sized blocks inside a
 // segment, the conventional low-order bank hash.
 func (c *AddressCodec) BankOf(a DPA) int {
-	const rowBlock = 4 << 10
-	return int((int64(a) / rowBlock) % int64(c.geom.BanksPerRank))
+	if !c.pow2 || a < 0 {
+		return c.bankOfDiv(a)
+	}
+	return int(int64(a) >> rowBlockShift & c.bankMask)
 }
 
 // RowOf reports the DRAM row addressed within the bank (used for row-buffer
 // hit/miss decisions in the timing model).
 func (c *AddressCodec) RowOf(a DPA) int64 {
-	const rowBlock = 4 << 10
+	if !c.pow2 || a < 0 {
+		return c.rowOfDiv(a)
+	}
+	return int64(a) >> c.rowShift
+}
+
+// rowBlock is the 4 KiB row-buffer-sized block banks interleave over.
+const (
+	rowBlock      = 4 << 10
+	rowBlockShift = 12 // log2(rowBlock)
+)
+
+// bankOfDiv and rowOfDiv are BankOf and RowOf by div/mod, for any geometry
+// and sign.
+func (c *AddressCodec) bankOfDiv(a DPA) int {
+	return int((int64(a) / rowBlock) % int64(c.geom.BanksPerRank))
+}
+
+func (c *AddressCodec) rowOfDiv(a DPA) int64 {
 	return int64(a) / rowBlock / int64(c.geom.BanksPerRank)
 }
 
@@ -148,6 +210,19 @@ func (c *AddressCodec) SplitGlobalRank(gr int) (channel, rank int) {
 // across every rank. This is the baseline mapping the paper's Figure 5
 // compares against (DTL itself never uses it).
 func (c *AddressCodec) RankInterleavedDSN(seq int64) DSN {
+	if !c.pow2 || seq < 0 {
+		return c.rankInterleavedDSNDiv(seq)
+	}
+	ch := seq & c.chMask
+	rest := seq >> c.chShift
+	rank := rest & c.rkMask
+	idx := rest >> c.rkShift & c.idxMask
+	return DSN((rank<<c.idxShift|idx)<<c.chShift | ch)
+}
+
+// rankInterleavedDSNDiv is RankInterleavedDSN by div/mod, for any geometry
+// and sign.
+func (c *AddressCodec) rankInterleavedDSNDiv(seq int64) DSN {
 	ranks := int64(c.geom.RanksPerChannel)
 	ch := seq % c.channels
 	rest := seq / c.channels
@@ -155,6 +230,8 @@ func (c *AddressCodec) RankInterleavedDSN(seq int64) DSN {
 	idx := rest / ranks
 	return c.EncodeDSN(Loc{Rank: int(rank), Channel: int(ch), Index: idx % c.segsPerRkCh})
 }
+
+func isPow2(v int64) bool { return v > 0 && v&(v-1) == 0 }
 
 func log2(v int64) uint {
 	var n uint

@@ -243,3 +243,69 @@ func TestFormatBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftDecodeMatchesDivMod: on power-of-two geometries the codec decodes
+// with shifts and masks; it must agree with the div/mod decode on every DSN
+// in range and on random device addresses, negative and out-of-range ones
+// included. Other geometries (the 6-rank devices of Fig. 2) must keep the
+// div/mod path.
+func TestShiftDecodeMatchesDivMod(t *testing.T) {
+	small := Default1TB()
+	small.RankBytes = 2 * GiB
+	sixRank := Default1TB()
+	sixRank.RanksPerChannel = 6
+	twelveBank := Default1TB()
+	twelveBank.BanksPerRank = 12
+	cases := []struct {
+		name string
+		g    Geometry
+		pow2 bool
+	}{
+		{"4ch-8rk-32GiB", Default1TB(), true},
+		{"4ch-8rk-2GiB", small, true},
+		{"8ch-16rk-32GiB", Hypothetical4TB(), true},
+		{"4ch-6rk-32GiB", sixRank, false},
+		{"12-bank", twelveBank, false},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := MustCodec(tc.g)
+			if c.pow2 != tc.pow2 {
+				t.Fatalf("shift decode selected = %v, want %v", c.pow2, tc.pow2)
+			}
+			check := func(a DPA, seq int64) {
+				t.Helper()
+				s := c.SegmentOf(a)
+				want := c.decodeDSNDiv(int64(s))
+				if got := c.DecodeDSN(s); got != want {
+					t.Fatalf("DecodeDSN(%d) = %+v, div/mod %+v", s, got, want)
+				}
+				if ch, rk := c.RankOf(a); ch != want.Channel || rk != want.Rank {
+					t.Fatalf("RankOf(%d) = (%d,%d), div/mod (%d,%d)", a, ch, rk, want.Channel, want.Rank)
+				}
+				if got, want := c.BankOf(a), c.bankOfDiv(a); got != want {
+					t.Fatalf("BankOf(%d) = %d, div/mod %d", a, got, want)
+				}
+				if got, want := c.RowOf(a), c.rowOfDiv(a); got != want {
+					t.Fatalf("RowOf(%d) = %d, div/mod %d", a, got, want)
+				}
+				if got, want := c.RankInterleavedDSN(seq), c.rankInterleavedDSNDiv(seq); got != want {
+					t.Fatalf("RankInterleavedDSN(%d) = %d, div/mod %d", seq, got, want)
+				}
+			}
+			// Every DSN, at an in-segment offset that steps one row block
+			// plus one line per DSN, so the probes cover every bank.
+			total := tc.g.TotalSegments()
+			for s := int64(0); s < total; s++ {
+				off := (s * (rowBlock + 64)) & (tc.g.SegmentBytes - 1)
+				check(c.Compose(DSN(s), off), s)
+			}
+			bytes := tc.g.TotalBytes()
+			for i := 0; i < 100_000; i++ {
+				a := rng.Int63n(4*bytes) - 2*bytes
+				check(DPA(a), a>>c.segShift)
+			}
+		})
+	}
+}

@@ -107,6 +107,13 @@ func (d *Device) State(id RankID) PowerState { return d.rank(id).state }
 // any in-flight power transition.
 func (d *Device) ReadyAt(id RankID) sim.Time { return d.rank(id).readyAt }
 
+// StateAndReady reports State and ReadyAt with one rank lookup, for the
+// controller's per-access path.
+func (d *Device) StateAndReady(id RankID) (PowerState, sim.Time) {
+	r := d.rank(id)
+	return r.state, r.readyAt
+}
+
 // Transitions reports how many power-state changes the rank has undergone.
 func (d *Device) Transitions(id RankID) int { return d.rank(id).transitions }
 

@@ -1,14 +1,36 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // quickOpts runs every experiment at reduced scale with a fixed seed.
 func quickOpts() Options { return Options{Quick: true, Seed: 1} }
+
+// srShared is one serial Fig14-then-Fig15 run at quickOpts through a replay
+// memo, as RunAll runs them: their four self-refresh replays, the slowest
+// runs in the package, happen once per test binary. TestFig14Shape,
+// TestFig15Shape and TestSelfRefreshReplaysShared all read it.
+type srShared struct {
+	fig14, fig15 Result
+	out          []byte  // both reports
+	memo         *srMemo // the four replays
+}
+
+var sharedSelfRefresh = sync.OnceValue(func() srShared {
+	var out bytes.Buffer
+	o := quickOpts()
+	o.Out = &out
+	o.srRuns = &srMemo{runs: map[srKey]*srRun{}}
+	f14 := Fig14(o)
+	f15 := Fig15(o)
+	return srShared{fig14: f14, fig15: f15, out: out.Bytes(), memo: o.srRuns}
+})
 
 func TestRegistryCompleteAndUnique(t *testing.T) {
 	runners := All()
@@ -180,7 +202,7 @@ func TestFig14Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-refresh replay is slow")
 	}
-	res := Fig14(quickOpts())
+	res := sharedSelfRefresh().fig14
 	checkMetricsGolden(t, res)
 	low := res.Metrics["saving_26gib-5grp"]
 	mid := res.Metrics["saving_32gib-5grp"]
@@ -203,7 +225,7 @@ func TestFig15Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-refresh replay is slow")
 	}
-	res := Fig15(quickOpts())
+	res := sharedSelfRefresh().fig15
 	checkMetricsGolden(t, res)
 	// Combined savings exceed power-down alone where self-refresh works.
 	if res.Metrics["total_26gib-5grp"] <= res.Metrics["pdonly_26gib-5grp"] {

@@ -129,16 +129,13 @@ func TestSelfRefreshReplaysShared(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-refresh replay is slow")
 	}
-	var serialOut bytes.Buffer
-	o := quickOpts()
-	o.Out = &serialOut
-	o.srRuns = &srMemo{runs: map[srKey]*srRun{}}
-	serial := []Result{Fig14(o), Fig15(o)}
-	if n := len(o.srRuns.runs); n != len(srConfigs()) {
+	sr := sharedSelfRefresh()
+	serial := []Result{sr.fig14, sr.fig15}
+	if n := len(sr.memo.runs); n != len(srConfigs()) {
 		t.Fatalf("fig14 and fig15 made %d distinct replays, want %d", n, len(srConfigs()))
 	}
 	cfg := srConfigs()[0]
-	shared, ok := o.srRuns.runs[srKey{quickOpts(), cfg}]
+	shared, ok := sr.memo.runs[srKey{quickOpts(), cfg}]
 	if !ok {
 		t.Fatal("replay not keyed by the options without their report writer")
 	}
@@ -147,13 +144,13 @@ func TestSelfRefreshReplaysShared(t *testing.T) {
 	}
 
 	var parOut bytes.Buffer
-	o = quickOpts()
+	o := quickOpts()
 	o.Out = &parOut
 	par := RunAll(runnersByID(t, "fig14", "fig15"), o, 2)
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("parallel results differ:\nserial: %+v\nparallel: %+v", serial, par)
 	}
-	if !bytes.Equal(serialOut.Bytes(), parOut.Bytes()) {
+	if !bytes.Equal(sr.out, parOut.Bytes()) {
 		t.Fatal("parallel report differs from serial")
 	}
 }

@@ -65,8 +65,10 @@ type Controller struct {
 	busFree   []sim.Time // per channel: earliest next command slot
 	lastRank  []int      // per channel: last rank that used the bus
 	lastWrite []bool     // per channel: whether the last burst was a write
-	bankFree  [][]sim.Time
-	openRow   [][]int64
+	// Per bank, flattened: bank b of global rank gr sits at gr*banks+b.
+	banks    int
+	bankFree []sim.Time // earliest time the bank accepts a command
+	openRow  []int64    // row held open in the bank, -1 when precharged
 
 	// Per-global-rank profiling counters, struct-of-arrays: DTL's hotness
 	// profiler sweeps every rank's window count each profiling window, and
@@ -91,6 +93,7 @@ type Controller struct {
 func New(dev *dram.Device) *Controller {
 	g := dev.Geometry()
 	nRanks := g.TotalRanks()
+	nBanks := nRanks * g.BanksPerRank
 	c := &Controller{
 		dev:          dev,
 		codec:        dev.Codec(),
@@ -98,6 +101,9 @@ func New(dev *dram.Device) *Controller {
 		busFree:      make([]sim.Time, g.Channels),
 		lastRank:     make([]int, g.Channels),
 		lastWrite:    make([]bool, g.Channels),
+		banks:        g.BanksPerRank,
+		bankFree:     make([]sim.Time, nBanks),
+		openRow:      make([]int64, nBanks),
 		winAccesses:  make([]int64, nRanks),
 		lifeAccesses: make([]int64, nRanks),
 		busyNs:       make([]sim.Time, g.Channels),
@@ -105,14 +111,8 @@ func New(dev *dram.Device) *Controller {
 	for ch := range c.lastRank {
 		c.lastRank[ch] = -1
 	}
-	c.bankFree = make([][]sim.Time, nRanks)
-	c.openRow = make([][]int64, nRanks)
-	for r := 0; r < nRanks; r++ {
-		c.bankFree[r] = make([]sim.Time, g.BanksPerRank)
-		c.openRow[r] = make([]int64, g.BanksPerRank)
-		for b := range c.openRow[r] {
-			c.openRow[r][b] = -1
-		}
+	for b := range c.openRow {
+		c.openRow[b] = -1
 	}
 	return c
 }
@@ -128,26 +128,26 @@ func (c *Controller) Access(req Request) Result {
 	id := dram.RankID{Channel: ch, Rank: rk}
 	gr := c.codec.GlobalRank(ch, rk)
 
+	state, rankReady := c.dev.StateAndReady(id)
 	var wake sim.Time
-	switch c.dev.State(id) {
+	switch state {
 	case dram.MPSM:
 		panic(fmt.Sprintf("memctrl: access to MPSM rank %v at dpa %d", id, req.Addr))
 	case dram.SelfRefresh:
-		ready := c.dev.SetState(id, dram.Standby, req.Arrive)
-		wake = ready - req.Arrive
+		rankReady = c.dev.SetState(id, dram.Standby, req.Arrive)
+		wake = rankReady - req.Arrive
 		c.wakeups++
 	}
 
-	rankReady := c.dev.ReadyAt(id)
 	// The command-bus slot is claimed FR-FCFS style: a request stalled on
 	// its bank or rank does not block the channel for younger requests to
 	// other banks, so the bus reservation advances from the arrival point
 	// while the request's own start also waits for bank/rank readiness.
-	busSlot := maxT(req.Arrive, c.busFree[ch])
+	busSlot := max(req.Arrive, c.busFree[ch])
 
-	bank := c.codec.BankOf(req.Addr)
+	bank := gr*c.banks + c.codec.BankOf(req.Addr)
 	row := c.codec.RowOf(req.Addr)
-	start := maxT(busSlot, rankReady, c.bankFree[gr][bank])
+	start := max(busSlot, rankReady, c.bankFree[bank])
 	if c.refreshEnabled {
 		start = c.afterRefresh(gr, start)
 	}
@@ -164,13 +164,13 @@ func (c *Controller) Access(req Request) Result {
 		}
 	}
 
-	rowHit := c.openRow[gr][bank] == row
+	rowHit := c.openRow[bank] == row
 	var accessLat sim.Time
 	if rowHit {
 		accessLat = c.tim.TCL
 	} else {
 		accessLat = c.tim.TRP + c.tim.TRCD + c.tim.TCL
-		c.openRow[gr][bank] = row
+		c.openRow[bank] = row
 	}
 	// A failed rank still serves data but in degraded mode: every access
 	// pays the repair/retry penalty until the DTL evacuates the rank.
@@ -207,7 +207,7 @@ func (c *Controller) Access(req Request) Result {
 	if req.Write {
 		bankBusyUntil += c.tim.TWR
 	}
-	c.bankFree[gr][bank] = bankBusyUntil
+	c.bankFree[bank] = bankBusyUntil
 
 	c.winAccesses[gr]++
 	c.lifeAccesses[gr]++
@@ -359,14 +359,4 @@ func (c *Controller) MigrationTime(ch int, bytes int64, now sim.Time) sim.Time {
 		bw = floor
 	}
 	return sim.Time(float64(bytes) / bw)
-}
-
-func maxT(ts ...sim.Time) sim.Time {
-	m := ts[0]
-	for _, t := range ts[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }

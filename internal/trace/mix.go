@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Mixed interleaves several generators into one merged post-cache stream,
 // modeling multiple application copies (or VMs) sharing the device. Each
@@ -14,10 +11,14 @@ import (
 type Mixed struct {
 	gens   []*Generator
 	bases  []int64
-	rng    *rand.Rand
+	rng    rngSource
 	weight []float64
 	wsum   float64
 	instr  int64
+	// step and stepFrac split 1000/wsum, the instructions per merged
+	// access, into whole and fractional parts once, in NewMixed.
+	step     int64
+	stepFrac float64
 }
 
 // NewMixed builds a mixed stream. Component i addresses
@@ -26,7 +27,8 @@ func NewMixed(profiles []Profile, seed int64) (*Mixed, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("trace: mixed stream needs at least one profile")
 	}
-	m := &Mixed{rng: rand.New(rand.NewSource(seed))}
+	m := &Mixed{}
+	m.rng.Seed(seed)
 	var base int64
 	for i, p := range profiles {
 		g, err := NewGenerator(p, seed+int64(i)*7919)
@@ -39,6 +41,8 @@ func NewMixed(profiles []Profile, seed int64) (*Mixed, error) {
 		m.weight = append(m.weight, p.MAPKI)
 		m.wsum += p.MAPKI
 	}
+	m.step = int64(1000.0 / m.wsum)
+	m.stepFrac = frac(1000.0 / m.wsum)
 	return m, nil
 }
 
@@ -68,7 +72,7 @@ func (m *Mixed) Next() Access {
 	a := m.gens[i].Next()
 	a.Addr += m.bases[i]
 	// Aggregate instruction clock: accesses arrive at summed MAPKI.
-	m.instr += int64(1000.0/m.wsum) + boolToI64(m.rng.Float64() < frac(1000.0/m.wsum))
+	m.instr += m.step + boolToI64(m.rng.Float64() < m.stepFrac)
 	a.Instr = m.instr
 	return a
 }

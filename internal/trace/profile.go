@@ -16,10 +16,7 @@
 //     experiments).
 package trace
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Access is one generated memory access.
 type Access struct {
@@ -146,7 +143,7 @@ func ProfileByName(name string) (Profile, error) {
 // Not safe for concurrent use.
 type Generator struct {
 	p   Profile
-	rng *rand.Rand
+	rng rngSource
 
 	segments    int64
 	hotSegments []int64 // shuffled segment ids designated hot
@@ -171,12 +168,12 @@ func NewGenerator(p Profile, seed int64) (*Generator, error) {
 	}
 	g := &Generator{
 		p:            p,
-		rng:          rand.New(rand.NewSource(seed)),
 		segments:     p.FootprintBytes / SegmentBytes,
 		instrGap:     1000.0 / p.MAPKI,
 		rawRefsPerKI: 300,
 		rawHotBuf:    16 << 10,
 	}
+	g.rng.Seed(seed)
 	nHot := int64(float64(g.segments) * p.HotFraction)
 	if nHot < 1 {
 		nHot = 1
@@ -267,13 +264,10 @@ func (g *Generator) startRun() {
 	g.runAddr &^= LineBytes - 1
 }
 
-// maybeDrift rotates part of the hot set when the drift period elapses:
-// the dropped members are replaced with random touchable segments, so the
-// previously-hot segments cool down and new ones heat up.
+// maybeDrift rotates part of the hot set when the drift period (positive)
+// elapses: the dropped members are replaced with random touchable segments,
+// so the previously-hot segments cool down and new ones heat up.
 func (g *Generator) maybeDrift() {
-	if g.p.DriftPeriod <= 0 {
-		return
-	}
 	g.driftCount++
 	if g.driftCount < g.p.DriftPeriod {
 		return
@@ -288,7 +282,9 @@ func (g *Generator) maybeDrift() {
 
 // Next returns the next post-cache access.
 func (g *Generator) Next() Access {
-	g.maybeDrift()
+	if g.p.DriftPeriod > 0 {
+		g.maybeDrift()
+	}
 	if g.runLeft == 0 {
 		g.startRun()
 	}
