@@ -7,10 +7,11 @@
 # Defaults write BENCH_seed.json in the repo root from the fast-path
 # microbenchmarks that gate performance regressions (the experiment
 # benchmarks are full runs and too slow for a routine baseline): the
-# end-to-end translation benchmarks at the root plus the event-core and
-# core-datapath benchmarks in internal packages. Compare a later run against
-# the baseline with scripts/bench_check.sh (or any JSON-aware diff);
-# ns_per_op within ~2% is noise.
+# end-to-end translation benchmarks at the root plus the event-core,
+# core-datapath, trace-generator and memory-controller benchmarks in
+# internal packages. Compare a later run against the baseline with
+# scripts/bench_check.sh (or any JSON-aware diff); ns_per_op within ~2% is
+# noise.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -20,7 +21,7 @@ out="${1:-BENCH_seed.json}"
 # below: an unanchored `-bench BenchmarkEngineStep` also matches
 # BenchmarkEngineStepDeep (go test matches substrings), which once let two
 # names share one set of averaged numbers in the seed baseline.
-pattern="${2:-BenchmarkAccessPath|BenchmarkAccessPathMigrating|BenchmarkAttributedAccessPath|BenchmarkAllocDealloc|BenchmarkVMChurnDrain|BenchmarkEngineStep|BenchmarkEngineStepDeep|BenchmarkFabricAccessPath|BenchmarkSMCHit|BenchmarkSMCMissWalk|BenchmarkSwapMigration|BenchmarkTimelineRecord}"
+pattern="${2:-BenchmarkAccessPath|BenchmarkAccessPathMigrating|BenchmarkAttributedAccessPath|BenchmarkAllocDealloc|BenchmarkVMChurnDrain|BenchmarkControllerAccess|BenchmarkEngineStep|BenchmarkEngineStepDeep|BenchmarkFabricAccessPath|BenchmarkMixedNext|BenchmarkSMCHit|BenchmarkSMCMissWalk|BenchmarkSwapMigration|BenchmarkTimelineRecord}"
 count="${3:-5}"
 
 tmp="$(mktemp)"
