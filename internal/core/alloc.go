@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dtl/internal/dram"
 	"dtl/internal/sim"
@@ -309,27 +308,24 @@ func (d *DTL) rankGroupAllocated() []int64 {
 	return out
 }
 
-// sortedRanksByUtilization returns active (non-MPSM, non-failed) ranks of a
-// channel in ascending allocated-segment order. Failed ranks are excluded so
-// the power-down and self-refresh engines never pick one as a victim or
-// consolidation target; retirement is their only exit.
-func (d *DTL) sortedRanksByUtilization(ch int) []int {
-	var ranks []int
-	for rk := 0; rk < d.cfg.Geometry.RanksPerChannel; rk++ {
-		if d.dev.FailedGlobal(d.codec.GlobalRank(ch, rk)) {
+// leastUtilizedRank returns the active (non-MPSM, non-failed) rank of a
+// channel with the fewest allocated segments, ties to the lower index, and
+// how many ranks are active (rk is -1 when none is). Failed ranks are
+// excluded so the power-down engine never picks one as a victim;
+// retirement is their only exit. The (allocated, index) order is total, so
+// the scan picks what the head of a sort by it would be.
+func (d *DTL) leastUtilizedRank(ch int) (rk, n int) {
+	rk = -1
+	var least int64
+	for r := 0; r < d.cfg.Geometry.RanksPerChannel; r++ {
+		gr := d.codec.GlobalRank(ch, r)
+		if d.dev.FailedGlobal(gr) || d.dev.State(dram.RankID{Channel: ch, Rank: r}) == dram.MPSM {
 			continue
 		}
-		if d.dev.State(dram.RankID{Channel: ch, Rank: rk}) != dram.MPSM {
-			ranks = append(ranks, rk)
+		if n == 0 || d.allocated[gr] < least {
+			rk, least = r, d.allocated[gr]
 		}
+		n++
 	}
-	sort.Slice(ranks, func(i, j int) bool {
-		gi := d.codec.GlobalRank(ch, ranks[i])
-		gj := d.codec.GlobalRank(ch, ranks[j])
-		if d.allocated[gi] != d.allocated[gj] {
-			return d.allocated[gi] < d.allocated[gj]
-		}
-		return ranks[i] < ranks[j]
-	})
-	return ranks
+	return rk, n
 }

@@ -36,9 +36,10 @@ type DTL struct {
 
 	// segMap is the DRAM-resident segment mapping table: HSN → DSN for
 	// every allocated host segment (Fig. 4). Dense paged table mirroring
-	// revMap's layout; the paper's table is itself a dense DRAM array
-	// (Table 5 sizes it at full capacity), so this is both the faithful
-	// and the fast representation.
+	// revMap's layout, its pages recycled so memory follows the live AUs;
+	// the paper's table is itself a dense DRAM array (Table 5 sizes it for
+	// device capacity), so this is both the faithful and the fast
+	// representation.
 	segMap *segTable
 	// revMap is the reverse mapping table: DSN → HSN (dsnFree when the
 	// physical segment is unallocated), used to update segMap after

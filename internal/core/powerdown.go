@@ -47,13 +47,15 @@ func (d *DTL) Park(now sim.Time) error {
 // re-check defensively.
 func (d *DTL) parkOne(now sim.Time) bool {
 	g := d.cfg.Geometry
-	victims := make([]dram.RankID, g.Channels)
 	for ch := 0; ch < g.Channels; ch++ {
-		ranks := d.activeRanks(ch)
-		if len(ranks) == 0 {
+		if _, n := d.activeRanks(ch); n == 0 {
 			return false
 		}
-		victims[ch] = dram.RankID{Channel: ch, Rank: ranks[0]}
+	}
+	victims := make([]dram.RankID, g.Channels)
+	for ch := range victims {
+		first, _ := d.activeRanks(ch)
+		victims[ch] = dram.RankID{Channel: ch, Rank: first}
 	}
 	for _, id := range victims {
 		if d.allocated[d.codec.GlobalRank(id.Channel, id.Rank)] != 0 {
@@ -80,29 +82,27 @@ func (d *DTL) tryPowerDownOne(now sim.Time) bool {
 		return false
 	}
 	// Keep at least one active rank group per channel.
-	if len(d.activeRanks(0)) <= 1 {
+	if _, n := d.activeRanks(0); n <= 1 {
 		return false
 	}
 
 	// Virtual rank group (§4.3): per channel, the active rank with the
 	// least allocated space is the victim; indices may differ per channel.
-	victims := make([]dram.RankID, g.Channels)
+	// Every channel needs a victim that leaves another usable rank, and the
+	// remaining active ranks must absorb every live segment of it
+	// (guaranteed by the capacity check, but kept as a defensive re-check
+	// per channel). The checks are pure, so the victims slice — which
+	// poweredDown keeps — is built only once they all pass.
 	for ch := 0; ch < g.Channels; ch++ {
-		ranks := d.sortedRanksByUtilization(ch)
-		if len(ranks) <= 1 {
+		rk, n := d.leastUtilizedRank(ch)
+		if n <= 1 || d.drainCapacityOn(ch, rk) < d.allocated[d.codec.GlobalRank(ch, rk)] {
 			return false
 		}
-		victims[ch] = dram.RankID{Channel: ch, Rank: ranks[0]}
 	}
-
-	// Verify the remaining active ranks can absorb every live segment of
-	// the victims (guaranteed by the capacity check, but kept as a
-	// defensive re-check per channel).
-	for ch := 0; ch < g.Channels; ch++ {
-		victimGR := d.codec.GlobalRank(ch, victims[ch].Rank)
-		if d.drainCapacityOn(ch, victims[ch].Rank) < d.allocated[victimGR] {
-			return false
-		}
+	victims := make([]dram.RankID, g.Channels)
+	for ch := range victims {
+		rk, _ := d.leastUtilizedRank(ch)
+		victims[ch] = dram.RankID{Channel: ch, Rank: rk}
 	}
 
 	// Drain each victim rank: copy live segments into the most-utilized
@@ -128,15 +128,19 @@ func (d *DTL) tryPowerDownOne(now sim.Time) bool {
 	return true
 }
 
-// activeRanks lists non-MPSM rank indices of a channel.
-func (d *DTL) activeRanks(ch int) []int {
-	var out []int
+// activeRanks reports a channel's lowest non-MPSM rank index (-1 when
+// there is none) and how many of its ranks are non-MPSM.
+func (d *DTL) activeRanks(ch int) (first, n int) {
+	first = -1
 	for rk := 0; rk < d.cfg.Geometry.RanksPerChannel; rk++ {
 		if d.dev.State(dram.RankID{Channel: ch, Rank: rk}) != dram.MPSM {
-			out = append(out, rk)
+			if n == 0 {
+				first = rk
+			}
+			n++
 		}
 	}
-	return out
+	return first, n
 }
 
 // drainRank copies every live segment off the victim rank into other active
@@ -241,4 +245,7 @@ func (d *DTL) PoweredDownGroups() int { return len(d.poweredDown) }
 
 // ActiveRanksPerChannel reports the number of non-MPSM ranks on channel 0
 // (identical across channels by construction).
-func (d *DTL) ActiveRanksPerChannel() int { return len(d.activeRanks(0)) }
+func (d *DTL) ActiveRanksPerChannel() int {
+	_, n := d.activeRanks(0)
+	return n
+}

@@ -12,26 +12,37 @@ const segUnmapped dram.DSN = -1
 const segTablePageBits = 12
 
 // segTable is the DRAM-resident segment mapping table (HSN → DSN, Fig. 4)
-// as a dense paged array rather than a Go map. The paper's table is itself
-// a dense DRAM-resident array — Table 5 sizes it at full-device capacity,
-// not at live-segment count — so the dense layout is the faithful model as
-// well as the fast one: the access path replaces a hash+bucket probe with
-// two indexed loads, and allocation/deallocation replace map inserts and
-// deletes (each a potential allocation) with plain stores.
+// as a dense paged array rather than a Go map: the access path replaces a
+// hash+bucket probe with two indexed loads, and allocation/deallocation
+// replace map inserts and deletes with plain stores.
 //
-// The HSN space is MaxHosts × TotalAUs × SegmentsPerAU entries; pages are
-// allocated lazily on first touch so a device with few live hosts pays only
-// for the address-space slices it actually uses. A page is 4096 entries,
-// mirroring revMap's per-segment density.
+// The HSN space is MaxHosts × TotalAUs × SegmentsPerAU entries, far more
+// than the device can back at once, and each host's free-AU queue hands
+// out every AU id in turn. Memory is therefore bounded by live state, not
+// address space: each page counts its mapped entries, a page whose count
+// drops to zero is unlinked onto a spare stack (every entry already
+// segUnmapped), and the next page to materialize pops a spare before
+// allocating. Pages held at once (live plus spare) never exceed the peak
+// number of simultaneously live pages, so the table stays at what the
+// peak live AUs need — the scale of the paper's Table 5, which sizes the
+// table for device capacity. A page is 4096 entries, mirroring revMap's
+// per-segment density.
 type segTable struct {
-	pages [][]dram.DSN
-	live  int // mapped entries, kept so len() stays O(1)
+	pages []*segPage
+	used  []int32    // mapped entries per page, parallel to pages
+	spare []*segPage // released pages, every entry segUnmapped
+	live  int        // mapped entries, kept so len() stays O(1)
 }
+
+// segPage is one page of the table. A fixed-size array lets the masked
+// in-page index skip its bounds check, and at exactly 32 KiB it fills its
+// allocation size class.
+type segPage [1 << segTablePageBits]dram.DSN
 
 // newSegTable builds a table covering HSNs in [0, maxHSN).
 func newSegTable(maxHSN int64) *segTable {
 	nPages := (maxHSN + (1 << segTablePageBits) - 1) >> segTablePageBits
-	return &segTable{pages: make([][]dram.DSN, nPages)}
+	return &segTable{pages: make([]*segPage, nPages), used: make([]int32, nPages)}
 }
 
 // get returns the mapping for hsn, with ok=false when unmapped.
@@ -51,34 +62,47 @@ func (t *segTable) get(hsn dram.HSN) (dram.DSN, bool) {
 	return v, true
 }
 
-// set stores hsn → dsn, materializing the page on first touch.
+// set stores hsn → dsn, materializing the page on first touch from the
+// spare stack when it holds one.
 func (t *segTable) set(hsn dram.HSN, dsn dram.DSN) {
 	pi := uint64(hsn) >> segTablePageBits
 	p := t.pages[pi]
 	if p == nil {
-		p = make([]dram.DSN, 1<<segTablePageBits)
-		for i := range p {
-			p[i] = segUnmapped
+		if n := len(t.spare); n > 0 {
+			p, t.spare = t.spare[n-1], t.spare[:n-1]
+		} else {
+			p = new(segPage)
+			for i := range p {
+				p[i] = segUnmapped
+			}
 		}
 		t.pages[pi] = p
 	}
 	slot := &p[uint64(hsn)&(1<<segTablePageBits-1)]
 	if *slot == segUnmapped {
 		t.live++
+		t.used[pi]++
 	}
 	*slot = dsn
 }
 
-// del removes the mapping for hsn; missing entries are a no-op.
+// del removes the mapping for hsn; missing entries are a no-op. Unmapping
+// a page's last entry releases the page to the spare stack.
 func (t *segTable) del(hsn dram.HSN) {
 	pi := uint64(hsn) >> segTablePageBits
 	if pi >= uint64(len(t.pages)) || t.pages[pi] == nil {
 		return
 	}
-	slot := &t.pages[pi][uint64(hsn)&(1<<segTablePageBits-1)]
-	if *slot != segUnmapped {
-		t.live--
-		*slot = segUnmapped
+	p := t.pages[pi]
+	slot := &p[uint64(hsn)&(1<<segTablePageBits-1)]
+	if *slot == segUnmapped {
+		return
+	}
+	t.live--
+	*slot = segUnmapped
+	if t.used[pi]--; t.used[pi] == 0 {
+		t.pages[pi] = nil
+		t.spare = append(t.spare, p)
 	}
 }
 

@@ -414,23 +414,25 @@ func (in *Injector) Start(horizon sim.Time) {
 
 // schedulePoisson arms a correctable-error arrival process over [c.At, end):
 // exponential interarrivals at c.Rate events/s, each event raising c.Count
-// errors on a uniformly random segment of the rank.
+// errors on a uniformly random segment of the rank. The fire closure is
+// built once and rescheduled as the same value, as Engine.Every does, so an
+// arrival allocates nothing.
 func (in *Injector) schedulePoisson(c Clause, rng *rand.Rand, end sim.Time) {
-	var arm func(at sim.Time)
-	arm = func(at sim.Time) {
+	var fire sim.Event
+	arm := func(at sim.Time) {
 		next := at + sim.Time(rng.ExpFloat64()/c.Rate*float64(sim.Second))
-		if next >= end {
-			return
+		if next < end {
+			in.eng.At(next, fire)
 		}
-		in.eng.At(next, func(now sim.Time) {
-			dsn := in.randSegment(c.Rank, rng)
-			if err := in.dev.RaiseCorrectable(dsn, c.Count, now); err != nil {
-				panic(err) // validated geometry: unreachable
-			}
-			in.stats.CorrectableEvents++
-			in.stats.CorrectableErrors += int64(c.Count)
-			arm(now)
-		})
+	}
+	fire = func(now sim.Time) {
+		dsn := in.randSegment(c.Rank, rng)
+		if err := in.dev.RaiseCorrectable(dsn, c.Count, now); err != nil {
+			panic(err) // validated geometry: unreachable
+		}
+		in.stats.CorrectableEvents++
+		in.stats.CorrectableErrors += int64(c.Count)
+		arm(now)
 	}
 	arm(c.At)
 }

@@ -134,8 +134,8 @@ type SpanToken struct {
 
 // LedgerConfig sizes a Ledger for a device.
 type LedgerConfig struct {
-	// Ranks is the number of global ranks; each VM gets a dense cell block
-	// over (rank, cause), with one extra slot for rank -1 (not rank-scoped).
+	// Ranks is the number of global ranks; each VM gets one cell row per
+	// rank it is charged on, plus one row for rank -1 (not rank-scoped).
 	Ranks int
 	// SpanCapacity bounds the attribution-span ring; 0 selects
 	// DefaultSpanCapacity. The ring overwrites oldest-first like the Tracer.
@@ -147,17 +147,20 @@ const DefaultSpanCapacity = 1 << 14
 
 // Ledger is the cost ledger of the attribution plane: it charges latency
 // and energy-proxy costs to (vm, rank, cause) triples. All methods are
-// nil-receiver-safe no-ops, and Charge on a known VM is allocation-free, so
-// model code can call it unconditionally on the access hot path.
+// nil-receiver-safe no-ops, and Charge on an already-charged (vm, rank) is
+// allocation-free, so model code can call it unconditionally on the access
+// hot path.
 //
 // The ledger is pure accounting: it never mutates model state, so attaching
 // one cannot perturb byte-determinism of a run.
 type Ledger struct {
 	cfg LedgerConfig
 
-	// cells maps VM id → dense (rank+1)×NumCauses cell block; the block is
-	// allocated on the VM's first charge and reused for its lifetime.
-	cells   map[int64][]LedgerCell
+	// cells maps VM id → one row pointer per rank+1 (slot 0 is rank -1).
+	// The pointer slice is allocated on the VM's first charge and a row on
+	// the first charge to its rank, so a VM that touches few of a rack's
+	// many ranks pays for those rows only.
+	cells   map[int64][]*[NumCauses]LedgerCell
 	byCause [NumCauses]LedgerCell
 	total   LedgerCell
 
@@ -176,7 +179,7 @@ func NewLedger(cfg LedgerConfig) *Ledger {
 	}
 	return &Ledger{
 		cfg:   cfg,
-		cells: make(map[int64][]LedgerCell),
+		cells: make(map[int64][]*[NumCauses]LedgerCell),
 		spans: make([]AttrSpan, 0, cfg.SpanCapacity),
 	}
 }
@@ -193,12 +196,17 @@ func (l *Ledger) Charge(vm int64, rank int, cause Cause, latNs int64, energy flo
 	if rank < -1 || rank >= l.cfg.Ranks {
 		panic(fmt.Sprintf("telemetry: ledger charge on rank %d of %d", rank, l.cfg.Ranks))
 	}
-	cells := l.cells[vm]
-	if cells == nil {
-		cells = make([]LedgerCell, (l.cfg.Ranks+1)*NumCauses)
-		l.cells[vm] = cells
+	rows := l.cells[vm]
+	if rows == nil {
+		rows = make([]*[NumCauses]LedgerCell, l.cfg.Ranks+1)
+		l.cells[vm] = rows
 	}
-	c := &cells[(rank+1)*NumCauses+int(cause)]
+	row := rows[rank+1]
+	if row == nil {
+		row = new([NumCauses]LedgerCell)
+		rows[rank+1] = row
+	}
+	c := &row[cause]
 	c.LatNs += latNs
 	c.Energy += energy
 	l.byCause[cause].LatNs += latNs
@@ -354,15 +362,16 @@ func (l *Ledger) Snapshot() *LedgerSnapshot {
 	}
 	sort.Slice(vms, func(i, j int) bool { return vms[i] < vms[j] })
 	for _, vm := range vms {
-		cells := l.cells[vm]
-		for rank := -1; rank < l.cfg.Ranks; rank++ {
-			for c := 0; c < NumCauses; c++ {
-				cell := cells[(rank+1)*NumCauses+c]
+		for slot, row := range l.cells[vm] {
+			if row == nil {
+				continue
+			}
+			for c, cell := range row {
 				if cell.zero() {
 					continue
 				}
 				snap.Entries = append(snap.Entries, LedgerEntry{
-					VM: vm, Rank: rank, Cause: Cause(c).String(),
+					VM: vm, Rank: slot - 1, Cause: Cause(c).String(),
 					LatNs: cell.LatNs, Energy: cell.Energy,
 				})
 			}
