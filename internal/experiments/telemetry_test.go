@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -124,5 +126,22 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 	rt.tick(100) // no-ops on nil
 	if err := rt.finish(100); err != nil {
 		t.Fatalf("nil finish: %v", err)
+	}
+}
+
+// fig9ChromeSHA256 is the SHA-256 of quick fig9's Chrome trace at seed 1.
+const fig9ChromeSHA256 = "63f42d33497d91fc091ff34f6547203fb15b5a68492e3f3e3853602444cb3ceb"
+
+// TestFig9ChromeTraceGolden pins quick fig9's Chrome trace byte for byte.
+func TestFig9ChromeTraceGolden(t *testing.T) {
+	o := quickOpts()
+	o.TracePath = filepath.Join(t.TempDir(), "t.json")
+	Fig9(o)
+	data, err := os.ReadFile(o.TracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != fig9ChromeSHA256 {
+		t.Fatalf("fig9 chrome trace sha256 = %s, want %s", got, fig9ChromeSHA256)
 	}
 }

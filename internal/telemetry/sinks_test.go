@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -133,5 +135,51 @@ func TestUsOf(t *testing.T) {
 	}
 	if usOf(1500) != 1.5 {
 		t.Fatalf("usOf(1500ns) = %v", usOf(1500))
+	}
+}
+
+// allKindsHistory drives one record of every event kind the tracer emits,
+// interleaved with power transitions, and finishes the trace.
+func allKindsHistory(tr *Tracer) {
+	tr.PowerTransition(0, 2, 100)
+	tr.Migration(0, 5, 9, "powerdown-drain", 100, 400)
+	tr.PowerTransition(2, 1, 150)
+	tr.SMCMiss(320)
+	tr.Wake(2, 350, 15)
+	tr.PowerTransition(2, 0, 350)
+	tr.Scrub(400, 64)
+	tr.WriteConflict(1, 410)
+	tr.Fault(3, "correctable", 3, 500)
+	tr.Storm(3, 64, 510)
+	tr.RetireDeferred(3, "ecc-storm", 250, 520)
+	tr.Retire(3, "ecc-storm", 770)
+	tr.AttrSpan(5, 1, "migration-copy", 100, 400, 2.5)
+	tr.AttrSpan(-1, -1, "fabric-stall", 600, 600, 0)
+	tr.Migration(1, 7, 3, "hotness-swap", 650, 950)
+	tr.LedgerCell(5, 1, "migration-copy", 300, 2.5, 1000)
+	tr.LedgerCell(-1, -1, "baseline", 0, 1.25e-7, 1000)
+	tr.Finish(1000)
+}
+
+// TestChromeTraceGolden pins the exact Chrome trace bytes of the fixture
+// and all-kinds histories.
+func TestChromeTraceGolden(t *testing.T) {
+	for file, drive := range map[string]func(*Tracer){
+		"fixture.chrome.json": fixtureHistory,
+		"kinds.chrome.json":   allKindsHistory,
+	} {
+		tr := testTracer(4, 0)
+		drive(tr)
+		var got bytes.Buffer
+		if err := WriteChromeTrace(&got, tr); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("chrome trace drifted from %s\n--- got ---\n%s--- want ---\n%s", file, got.Bytes(), want)
+		}
 	}
 }
