@@ -17,11 +17,13 @@
 //
 // -trace writes a trace of the run; -trace-format selects the encoding:
 // chrome (default; a trace_event JSON to open in Perfetto or
-// chrome://tracing), jsonl (one record per line, streamed as the run
-// executes), or csv (the same records as a fixed-column table). The jsonl
-// and csv sinks stream, so they keep every event even on runs long enough to
-// wrap the in-memory trace ring. Summarize any format with `dtlstat read`;
-// compare two runs with `dtlstat diff`. -metrics samples every registry
+// chrome://tracing), jsonl (one record per line), or csv (the same records
+// as a fixed-column table). The run always streams every record as JSONL
+// as it executes, and keeps no copy in memory: jsonl writes that stream to
+// the -trace file itself, while chrome and csv stream to a temp file beside
+// it and convert it at the end, exactly as `dtlstat convert` would.
+// Summarize a jsonl trace with `dtlstat read`; compare two runs with
+// `dtlstat diff`. -metrics samples every registry
 // metric into a CSV time series; -sample sets the virtual-time sampling
 // period (0 = a default matched to the experiment's horizon).
 // -faults injects a deterministic fault process (internal/fault grammar) into
@@ -92,7 +94,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit results as JSON (suppresses tables)")
 		csvDir   = flag.String("csv", "", "directory for plot-ready CSV series (fig1/fig9/fig12/fig14)")
 		trace    = flag.String("trace", "", "write a trace of the run (fig9/fig12/fig13/fig14)")
-		traceFmt = flag.String("trace-format", "chrome", "trace encoding: chrome, jsonl, or csv (jsonl/csv stream every event)")
+		traceFmt = flag.String("trace-format", "chrome", "trace encoding: chrome, jsonl, or csv (chrome and csv are converted from the jsonl stream at the end; dtlstat reads jsonl)")
 		metrics  = flag.String("metrics", "", "write sampled registry metrics as CSV")
 		ledger   = flag.String("ledger", "", "write the (vm, rank, cause) attribution cost ledger as JSON (same experiments as -trace)")
 		sample   = flag.String("sample", "0", "virtual-time metrics sampling period (e.g. 1ms; 0 = per-experiment default)")

@@ -1,20 +1,25 @@
-// Command dtlstat summarizes and compares traces produced by dtlsim -trace:
-// per-rank residency in each power state, migration-latency percentiles, the
-// background-energy proxy, attribution-ledger breakdowns, and counts of the
-// remaining instrumented events. All three trace encodings (chrome, jsonl,
-// csv) are accepted and sniffed automatically; `top` additionally accepts
-// the ledger JSON written by dtlsim -ledger.
+// Command dtlstat summarizes and compares traces produced by dtlsim -trace
+// -trace-format jsonl: per-rank residency in each power state,
+// migration-latency percentiles, the background-energy proxy,
+// attribution-ledger breakdowns, and counts of the remaining instrumented
+// events. It reads the JSONL stream only; a chrome or csv trace is an
+// export converted from that stream, and handing one to read, diff or top
+// fails with a hint to rerun with -trace-format jsonl. `top` additionally
+// accepts the ledger JSON written by dtlsim -ledger, and `convert` derives
+// the chrome and csv exports from a JSONL trace.
 //
 // Usage:
 //
 //	dtlstat read trace.jsonl
 //	dtlstat read -json trace.jsonl                       # machine-readable summary
-//	dtlstat read -check RESIDENCY_seed.json trace.json   # CI residency gate
+//	dtlstat read -check RESIDENCY_seed.json trace.jsonl  # CI residency gate
 //	dtlstat read -expanders 4 rack.jsonl                 # per-expander residency of a rack trace
 //	dtlstat top ledger.json                              # where did my energy go?
 //	dtlstat top -json trace.jsonl
 //	dtlstat diff baseline.jsonl candidate.jsonl
 //	dtlstat diff -share 0.05 -lat 0.25 -energy 0.10 -attr 0.25 a.jsonl b.jsonl
+//	dtlstat convert -to chrome trace.jsonl trace.json    # open in Perfetto
+//	dtlstat convert -to csv trace.jsonl trace.csv
 //	dtlstat jobs -addr 127.0.0.1:8080 -state running     # live dtlserved fleet
 //	dtlstat timeline timeline.json                       # where did my wall-clock go?
 //	dtlstat timeline -check stage=queued,p99<100ms timeline.json
@@ -42,6 +47,10 @@
 // leaves the band (a rank-set mismatch always fails). Two runs of the same
 // dtlsim configuration are byte-deterministic, so `dtlstat diff -share 1e-9`
 // of a repeated run is a meaningful CI identity check.
+//
+// `convert` writes the Chrome trace_event JSON or events CSV of a JSONL
+// trace: byte for byte the file dtlsim writes for the same run under
+// -trace-format chrome or csv.
 package main
 
 import (
@@ -72,6 +81,8 @@ func run(args []string) int {
 		return cmdDiff(args[1:])
 	case "top":
 		return cmdTop(args[1:])
+	case "convert":
+		return cmdConvert(args[1:])
 	case "jobs":
 		return cmdJobs(args[1:])
 	case "timeline":
@@ -90,26 +101,28 @@ func usage() {
   dtlstat read [-json] [-check band.json] [-expanders N] <trace>
   dtlstat top [-json] <ledger.json | trace>
   dtlstat diff [-json] [-share S] [-lat L] [-energy E] [-attr A] <traceA> <traceB>
+  dtlstat convert -to chrome|csv <trace.jsonl> <out>
   dtlstat jobs [-addr host:port] [-state S] [-json]
   dtlstat timeline [-json] [-check stage=queued,p99<100ms]... <timeline.json>
   dtlstat timeline [-json] [-check ...] -addr host:port -job j000001
 
-Traces may be chrome JSON, JSONL, or events CSV; the format is sniffed.
-'top' also accepts the attribution ledger JSON written by dtlsim -ledger.
+Traces are JSONL (dtlsim -trace-format jsonl); 'convert' derives the chrome
+and csv exports from one. 'top' also accepts the attribution ledger JSON
+written by dtlsim -ledger.
 'jobs' and 'timeline' talk to a live dtlserved; 'timeline' also reads the
 timeline.json artifact every finished job carries.`)
 }
 
-// loadSummary opens and summarizes one trace file of any supported format.
-// Empty and mid-record-truncated traces get distinct, actionable messages
-// (the telemetry errors carry the line/offset of the cut).
+// loadSummary opens and summarizes one JSONL trace file. Empty,
+// mid-record-truncated and exported (chrome, csv) traces get distinct,
+// actionable messages (the telemetry errors carry the line/offset of a cut).
 func loadSummary(path string) (*telemetry.TraceSummary, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	s, err := telemetry.SummarizeTrace(f)
+	s, err := telemetry.SummarizeJSONL(f)
 	switch {
 	case errors.Is(err, telemetry.ErrEmptyTrace):
 		return nil, fmt.Errorf("%s: %w — was the run interrupted before any record was written?", path, err)
@@ -119,6 +132,27 @@ func loadSummary(path string) (*telemetry.TraceSummary, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
+}
+
+// cmdConvert writes the chrome or csv export of a JSONL trace.
+func cmdConvert(args []string) int {
+	fs := flag.NewFlagSet("dtlstat convert", flag.ExitOnError)
+	to := fs.String("to", "", "output encoding: chrome or csv")
+	fs.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: dtlstat convert -to chrome|csv <trace.jsonl> <out>")
+		fs.PrintDefaults()
+	}
+	fs.Parse(args)
+	format, err := telemetry.ParseTraceFormat(*to)
+	if *to == "" || err != nil || format == telemetry.FormatJSONL || fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
+	if err := telemetry.ConvertTraceFile(fs.Arg(0), fs.Arg(1), format); err != nil {
+		fmt.Fprintf(os.Stderr, "dtlstat: %s: %v\n", fs.Arg(0), err)
+		return 1
+	}
+	return 0
 }
 
 // cmdRead renders one trace's summary, optionally gated by a residency band.

@@ -250,14 +250,15 @@ type (
 // StreamSampler.Start).
 func (d *Device) Registry() *Registry { return d.dtl.Registry() }
 
-// StartTrace attaches a new event tracer sized for this device (capacity 0
-// selects the default ring size) and returns it. Call Finish on the tracer
-// at the run horizon, then export with telemetry.WriteChromeTrace; for
-// JSONL or CSV, attach a telemetry.TraceStream (Tracer.AttachStream) right
-// after starting, and every record is written as it happens. Tracing costs
-// nothing until started.
-func (d *Device) StartTrace(capacity int, now Time) *Tracer {
-	return d.dtl.StartTrace(capacity, now)
+// StartTrace attaches a new event tracer sized for this device and returns
+// it. The tracer keeps no copy of its events: attach a
+// telemetry.TraceStream (Tracer.AttachStream) right after starting and
+// every record is written to it as JSONL the moment it happens. Call Finish
+// on the tracer at the run horizon; telemetry.ConvertJSONL then turns the
+// finished stream into a Chrome trace_event file or an events CSV. Tracing
+// costs nothing until started.
+func (d *Device) StartTrace(now Time) *Tracer {
+	return d.dtl.StartTrace(now)
 }
 
 // StopTrace detaches the current tracer, restoring the zero-cost path.

@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	s, err := telemetry.SummarizeTrace(f)
+	s, err := telemetry.SummarizeJSONL(f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f2.Close()
-	s2, err := telemetry.SummarizeTrace(f2)
+	s2, err := telemetry.SummarizeJSONL(f2)
 	if err != nil {
 		log.Fatal(err)
 	}

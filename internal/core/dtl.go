@@ -273,10 +273,9 @@ func (d *DTL) AttachTracer(tr *telemetry.Tracer) {
 }
 
 // StartTrace builds a tracer sized for this device (one power timeline per
-// global rank, capacity 0 selecting the default ring size), attaches it, and
-// returns it. The caller must call Finish on the tracer at the run horizon
-// before exporting.
-func (d *DTL) StartTrace(capacity int, now sim.Time) *telemetry.Tracer {
+// global rank), attaches it, and returns it. Attach a TraceStream to it to
+// record the run, and call Finish on it at the run horizon.
+func (d *DTL) StartTrace(now sim.Time) *telemetry.Tracer {
 	g := d.cfg.Geometry
 	tr := telemetry.NewTracer(telemetry.TracerConfig{
 		Ranks:    g.TotalRanks(),
@@ -285,7 +284,6 @@ func (d *DTL) StartTrace(capacity int, now sim.Time) *telemetry.Tracer {
 			dram.Standby.String(), dram.SelfRefresh.String(), dram.MPSM.String(),
 		},
 		InitialState: int(dram.Standby),
-		Capacity:     capacity,
 		Start:        now,
 	})
 	// Ranks already away from standby (e.g. tracing started mid-run) seed

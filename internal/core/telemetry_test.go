@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"dtl/internal/dram"
@@ -34,10 +35,12 @@ func TestStatsIsThinViewOverRegistry(t *testing.T) {
 
 func TestStartTraceRecordsPowerDownTimeline(t *testing.T) {
 	d := newTestDTL(t)
-	tr := d.StartTrace(0, 0)
+	tr := d.StartTrace(0)
 	if d.Tracer() != tr {
 		t.Fatal("StartTrace did not attach the tracer")
 	}
+	var stream bytes.Buffer
+	tr.AttachStream(telemetry.NewTraceStream(&stream))
 
 	mustAlloc(t, d, 1, 0, 128*dram.MiB, 0)
 	mustDealloc(t, d, 1, 1000)
@@ -61,12 +64,11 @@ func TestStartTraceRecordsPowerDownTimeline(t *testing.T) {
 		t.Fatal("power-down left no MPSM span in the trace")
 	}
 
-	var sawMigration bool
-	for _, ev := range tr.Events() {
-		if ev.Kind == telemetry.EvMigration && ev.Reason == "powerdown-drain" {
-			sawMigration = true
-		}
+	s, err := telemetry.SummarizeJSONL(bytes.NewReader(stream.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
+	sawMigration := s.MigrationReasons["powerdown-drain"] > 0
 	if d.Stats().SegmentsMigrated > 0 && !sawMigration {
 		t.Fatal("segments migrated but no tagged migration event traced")
 	}
@@ -83,7 +85,7 @@ func TestStartTraceSeedsMidRunStates(t *testing.T) {
 		t.Fatal("setup: no ranks powered down")
 	}
 
-	tr := d.StartTrace(0, 5000)
+	tr := d.StartTrace(5000)
 	tr.Finish(6000)
 	res := tr.Residency(d.codec.GlobalRank(down[0].Channel, down[0].Rank))
 	if res[int(dram.MPSM)] != 1000 {
@@ -93,7 +95,7 @@ func TestStartTraceSeedsMidRunStates(t *testing.T) {
 
 func TestAttachTracerNilDetaches(t *testing.T) {
 	d := newTestDTL(t)
-	tr := d.StartTrace(0, 0)
+	tr := d.StartTrace(0)
 	d.AttachTracer(nil)
 	if d.Tracer() != nil {
 		t.Fatal("tracer still attached")

@@ -33,18 +33,18 @@ type Options struct {
 	// experiments that produce them (fig1 timeline, fig9 distributions,
 	// fig12 power timeline, fig14 savings).
 	CSVDir string
-	// TracePath, when non-empty, receives a Chrome trace_event JSON file
-	// (open in Perfetto / chrome://tracing) of the run's per-rank power
-	// timeline and structured events. Honored by the experiments that drive
+	// TracePath, when non-empty, receives a trace of the run's per-rank
+	// power timeline and structured events, encoded per TraceFormat. Honored by the experiments that drive
 	// a DTL device: fig12/fig13 (power-down schedule), fig14 (headline
 	// self-refresh configuration), and fig9 (which then also replays its
 	// mix through a DTL to capture the SMC behavior behind the strides).
 	TracePath string
-	// TraceFormat selects the TracePath encoding: FormatChrome (the default)
-	// collects the run in the tracer's ring and writes one trace_event JSON
-	// document at finish; FormatJSONL and FormatCSV stream every record to the
-	// file as the run progresses, so long runs are not bounded by the ring
-	// capacity and a killed run still leaves a complete prefix on disk.
+	// TraceFormat selects the TracePath encoding. The run always streams
+	// every record as JSONL as it progresses; FormatJSONL streams straight
+	// to TracePath, so a killed run still leaves a complete prefix on disk.
+	// FormatChrome (the default; trace_event JSON to open in Perfetto or
+	// chrome://tracing) and FormatCSV stream to a temp file beside
+	// TracePath, converted to TracePath at finish by telemetry.ConvertJSONL.
 	TraceFormat telemetry.TraceFormat
 	// MetricsPath, when non-empty, receives the sampled metrics registry as
 	// CSV (one row per sample, one column per metric).

@@ -66,7 +66,8 @@ func relClose(got, want, tol float64) bool {
 func TestFig9LedgerConservation(t *testing.T) {
 	dir := t.TempDir()
 	o := quickOpts()
-	o.TracePath = filepath.Join(dir, "t.json")
+	o.TracePath = filepath.Join(dir, "t.jsonl")
+	o.TraceFormat = telemetry.FormatJSONL
 	o.LedgerPath = filepath.Join(dir, "ledger.json")
 
 	var profiles []trace.Profile
@@ -103,7 +104,8 @@ func TestFaultsLedgerConservation(t *testing.T) {
 	dir := t.TempDir()
 	o := quickOpts()
 	o.Out = nil
-	o.TracePath = filepath.Join(dir, "t.json")
+	o.TracePath = filepath.Join(dir, "t.jsonl")
+	o.TraceFormat = telemetry.FormatJSONL
 	o.LedgerPath = filepath.Join(dir, "ledger.json")
 
 	res := Faults(o)

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dtl/internal/telemetry"
 )
 
 // rackOpts is the quick 4-expander pack configuration the rack tests share:
@@ -51,7 +53,8 @@ func TestRackPackBeatsSpread(t *testing.T) {
 func TestRackLedgerConservation(t *testing.T) {
 	dir := t.TempDir()
 	o := rackOpts()
-	o.TracePath = filepath.Join(dir, "t.json")
+	o.TracePath = filepath.Join(dir, "t.jsonl")
+	o.TraceFormat = telemetry.FormatJSONL
 	o.LedgerPath = filepath.Join(dir, "ledger.json")
 
 	res := Rack(o)

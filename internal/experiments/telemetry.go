@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"dtl/internal/core"
 	"dtl/internal/rack"
@@ -17,7 +18,7 @@ import (
 // attribution bill at the horizon (the fabric folds its per-expander
 // ledgers into rack-global rank numbering there).
 type attrSource interface {
-	StartTrace(capacity int, now sim.Time) *telemetry.Tracer
+	StartTrace(now sim.Time) *telemetry.Tracer
 	StartLedger() *telemetry.Ledger
 	AttachTracer(*telemetry.Tracer)
 	AttachLedger(*telemetry.Ledger)
@@ -44,13 +45,14 @@ type runTelemetry struct {
 	stop     func()
 	horizon  sim.Time // run horizon for watch ETA; 0 = unknown
 
-	// Chrome traces buffer in the tracer's ring and are written at finish;
-	// jsonl/csv traces stream record by record through traceStream.
+	// The trace streams JSONL record by record through traceStream into
+	// traceFile: TracePath itself, or for a chrome or csv trace a temp file
+	// beside it that finish converts to TracePath and removes.
 	traceFormat telemetry.TraceFormat
 	traceFile   *os.File
 	traceBuf    *bufio.Writer
 	traceStream *telemetry.TraceStream
-	traceErr    error // deferred os.Create failure, reported at finish
+	traceErr    error // deferred file-creation failure, reported at finish
 
 	// Metrics stream to the CSV file as rows are sampled (O(1) memory over
 	// any horizon) rather than accumulating in the registry until finish.
@@ -102,22 +104,22 @@ func (o Options) telemetryForSource(src attrSource, snapshot func(sim.Time, bool
 		watchLabel:  o.watchExperiment,
 	}
 	if o.TracePath != "" {
-		rt.tr = src.StartTrace(0, 0)
+		rt.tr = src.StartTrace(0)
 		rt.traceFormat = o.TraceFormat
-		if o.TraceFormat != telemetry.FormatChrome {
-			if f, err := os.Create(o.TracePath); err != nil {
-				rt.traceErr = err
-			} else {
-				rt.traceFile = f
-				rt.traceBuf = bufio.NewWriter(f)
-				ts, err := telemetry.NewTraceStream(rt.traceBuf, o.TraceFormat)
-				if err != nil {
-					rt.traceErr = err
-				} else {
-					rt.traceStream = ts
-					rt.tr.AttachStream(ts)
-				}
-			}
+		var f *os.File
+		var err error
+		if o.TraceFormat == telemetry.FormatJSONL {
+			f, err = os.Create(o.TracePath)
+		} else {
+			f, err = os.CreateTemp(filepath.Dir(o.TracePath), filepath.Base(o.TracePath)+".*.jsonl")
+		}
+		if err != nil {
+			rt.traceErr = err
+		} else {
+			rt.traceFile = f
+			rt.traceBuf = bufio.NewWriterSize(f, 64<<10)
+			rt.traceStream = telemetry.NewTraceStream(rt.traceBuf)
+			rt.tr.AttachStream(rt.traceStream)
 		}
 	}
 	// The cost ledger rides along whenever any attribution consumer is
@@ -228,13 +230,7 @@ func (rt *runTelemetry) finish(horizon sim.Time) error {
 	}
 	if rt.tr != nil {
 		rt.src.AttachTracer(nil)
-		if rt.traceFormat == telemetry.FormatChrome {
-			if err := writeTo(rt.tracePath, func(f *os.File) error {
-				return telemetry.WriteChromeTrace(f, rt.tr)
-			}); err != nil {
-				return fmt.Errorf("experiments: writing trace: %w", err)
-			}
-		} else if err := rt.closeTrace(); err != nil {
+		if err := rt.closeTrace(); err != nil {
 			return fmt.Errorf("experiments: writing trace: %w", err)
 		}
 	}
@@ -259,9 +255,10 @@ func (rt *runTelemetry) finish(horizon sim.Time) error {
 	return nil
 }
 
-// closeTrace finalizes a streamed jsonl/csv trace: the Finish-time span
-// closures have already been streamed, so only the buffer flush and the file
-// close remain. The first error anywhere in the chain wins.
+// closeTrace finalizes the streamed trace: the Finish-time span closures
+// have already been streamed, so the buffer flush and the file close
+// remain, then for a chrome or csv trace the conversion of the temp stream
+// to TracePath. The first error anywhere in the chain wins.
 func (rt *runTelemetry) closeTrace() error {
 	if rt.traceErr != nil {
 		return rt.traceErr
@@ -272,6 +269,12 @@ func (rt *runTelemetry) closeTrace() error {
 	}
 	if cerr := rt.traceFile.Close(); err == nil {
 		err = cerr
+	}
+	if rt.traceFormat != telemetry.FormatJSONL {
+		if err == nil {
+			err = telemetry.ConvertTraceFile(rt.traceFile.Name(), rt.tracePath, rt.traceFormat)
+		}
+		os.Remove(rt.traceFile.Name()) // best effort: the run's result does not depend on it
 	}
 	return err
 }

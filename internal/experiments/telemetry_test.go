@@ -20,7 +20,7 @@ func summarizeTraceFile(t *testing.T, path string) *telemetry.TraceSummary {
 		t.Fatalf("opening trace: %v", err)
 	}
 	defer f.Close()
-	s, err := telemetry.SummarizeChromeTrace(f)
+	s, err := telemetry.SummarizeJSONL(f)
 	if err != nil {
 		t.Fatalf("parsing trace: %v", err)
 	}
@@ -28,13 +28,14 @@ func summarizeTraceFile(t *testing.T, path string) *telemetry.TraceSummary {
 }
 
 // TestFig12TraceSpansPartitionRun is the telemetry acceptance check: the
-// Chrome trace written by the fig12 power-down schedule must contain one
+// trace streamed by the fig12 power-down schedule must contain one
 // power timeline per global rank whose spans sum exactly to the run
 // duration, plus migration spans with computable latency percentiles.
 func TestFig12TraceSpansPartitionRun(t *testing.T) {
 	dir := t.TempDir()
 	o := quickOpts()
-	o.TracePath = filepath.Join(dir, "t.json")
+	o.TracePath = filepath.Join(dir, "t.jsonl")
+	o.TraceFormat = telemetry.FormatJSONL
 	o.MetricsPath = filepath.Join(dir, "m.csv")
 
 	run := runPowerDownSchedule(o)
@@ -93,7 +94,8 @@ func TestFig12TraceSpansPartitionRun(t *testing.T) {
 func TestFig9TraceReplay(t *testing.T) {
 	dir := t.TempDir()
 	o := quickOpts()
-	o.TracePath = filepath.Join(dir, "t.json")
+	o.TracePath = filepath.Join(dir, "t.jsonl")
+	o.TraceFormat = telemetry.FormatJSONL
 
 	var profiles []trace.Profile
 	for _, app := range fig9Apps[:3] {
@@ -132,7 +134,9 @@ func TestTelemetryDisabledIsNil(t *testing.T) {
 // fig9ChromeSHA256 is the SHA-256 of quick fig9's Chrome trace at seed 1.
 const fig9ChromeSHA256 = "63f42d33497d91fc091ff34f6547203fb15b5a68492e3f3e3853602444cb3ceb"
 
-// TestFig9ChromeTraceGolden pins quick fig9's Chrome trace byte for byte.
+// TestFig9ChromeTraceGolden pins quick fig9's Chrome trace byte for byte:
+// the file converted from the run's stream equals the one the tracer's
+// in-memory export wrote, which held every record of this run.
 func TestFig9ChromeTraceGolden(t *testing.T) {
 	o := quickOpts()
 	o.TracePath = filepath.Join(t.TempDir(), "t.json")

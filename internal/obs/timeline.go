@@ -236,9 +236,9 @@ const (
 	tidDetail   = 1
 )
 
-// chromeEvent mirrors the trace_event schema used by telemetry's
-// WriteChromeTrace (ts/dur in microseconds) so wall-clock and virtual-time
-// traces open in the same viewer.
+// chromeEvent mirrors the trace_event schema of the Chrome traces
+// telemetry.ConvertJSONL writes (ts/dur in microseconds) so wall-clock and
+// virtual-time traces open in the same viewer.
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`

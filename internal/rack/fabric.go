@@ -510,7 +510,7 @@ func (f *Fabric) StartFaults(spec fault.Spec, horizon sim.Time) ([]*fault.Inject
 // StartTrace builds a rack-global tracer (one power timeline per rack
 // rank, expander channels concatenated), seeds current non-standby states,
 // attaches it, and returns it.
-func (f *Fabric) StartTrace(capacity int, now sim.Time) *telemetry.Tracer {
+func (f *Fabric) StartTrace(now sim.Time) *telemetry.Tracer {
 	g := f.cfg.Expander.Geometry
 	tr := telemetry.NewTracer(telemetry.TracerConfig{
 		Ranks:    f.TotalRanks(),
@@ -519,7 +519,6 @@ func (f *Fabric) StartTrace(capacity int, now sim.Time) *telemetry.Tracer {
 			dram.Standby.String(), dram.SelfRefresh.String(), dram.MPSM.String(),
 		},
 		InitialState: int(dram.Standby),
-		Capacity:     capacity,
 		Start:        now,
 	})
 	for _, e := range f.exps {

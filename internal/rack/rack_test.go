@@ -366,7 +366,7 @@ func TestStartFaultsSplitsSpecAcrossExpanders(t *testing.T) {
 // (privately charged, folded in at finish with rack-global rank ids).
 func TestFinishAttributionFoldsExpanderLedgers(t *testing.T) {
 	f := newTestFabric(t, func(c *Config) { c.Fabric.Policy = PolicyPack })
-	tr := f.StartTrace(0, 0)
+	tr := f.StartTrace(0)
 	led := f.StartLedger()
 	a := NewAllocator(f)
 	capBytes := testGeometry().TotalBytes()
@@ -420,7 +420,7 @@ func TestFinishAttributionFoldsExpanderLedgers(t *testing.T) {
 func TestDeterministicLedger(t *testing.T) {
 	run := func() []byte {
 		f := newTestFabric(t, func(c *Config) { c.Fabric.Policy = PolicyPack })
-		tr := f.StartTrace(0, 0)
+		tr := f.StartTrace(0)
 		led := f.StartLedger()
 		a := NewAllocator(f)
 		for vm := core.VMID(0); vm < 6; vm++ {

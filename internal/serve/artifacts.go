@@ -56,6 +56,13 @@ func (s *Server) ingestArtifacts(j *job, work string, report []byte, res experim
 	}
 
 	traceName := j.spec.traceArtifactName()
+	stream := filepath.Join(work, "trace.jsonl")
+	if _, err := os.Stat(stream); err == nil && traceName != "trace.jsonl" {
+		format, _ := telemetry.ParseTraceFormat(j.spec.TraceFormat)
+		if err := telemetry.ConvertTraceFile(stream, filepath.Join(work, traceName), format); err != nil {
+			return nil, fmt.Errorf("serve: converting trace: %w", err)
+		}
+	}
 	for _, name := range []string{traceName, "metrics.csv", "ledger.json"} {
 		path := filepath.Join(work, name)
 		if _, err := os.Stat(path); err != nil {
@@ -70,7 +77,7 @@ func (s *Server) ingestArtifacts(j *job, work string, report []byte, res experim
 		arts = append(arts, ArtifactInfo{Name: name, Digest: digest, Size: size})
 	}
 
-	if sum, err := summarizeFile(filepath.Join(work, traceName)); err == nil && sum != nil {
+	if sum, err := summarizeFile(stream); err == nil && sum != nil {
 		sumJSON, err := json.MarshalIndent(sum, "", "  ")
 		if err != nil {
 			return nil, err
@@ -96,15 +103,16 @@ func (s *Server) ingestArtifacts(j *job, work string, report []byte, res experim
 	return arts, nil
 }
 
-// summarizeFile summarizes a trace file, or returns (nil, nil) when the file
-// does not exist or holds no power spans (experiments without a DTL).
+// summarizeFile summarizes a JSONL trace file, or returns (nil, nil) when
+// the file does not exist or holds no power spans (experiments without a
+// DTL).
 func summarizeFile(path string) (*telemetry.TraceSummary, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil
 	}
 	defer f.Close()
-	sum, err := telemetry.SummarizeTrace(f)
+	sum, err := telemetry.SummarizeJSONL(f)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +122,8 @@ func summarizeFile(path string) (*telemetry.TraceSummary, error) {
 	return sum, nil
 }
 
-// summaryOf loads and summarizes a done job's trace artifact for the diff
-// endpoint.
+// summaryOf loads a done job's summary.json artifact, the trace summary
+// ingestArtifacts took from the run's JSONL stream, for the diff endpoint.
 func (s *Server) summaryOf(id string) (*telemetry.TraceSummary, error) {
 	j, ok := s.jobByID(id)
 	if !ok {
@@ -125,9 +133,9 @@ func (s *Server) summaryOf(id string) (*telemetry.TraceSummary, error) {
 	if st.State != StateDone {
 		return nil, fmt.Errorf("job %s is %s, not done", id, st.State)
 	}
-	art, ok := j.artifact(j.spec.traceArtifactName())
+	art, ok := j.artifact("summary.json")
 	if !ok {
-		return nil, fmt.Errorf("job %s has no trace artifact (experiment %q does not drive a DTL)",
+		return nil, fmt.Errorf("job %s has no trace summary (experiment %q does not drive a DTL)",
 			id, j.spec.Experiment)
 	}
 	rc, err := s.store.Open(art.Digest)
@@ -135,9 +143,9 @@ func (s *Server) summaryOf(id string) (*telemetry.TraceSummary, error) {
 		return nil, err
 	}
 	defer rc.Close()
-	sum, err := telemetry.SummarizeTrace(rc)
-	if err != nil {
-		return nil, fmt.Errorf("summarizing job %s trace: %w", id, err)
+	var sum telemetry.TraceSummary
+	if err := json.NewDecoder(rc).Decode(&sum); err != nil {
+		return nil, fmt.Errorf("reading job %s trace summary: %w", id, err)
 	}
-	return sum, nil
+	return &sum, nil
 }

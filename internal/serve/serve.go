@@ -536,9 +536,10 @@ func (s *Server) run(j *job) {
 	}
 	defer os.RemoveAll(work)
 
-	format, _ := telemetry.ParseTraceFormat(j.spec.TraceFormat)
 	pol, _ := experiments.ParsePolicy(j.spec.Policy)
-	tracePath := filepath.Join(work, j.spec.traceArtifactName())
+	// The run streams its trace as JSONL whatever the spec's format;
+	// ingestArtifacts summarizes that stream and converts it.
+	tracePath := filepath.Join(work, "trace.jsonl")
 	metricsPath := filepath.Join(work, "metrics.csv")
 	ledgerPath := filepath.Join(work, "ledger.json")
 
@@ -561,7 +562,7 @@ func (s *Server) run(j *job) {
 		Seed:        j.spec.Seed,
 		Out:         &report,
 		TracePath:   tracePath,
-		TraceFormat: format,
+		TraceFormat: telemetry.FormatJSONL,
 		MetricsPath: metricsPath,
 		LedgerPath:  ledgerPath,
 		FaultSpec:   j.spec.Faults,

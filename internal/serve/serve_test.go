@@ -91,7 +91,7 @@ func TestSubmitRunFetchArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := telemetry.SummarizeTrace(bytes.NewReader(raw))
+	sum, err := telemetry.SummarizeJSONL(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestDeterminismAndServerDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer direct.Close()
-	sumDirect, err := telemetry.SummarizeTrace(direct)
+	sumDirect, err := telemetry.SummarizeJSONL(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestDeterminismAndServerDiff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumServed, err := telemetry.SummarizeTrace(bytes.NewReader(raw))
+	sumServed, err := telemetry.SummarizeJSONL(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,6 +325,79 @@ func TestDeterminismAndServerDiff(t *testing.T) {
 		t.Fatalf("served run drifted from direct run: %v", bad)
 	}
 	_ = srv
+}
+
+// TestConvertedTraceFormats: a chrome or csv job's trace artifact is the
+// conversion of the run's JSONL stream, its summary.json is taken from
+// that stream, and the diff endpoint reads it like a jsonl job's.
+func TestConvertedTraceFormats(t *testing.T) {
+	_, c := newServer(t, serve.Config{Workers: 2})
+	ctx := ctxT(t)
+
+	run := func(format string) serve.JobStatus {
+		t.Helper()
+		st, err := c.Submit(ctx, serve.JobSpec{Experiment: "fig12", Quick: true, TraceFormat: format})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := c.Wait(ctx, st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != serve.StateDone {
+			t.Fatalf("%s job finished %s (%s)", format, final.State, final.Error)
+		}
+		return final
+	}
+	base := run("jsonl")
+	stream, err := c.Artifact(ctx, base.ID, "trace.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(in, stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	summary := func(st serve.JobStatus) string {
+		for _, a := range st.Artifacts {
+			if a.Name == "summary.json" {
+				return a.Digest
+			}
+		}
+		t.Fatalf("job %s has no summary.json", st.ID)
+		return ""
+	}
+	for _, tc := range []struct {
+		format, artifact string
+		tf               telemetry.TraceFormat
+	}{{"chrome", "trace.json", telemetry.FormatChrome}, {"csv", "trace.csv", telemetry.FormatCSV}} {
+		st := run(tc.format)
+		got, err := c.Artifact(ctx, st.ID, tc.artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := filepath.Join(t.TempDir(), tc.artifact)
+		if err := telemetry.ConvertTraceFile(in, out, tc.tf); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s artifact is not the conversion of the jsonl job's trace", tc.artifact)
+		}
+		if summary(st) != summary(base) {
+			t.Errorf("%s job's summary.json differs from the jsonl job's", tc.format)
+		}
+		diff, err := c.Diff(ctx, serve.DiffRequest{A: base.ID, B: st.ID, Share: 1e-9, Lat: 1e-9, Energy: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !diff.Pass {
+			t.Errorf("jsonl vs %s job diff failed: %v", tc.format, diff.Violations)
+		}
+	}
 }
 
 func TestDiffErrorPaths(t *testing.T) {

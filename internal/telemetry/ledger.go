@@ -109,20 +109,6 @@ type LedgerCell struct {
 // zero reports whether the cell carries no cost.
 func (c LedgerCell) zero() bool { return c.LatNs == 0 && c.Energy == 0 }
 
-// AttrSpan is one closed attribution span recorded by Ledger.End, ring-
-// buffered like the Tracer's events.
-type AttrSpan struct {
-	VM     int64
-	Rank   int
-	Cause  Cause
-	Start  sim.Time
-	End    sim.Time
-	Energy float64
-}
-
-// Duration reports the span length (the latency it charged).
-func (s AttrSpan) Duration() sim.Time { return s.End - s.Start }
-
 // SpanToken is the value Begin hands out and End consumes; being a plain
 // value, opening a span never touches the heap.
 type SpanToken struct {
@@ -137,13 +123,7 @@ type LedgerConfig struct {
 	// Ranks is the number of global ranks; each VM gets one cell row per
 	// rank it is charged on, plus one row for rank -1 (not rank-scoped).
 	Ranks int
-	// SpanCapacity bounds the attribution-span ring; 0 selects
-	// DefaultSpanCapacity. The ring overwrites oldest-first like the Tracer.
-	SpanCapacity int
 }
-
-// DefaultSpanCapacity is the default attribution-span ring size.
-const DefaultSpanCapacity = 1 << 14
 
 // Ledger is the cost ledger of the attribution plane: it charges latency
 // and energy-proxy costs to (vm, rank, cause) triples. All methods are
@@ -163,10 +143,6 @@ type Ledger struct {
 	cells   map[int64][]*[NumCauses]LedgerCell
 	byCause [NumCauses]LedgerCell
 	total   LedgerCell
-
-	spans  []AttrSpan
-	next   int   // overwrite position once the ring is full
-	nspans int64 // spans ever recorded
 }
 
 // NewLedger builds an empty ledger sized for cfg.Ranks global ranks.
@@ -174,13 +150,9 @@ func NewLedger(cfg LedgerConfig) *Ledger {
 	if cfg.Ranks <= 0 {
 		panic(fmt.Sprintf("telemetry: ledger needs at least one rank, got %d", cfg.Ranks))
 	}
-	if cfg.SpanCapacity <= 0 {
-		cfg.SpanCapacity = DefaultSpanCapacity
-	}
 	return &Ledger{
 		cfg:   cfg,
 		cells: make(map[int64][]*[NumCauses]LedgerCell),
-		spans: make([]AttrSpan, 0, cfg.SpanCapacity),
 	}
 }
 
@@ -222,8 +194,8 @@ func (l *Ledger) Begin(vm int64, rank int, cause Cause, start sim.Time) SpanToke
 }
 
 // End closes a span: (end - start) nanoseconds of latency and the given
-// energy are charged to the token's triple, and the closed span enters the
-// ring buffer.
+// energy are charged to the token's triple. The ledger keeps no span; a
+// traced run records each one through Tracer.AttrSpan.
 func (l *Ledger) End(tok SpanToken, end sim.Time, energy float64) {
 	if l == nil {
 		return
@@ -232,47 +204,6 @@ func (l *Ledger) End(tok SpanToken, end sim.Time, energy float64) {
 		panic(fmt.Sprintf("telemetry: attribution span ends at %v before start %v", end, tok.Start))
 	}
 	l.Charge(tok.VM, tok.Rank, tok.Cause, int64(end-tok.Start), energy)
-	sp := AttrSpan{VM: tok.VM, Rank: tok.Rank, Cause: tok.Cause, Start: tok.Start, End: end, Energy: energy}
-	if len(l.spans) < cap(l.spans) {
-		l.spans = append(l.spans, sp)
-	} else {
-		l.spans[l.next] = sp
-		l.next = (l.next + 1) % len(l.spans)
-	}
-	l.nspans++
-}
-
-// Spans returns the retained attribution spans in recording order.
-func (l *Ledger) Spans() []AttrSpan {
-	if l == nil {
-		return nil
-	}
-	if len(l.spans) < cap(l.spans) {
-		return append([]AttrSpan(nil), l.spans...)
-	}
-	out := make([]AttrSpan, 0, len(l.spans))
-	out = append(out, l.spans[l.next:]...)
-	out = append(out, l.spans[:l.next]...)
-	return out
-}
-
-// SpansTotal reports how many spans were ever recorded.
-func (l *Ledger) SpansTotal() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.nspans
-}
-
-// SpansDropped reports how many spans the ring overwrote.
-func (l *Ledger) SpansDropped() int64 {
-	if l == nil {
-		return 0
-	}
-	if d := l.nspans - int64(len(l.spans)); d > 0 {
-		return d
-	}
-	return 0
 }
 
 // Total returns the grand-total cell (sum of every charge ever made).
@@ -394,7 +325,7 @@ func (l *Ledger) WriteJSON(w io.Writer) error {
 
 // EmitTo dumps every nonzero ledger cell into the tracer as one "ledger"
 // record at time at, so exported traces carry the attribution totals and
-// SummarizeTrace can rebuild the breakdown from a trace alone.
+// SummarizeJSONL can rebuild the breakdown from a trace alone.
 func (l *Ledger) EmitTo(t *Tracer, at sim.Time) {
 	if l == nil || t == nil {
 		return

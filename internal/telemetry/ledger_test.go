@@ -3,10 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"io"
 	"strings"
 	"testing"
-
-	"dtl/internal/sim"
 )
 
 func TestCauseStringRoundTrip(t *testing.T) {
@@ -80,33 +79,16 @@ func TestLedgerNilIsSafe(t *testing.T) {
 	if s := l.Snapshot(); s.TotalLatNs != 0 || len(s.Entries) != 0 {
 		t.Fatalf("nil ledger snapshot = %+v", s)
 	}
-	if l.Spans() != nil || l.SpansTotal() != 0 || l.SpansDropped() != 0 {
-		t.Fatal("nil ledger reported spans")
-	}
 }
 
-func TestLedgerSpansRingOverwritesOldest(t *testing.T) {
-	l := NewLedger(LedgerConfig{Ranks: 1, SpanCapacity: 3})
-	for i := 0; i < 5; i++ {
-		start := sim.Time(i * 10)
-		l.End(l.Begin(int64(i), 0, CauseMigrationCopy, start), start+5, 1)
-	}
-	spans := l.Spans()
-	if len(spans) != 3 || l.SpansTotal() != 5 || l.SpansDropped() != 2 {
-		t.Fatalf("spans=%d total=%d dropped=%d", len(spans), l.SpansTotal(), l.SpansDropped())
-	}
-	// Oldest two (VM 0, 1) were overwritten; recording order preserved.
-	for i, sp := range spans {
-		if sp.VM != int64(i+2) {
-			t.Fatalf("span %d VM = %d", i, sp.VM)
-		}
-		if sp.Duration() != 5 {
-			t.Fatalf("span %d duration = %d", i, sp.Duration())
-		}
-	}
-	// The ring drops span records, never charges: the ledger still holds all 5.
-	if tot := l.Total(); tot.LatNs != 25 || tot.Energy != 5 {
-		t.Fatalf("total = %+v", tot)
+// TestLedgerEndDoesNotAllocate: closing a span on an already-charged cell
+// only adds to it; the ledger keeps no copy of the span.
+func TestLedgerEndDoesNotAllocate(t *testing.T) {
+	l := NewLedger(LedgerConfig{Ranks: 2})
+	end := func() { l.End(l.Begin(5, 1, CauseMigrationCopy, 100), 400, 2.5) }
+	end() // first charge allocates the VM's row
+	if allocs := testing.AllocsPerRun(1000, end); allocs != 0 {
+		t.Fatalf("Ledger.End allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -142,8 +124,8 @@ func TestLedgerWriteJSONDeterministicAndParses(t *testing.T) {
 }
 
 // TestLedgerRoundTripThroughTraceSinks dumps a ledger into a tracer and
-// checks that every export format rebuilds identical attribution entries —
-// the cross-format agreement `dtlstat top` and `dtlstat diff` rely on.
+// checks that the stream and its Chrome conversion both rebuild identical
+// attribution entries: `dtlstat top` reads the former, Perfetto the latter.
 func TestLedgerRoundTripThroughTraceSinks(t *testing.T) {
 	var want []LedgerEntry
 	drive := func(tr *Tracer) {
@@ -177,67 +159,63 @@ func TestLedgerRoundTripThroughTraceSinks(t *testing.T) {
 		}
 	}
 
-	tr := testTracer(4, 0)
-	drive(tr)
-	var chrome bytes.Buffer
-	if err := WriteChromeTrace(&chrome, tr); err != nil {
-		t.Fatal(err)
-	}
-	s, err := SummarizeChromeTrace(bytes.NewReader(chrome.Bytes()))
-	check("chrome", s, err)
-
-	jsonl, _ := streamed(t, FormatJSONL, drive)
-	s, err = SummarizeJSONL(jsonl)
+	jsonl, _ := streamed(t, drive)
+	s, err := SummarizeJSONL(bytes.NewReader(jsonl.Bytes()))
 	check("jsonl", s, err)
 
-	csv, _ := streamed(t, FormatCSV, drive)
-	s, err = SummarizeEventsCSV(csv)
-	check("csv", s, err)
+	s = newTraceSummary()
+	for _, ev := range chromeDoc(t, converted(t, jsonl.Bytes(), FormatChrome)) {
+		switch ev.Cat {
+		case "attr":
+			s.Points["attr"]++
+		case "ledger":
+			e := LedgerEntry{
+				VM: int64(ev.Args["vm"].(float64)), Rank: -1, Cause: ev.Args["cause"].(string),
+				LatNs: int64(ev.Args["lat_ns"].(float64)), Energy: ev.Args["energy"].(float64),
+			}
+			if rank, ok := ev.Args["rank"].(float64); ok {
+				e.Rank = int(rank)
+			}
+			s.Attribution = append(s.Attribution, e)
+		}
+	}
+	sortEntries(s.Attribution)
+	check("chrome", s, nil)
 }
 
 func TestSummarizeEmptyTrace(t *testing.T) {
-	_, err := SummarizeTrace(strings.NewReader(""))
-	if !errors.Is(err, ErrEmptyTrace) {
-		t.Fatalf("err = %v, want ErrEmptyTrace", err)
+	for _, in := range []string{"", "\n  \n"} {
+		_, err := SummarizeJSONL(strings.NewReader(in))
+		if !errors.Is(err, ErrEmptyTrace) {
+			t.Fatalf("%q: err = %v, want ErrEmptyTrace", in, err)
+		}
 	}
 }
 
 func TestSummarizeTruncatedTraces(t *testing.T) {
-	tr := traceFixture(t)
-	cut := func(b []byte, n int) []byte { return b[:len(b)-n] }
-
-	jsonl := streamFixture(t, FormatJSONL)
-	_, err := SummarizeJSONL(bytes.NewReader(cut(jsonl.Bytes(), 9)))
+	jsonl := streamFixture(t).Bytes()
+	torn := jsonl[:len(jsonl)-9]
+	_, err := SummarizeJSONL(bytes.NewReader(torn))
 	if !errors.Is(err, ErrTruncatedTrace) {
 		t.Fatalf("jsonl err = %v, want ErrTruncatedTrace", err)
 	}
 	if !strings.Contains(err.Error(), "line") || !strings.Contains(err.Error(), "offset") {
 		t.Fatalf("jsonl truncation error lacks position: %v", err)
 	}
-
-	csv := streamFixture(t, FormatCSV)
-	_, err = SummarizeEventsCSV(bytes.NewReader(cut(csv.Bytes(), 12)))
-	if !errors.Is(err, ErrTruncatedTrace) {
-		t.Fatalf("csv err = %v, want ErrTruncatedTrace", err)
+	// The converter reads through the same reader, so it refuses the torn
+	// stream instead of writing a partial export.
+	for _, format := range []TraceFormat{FormatChrome, FormatCSV} {
+		if err := ConvertJSONL(bytes.NewReader(torn), io.Discard, format); !errors.Is(err, ErrTruncatedTrace) {
+			t.Fatalf("convert to %v: err = %v, want ErrTruncatedTrace", format, err)
+		}
 	}
-
-	var chrome bytes.Buffer
-	if err := WriteChromeTrace(&chrome, tr); err != nil {
-		t.Fatal(err)
-	}
-	_, err = SummarizeChromeTrace(bytes.NewReader(cut(chrome.Bytes(), 40)))
-	if !errors.Is(err, ErrTruncatedTrace) {
-		t.Fatalf("chrome err = %v, want ErrTruncatedTrace", err)
-	}
-
-	// An intact trace of any format still summarizes cleanly via sniffing.
-	if _, err := SummarizeTrace(bytes.NewReader(jsonl.Bytes())); err != nil {
+	if _, err := SummarizeJSONL(bytes.NewReader(jsonl)); err != nil {
 		t.Fatalf("intact jsonl: %v", err)
 	}
 }
 
 func TestChargeResidencyFoldsPowerSpans(t *testing.T) {
-	tr := testTracer(2, 0)
+	tr := testTracer(2)
 	tr.PowerTransition(0, 1, 100) // rank 0: standby 0..100, self-refresh 100..1000
 	tr.Finish(1000)
 

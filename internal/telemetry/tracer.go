@@ -111,19 +111,14 @@ type TracerConfig struct {
 	StateNames []string
 	// InitialState is every rank's state at Start.
 	InitialState int
-	// Capacity bounds the event ring buffer; 0 selects DefaultCapacity.
-	// Power spans are kept exactly (transitions are rare); high-frequency
-	// point events overwrite the oldest once the ring is full, with the
-	// overflow reported by Dropped.
-	Capacity int
 	// Start is the trace origin (usually 0).
 	Start sim.Time
 }
 
-// DefaultCapacity is the default event ring size.
-const DefaultCapacity = 1 << 16
-
 // Tracer records structured events and per-rank power-state timelines.
+// Events go only to the attached TraceStream; the tracer keeps no copy of
+// them. Closed power spans are also kept (transitions are rare), because
+// Residency and the ledger's background-energy fold read them.
 // All emit methods are nil-receiver-safe no-ops, so model code can hold a
 // nil *Tracer and call it unconditionally without paying for tracing.
 type Tracer struct {
@@ -135,12 +130,8 @@ type Tracer struct {
 	since []sim.Time // when the rank entered it
 	spans []PowerSpan
 
-	ring  []Event
-	next  int   // overwrite position once len(ring) == cap
-	total int64 // events ever emitted
-
 	// stream, when attached, receives every event and closed power span as
-	// it is recorded, independent of ring retention.
+	// it is recorded.
 	stream *TraceStream
 
 	finished bool
@@ -151,9 +142,6 @@ type Tracer struct {
 func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.Ranks <= 0 {
 		panic(fmt.Sprintf("telemetry: tracer needs at least one rank, got %d", cfg.Ranks))
-	}
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
 	}
 	t := &Tracer{
 		cfg:       cfg,
@@ -220,9 +208,9 @@ func (t *Tracer) PowerTransition(rank, to int, at sim.Time) {
 
 // AttachStream installs a streaming sink that receives every subsequent
 // event and closed power span (including the final closures Finish makes).
-// Spans already closed and events already in the ring are not replayed; in
-// practice the stream is attached right after NewTracer, before the run.
-// Passing nil detaches. Nil-receiver-safe like the emit methods.
+// Nothing recorded before is replayed, so attach it right after NewTracer,
+// before the run. Passing nil detaches. Nil-receiver-safe like the emit
+// methods.
 func (t *Tracer) AttachStream(ts *TraceStream) {
 	if t == nil {
 		return
@@ -230,16 +218,7 @@ func (t *Tracer) AttachStream(ts *TraceStream) {
 	t.stream = ts
 }
 
-func (t *Tracer) emit(ev Event) {
-	t.stream.event(ev)
-	if len(t.ring) < t.cfg.Capacity {
-		t.ring = append(t.ring, ev)
-	} else {
-		t.ring[t.next] = ev
-		t.next = (t.next + 1) % len(t.ring)
-	}
-	t.total++
-}
+func (t *Tracer) emit(ev Event) { t.stream.event(ev) }
 
 // Migration records one background segment copy on a channel over
 // [start, end), tagged with the engine that requested it.
@@ -393,37 +372,4 @@ func (t *Tracer) Residency(rank int) []sim.Time {
 		out[s.State] += s.Duration()
 	}
 	return out
-}
-
-// Events returns the retained events in chronological emission order.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	if len(t.ring) < t.cfg.Capacity {
-		return append([]Event(nil), t.ring...)
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
-}
-
-// Dropped reports how many events were overwritten by ring wraparound.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	if d := t.total - int64(len(t.ring)); d > 0 {
-		return d
-	}
-	return 0
-}
-
-// Total reports how many events were ever emitted.
-func (t *Tracer) Total() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.total
 }

@@ -1,18 +1,36 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"testing"
 
 	"dtl/internal/sim"
 )
 
-func testTracer(ranks, capacity int) *Tracer {
+func testTracer(ranks int) *Tracer {
 	return NewTracer(TracerConfig{
 		Ranks: ranks, Channels: 2,
 		StateNames:   []string{"standby", "self-refresh", "mpsm"},
 		InitialState: 0,
-		Capacity:     capacity,
 	})
+}
+
+// streamRecords decodes a JSONL stream into one generic map per record.
+func streamRecords(t *testing.T, data []byte) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for {
+		var rec map[string]any
+		if err := dec.Decode(&rec); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
 }
 
 func TestNilTracerEmitsAreNoOps(t *testing.T) {
@@ -28,11 +46,8 @@ func TestNilTracerEmitsAreNoOps(t *testing.T) {
 	tr.Storm(0, 64, 1)
 	tr.RetireDeferred(0, "ecc-storm", 10, 1)
 	tr.Finish(100)
-	if tr.Finished() || tr.Total() != 0 || tr.Dropped() != 0 {
+	if tr.Finished() || tr.PowerSpans() != nil {
 		t.Fatal("nil tracer should report nothing")
-	}
-	if tr.Events() != nil || tr.PowerSpans() != nil {
-		t.Fatal("nil tracer should return nil slices")
 	}
 }
 
@@ -40,7 +55,7 @@ func TestNilTracerEmitsAreNoOps(t *testing.T) {
 // on: per-rank spans tile [0, horizon] exactly, whatever the transition
 // history.
 func TestSpanPartitionInvariant(t *testing.T) {
-	tr := testTracer(4, 0)
+	tr := testTracer(4)
 	tr.PowerTransition(0, 2, 100)
 	tr.PowerTransition(0, 0, 250)
 	tr.PowerTransition(1, 1, 40)
@@ -72,7 +87,7 @@ func TestSpanPartitionInvariant(t *testing.T) {
 }
 
 func TestSameStateTransitionIgnored(t *testing.T) {
-	tr := testTracer(1, 0)
+	tr := testTracer(1)
 	tr.PowerTransition(0, 0, 50) // already standby
 	tr.Finish(100)
 	spans := tr.PowerSpans()
@@ -82,7 +97,7 @@ func TestSameStateTransitionIgnored(t *testing.T) {
 }
 
 func TestBackwardsTransitionPanics(t *testing.T) {
-	tr := testTracer(1, 0)
+	tr := testTracer(1)
 	tr.PowerTransition(0, 1, 100)
 	defer func() {
 		if recover() == nil {
@@ -93,7 +108,7 @@ func TestBackwardsTransitionPanics(t *testing.T) {
 }
 
 func TestFinishIsIdempotent(t *testing.T) {
-	tr := testTracer(2, 0)
+	tr := testTracer(2)
 	tr.PowerTransition(0, 1, 10)
 	tr.Finish(100)
 	n := len(tr.PowerSpans())
@@ -103,52 +118,32 @@ func TestFinishIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestRingWraparoundKeepsNewestAndCountsDropped(t *testing.T) {
-	tr := testTracer(1, 4)
-	for i := 0; i < 10; i++ {
-		tr.SMCMiss(sim.Time(i))
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	if tr.Dropped() != 6 {
-		t.Fatalf("dropped = %d, want 6", tr.Dropped())
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained = %d, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := sim.Time(6 + i); ev.At != want {
-			t.Fatalf("event %d at %v, want %v (chronological, newest retained)", i, ev.At, want)
-		}
-	}
-}
-
 func TestEventFieldsRoundTrip(t *testing.T) {
-	tr := testTracer(2, 0)
+	var buf bytes.Buffer
+	tr := testTracer(2)
+	tr.AttachStream(NewTraceStream(&buf))
 	tr.Migration(1, 42, 99, "drain", 10, 35)
 	tr.Wake(1, 50, 7)
 	tr.Scrub(60, 128)
-	evs := tr.Events()
+	evs := streamRecords(t, buf.Bytes())
 	if len(evs) != 3 {
 		t.Fatalf("events = %d", len(evs))
 	}
 	m := evs[0]
-	if m.Kind != EvMigration || m.Channel != 1 || m.Src != 42 || m.Dst != 99 ||
-		m.Reason != "drain" || m.At != 10 || m.Dur != 25 {
-		t.Fatalf("migration event = %+v", m)
+	if m["type"] != "migration" || m["channel"] != 1.0 || m["src"] != 42.0 || m["dst"] != 99.0 ||
+		m["reason"] != "drain" || m["at_ns"] != 10.0 || m["dur_ns"] != 25.0 {
+		t.Fatalf("migration event = %v", m)
 	}
-	if w := evs[1]; w.Kind != EvWake || w.Rank != 1 || w.Dur != 7 {
-		t.Fatalf("wake event = %+v", w)
+	if w := evs[1]; w["type"] != "wake" || w["rank"] != 1.0 || w["dur_ns"] != 7.0 {
+		t.Fatalf("wake event = %v", w)
 	}
-	if s := evs[2]; s.Kind != EvScrub || s.Src != 128 {
-		t.Fatalf("scrub event = %+v", s)
+	if s := evs[2]; s["type"] != "scrub" || s["segments"] != 128.0 {
+		t.Fatalf("scrub event = %v", s)
 	}
 }
 
 func TestRankAndStateNames(t *testing.T) {
-	tr := testTracer(4, 0) // 2 channels: global rank = rank*2 + channel
+	tr := testTracer(4) // 2 channels: global rank = rank*2 + channel
 	if got := tr.RankName(3); got != "ch1/rk1" {
 		t.Fatalf("RankName(3) = %q", got)
 	}

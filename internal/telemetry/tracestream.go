@@ -1,46 +1,30 @@
 package telemetry
 
-import (
-	"fmt"
-	"io"
-)
+import "io"
 
-// TraceStream is a streaming trace sink: attached to a Tracer with
+// TraceStream is the tracer's one output: attached to a Tracer with
 // AttachStream, it renders every closed power span and every structured
-// event to w the moment the tracer records it, with the same alloc-free
-// append-buffer discipline as StreamSampler.
+// event to w as a JSONL record the moment the tracer records it, with the
+// same alloc-free append-buffer discipline as StreamSampler. The tracer
+// keeps no copy of the events, so a run of any length produces a complete
+// trace, and a killed run leaves every record written before the kill.
+// Records appear in completion order — events when emitted, power spans
+// when the rank leaves the state (so a span's start_ns can precede the
+// at_ns of records written before it).
 //
-// Streaming does not depend on the event ring: the tracer still fills its
-// ring while a stream is attached, but a long run whose point events
-// overflow the ring's capacity still produces a complete JSONL/CSV trace,
-// because each event was written before it could be evicted. Records
-// appear in completion order — events when emitted, power spans when the
-// rank leaves the state (so a span's start_ns can precede the at_ns of
-// records written before it).
-//
-// The Chrome trace_event format is a single JSON document and cannot
-// stream; NewTraceStream rejects FormatChrome.
+// The Chrome trace_event and events-CSV encodings are derived from a
+// finished stream by ConvertJSONL.
 type TraceStream struct {
-	w      io.Writer
-	format TraceFormat
-	buf    []byte // reused row buffer
-	rows   int
-	err    error
+	w    io.Writer
+	buf  []byte // reused row buffer
+	rows int
+	err  error
 }
 
-// NewTraceStream builds a streaming sink rendering format to w. The caller
+// NewTraceStream builds a JSONL streaming sink writing to w. The caller
 // owns w's lifetime (and any buffering); Err reports the first write error.
-func NewTraceStream(w io.Writer, format TraceFormat) (*TraceStream, error) {
-	if format == FormatChrome {
-		return nil, fmt.Errorf("telemetry: chrome trace format cannot stream (use WriteChromeTrace at finish)")
-	}
-	ts := &TraceStream{w: w, format: format}
-	if format == FormatCSV {
-		if _, err := io.WriteString(w, eventsCSVHeader); err != nil {
-			ts.err = err
-		}
-	}
-	return ts, nil
+func NewTraceStream(w io.Writer) *TraceStream {
+	return &TraceStream{w: w}
 }
 
 // span renders one closed power span. Write errors are sticky: after the
@@ -49,12 +33,7 @@ func (ts *TraceStream) span(t *Tracer, s PowerSpan) {
 	if ts == nil || ts.err != nil {
 		return
 	}
-	switch ts.format {
-	case FormatJSONL:
-		ts.buf = appendPowerJSONL(ts.buf[:0], t.RankName(s.Rank), t.StateName(s.State), s)
-	default:
-		ts.buf = appendPowerCSV(ts.buf[:0], t.StateName(s.State), s)
-	}
+	ts.buf = appendPowerJSONL(ts.buf[:0], t.RankName(s.Rank), t.StateName(s.State), s)
 	ts.write()
 }
 
@@ -63,12 +42,7 @@ func (ts *TraceStream) event(ev Event) {
 	if ts == nil || ts.err != nil {
 		return
 	}
-	switch ts.format {
-	case FormatJSONL:
-		ts.buf = appendEventJSONL(ts.buf[:0], ev)
-	default:
-		ts.buf = appendEventCSV(ts.buf[:0], ev)
-	}
+	ts.buf = appendEventJSONL(ts.buf[:0], ev)
 	ts.write()
 }
 

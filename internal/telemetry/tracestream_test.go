@@ -2,80 +2,25 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dtl/internal/sim"
 )
 
-// TestRingWraparoundEvictionOrderInSink is the wraparound contract end to
-// end: once the ring is full the *oldest* events are evicted first, Events()
-// stays chronological, and the Chrome sink (the one export that reads the
-// ring) renders the survivors in sorted order — a wrapped trace must never
-// interleave old and new records.
-func TestRingWraparoundEvictionOrderInSink(t *testing.T) {
-	const cap = 8
-	tr := testTracer(1, cap)
-	for i := 0; i < 3*cap; i++ {
-		tr.SMCMiss(sim.Time(10 * (i + 1)))
-	}
-	tr.Finish(1000)
-
-	if tr.Dropped() != 2*cap {
-		t.Fatalf("dropped = %d, want %d", tr.Dropped(), 2*cap)
-	}
-	evs := tr.Events()
-	if len(evs) != cap {
-		t.Fatalf("retained = %d, want %d", len(evs), cap)
-	}
-	// Oldest-first eviction: survivors are exactly the newest cap events.
-	for i, ev := range evs {
-		if want := sim.Time(10 * (2*cap + i + 1)); ev.At != want {
-			t.Fatalf("event %d at %v, want %v", i, ev.At, want)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	var ct chromeTrace
-	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil {
-		t.Fatal(err)
-	}
-	var ats []int64
-	for _, ev := range ct.TraceEvents {
-		if ev.Name == "smc_miss" {
-			ats = append(ats, int64(ev.Ts*1e3))
-		}
-	}
-	if len(ats) != cap {
-		t.Fatalf("sink rendered %d smc_miss records, want %d", len(ats), cap)
-	}
-	if !sort.SliceIsSorted(ats, func(i, j int) bool { return ats[i] < ats[j] }) {
-		t.Fatalf("sink output not chronological after wrap: %v", ats)
-	}
-	if ats[0] != int64(10*(2*cap+1)) {
-		t.Fatalf("oldest surviving record at %d, want %d (oldest evicted first)", ats[0], 10*(2*cap+1))
-	}
-}
-
-// streamed drives a fresh four-rank tracer with a TraceStream of the given
-// format attached and returns the streamed bytes and the stream.
-func streamed(t *testing.T, format TraceFormat, drive func(*Tracer)) (*bytes.Buffer, *TraceStream) {
+// streamed drives a fresh four-rank tracer with a TraceStream attached and
+// returns the streamed bytes and the stream.
+func streamed(t *testing.T, drive func(*Tracer)) (*bytes.Buffer, *TraceStream) {
 	t.Helper()
 	var buf bytes.Buffer
-	tr := testTracer(4, 0)
-	ts, err := NewTraceStream(&buf, format)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := testTracer(4)
+	ts := NewTraceStream(&buf)
 	tr.AttachStream(ts)
 	drive(tr)
 	if err := ts.Err(); err != nil {
@@ -85,9 +30,9 @@ func streamed(t *testing.T, format TraceFormat, drive func(*Tracer)) (*bytes.Buf
 }
 
 // streamFixture streams the fixture history and returns the streamed bytes.
-func streamFixture(t *testing.T, format TraceFormat) *bytes.Buffer {
+func streamFixture(t *testing.T) *bytes.Buffer {
 	t.Helper()
-	buf, ts := streamed(t, format, fixtureHistory)
+	buf, ts := streamed(t, fixtureHistory)
 	// 7 spans + 5 events, streamed as they happened.
 	if ts.Rows() != 12 {
 		t.Fatalf("streamed rows = %d, want 12", ts.Rows())
@@ -95,8 +40,18 @@ func streamFixture(t *testing.T, format TraceFormat) *bytes.Buffer {
 	return buf
 }
 
+// converted re-encodes a JSONL stream as format.
+func converted(t *testing.T, jsonl []byte, format TraceFormat) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	if err := ConvertJSONL(bytes.NewReader(jsonl), &out, format); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
 // assertFixtureSummary checks the quantities every reader must agree on for
-// the traceFixture history.
+// the fixture history.
 func assertFixtureSummary(t *testing.T, s *TraceSummary) {
 	t.Helper()
 	for rank := 0; rank < 4; rank++ {
@@ -122,9 +77,9 @@ func assertFixtureSummary(t *testing.T, s *TraceSummary) {
 }
 
 // TestStreamedJSONLRoundTrip: a trace streamed record by record parses into
-// the same summary the batch Chrome pipeline produces.
+// the fixture's summary.
 func TestStreamedJSONLRoundTrip(t *testing.T) {
-	buf := streamFixture(t, FormatJSONL)
+	buf := streamFixture(t)
 	s, err := SummarizeJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -135,92 +90,82 @@ func TestStreamedJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamedCSVRoundTrip: same for the events-CSV encoding (which carries
-// no rank names).
-func TestStreamedCSVRoundTrip(t *testing.T) {
-	buf := streamFixture(t, FormatCSV)
-	s, err := SummarizeEventsCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertFixtureSummary(t, s)
-	if s.RankLabel(3) != "rk3" {
-		t.Fatalf("csv rank label = %q, want numeric fallback", s.RankLabel(3))
-	}
-}
-
 // update rewrites the streamed-trace goldens instead of comparing.
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestStreamedFixtureGolden pins the exact streamed JSONL and CSV bytes of
-// the fixture history. Records appear in completion order: events when
-// emitted, power spans when the rank leaves the state, the rest at Finish.
-// Regenerate with
-//
-//	go test ./internal/telemetry -run TestStreamedFixtureGolden -update
-func TestStreamedFixtureGolden(t *testing.T) {
-	for _, tc := range []struct {
-		format TraceFormat
-		file   string
-	}{{FormatJSONL, "fixture.stream.jsonl"}, {FormatCSV, "fixture.stream.csv"}} {
-		got := streamFixture(t, tc.format).Bytes()
-		golden := filepath.Join("testdata", tc.file)
-		if *update {
-			if err := os.WriteFile(golden, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(golden)
-		if err != nil {
+// goldenHistories are the tracer histories whose stream and conversions
+// are pinned under testdata, by file-name prefix.
+var goldenHistories = []struct {
+	prefix string
+	drive  func(*Tracer)
+}{{"fixture", fixtureHistory}, {"kinds", allKindsHistory}}
+
+// checkGolden compares got with testdata/file, or rewrites it under -update.
+func checkGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", file)
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("streamed %v drifted from %s\n--- got ---\n%s--- want ---\n%s", tc.format, golden, got, want)
-		}
+		return
 	}
-}
-
-// TestStreamSurvivesRingWraparound is the point of streaming: events beyond
-// the ring capacity still reach the sink, even though the ring forgot them.
-func TestStreamSurvivesRingWraparound(t *testing.T) {
-	const cap = 4
-	var buf bytes.Buffer
-	tr := testTracer(1, cap)
-	ts, err := NewTraceStream(&buf, FormatJSONL)
+	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.AttachStream(ts)
-	const emitted = 5 * cap
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output drifted from %s\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestStreamedFixtureGolden pins the exact streamed JSONL bytes of the
+// fixture and all-kinds histories. Records appear in completion order:
+// events when emitted, power spans when the rank leaves the state, the
+// rest at Finish. Regenerate with
+//
+//	go test ./internal/telemetry -run TestStreamedFixtureGolden -update
+func TestStreamedFixtureGolden(t *testing.T) {
+	for _, h := range goldenHistories {
+		buf, _ := streamed(t, h.drive)
+		checkGolden(t, h.prefix+".stream.jsonl", buf.Bytes())
+	}
+}
+
+// TestStreamedCSVRoundTrip: the events CSV converted from a stream holds
+// the bytes the simulator used to stream as CSV directly.
+func TestStreamedCSVRoundTrip(t *testing.T) {
+	for _, h := range goldenHistories {
+		buf, _ := streamed(t, h.drive)
+		checkGolden(t, h.prefix+".stream.csv", converted(t, buf.Bytes(), FormatCSV))
+	}
+}
+
+// TestStreamSurvivesRingWraparound: the stream is unbounded, so a run that
+// emits more events than any in-memory ring would hold (1<<16 was the
+// tracer's old ring size) still writes every one of them.
+func TestStreamSurvivesRingWraparound(t *testing.T) {
+	const emitted = 1<<16 + 100
+	var buf bytes.Buffer
+	tr := testTracer(1)
+	tr.AttachStream(NewTraceStream(&buf))
 	for i := 0; i < emitted; i++ {
 		tr.SMCMiss(sim.Time(i))
 	}
-	if tr.Dropped() != emitted-cap {
-		t.Fatalf("ring dropped %d, want %d", tr.Dropped(), emitted-cap)
-	}
+	tr.Finish(emitted)
 	s, err := SummarizeJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Points["smc_miss"] != emitted {
-		t.Fatalf("stream carried %d events, want all %d despite wraparound", s.Points["smc_miss"], emitted)
-	}
-}
-
-func TestTraceStreamRejectsChrome(t *testing.T) {
-	if _, err := NewTraceStream(&bytes.Buffer{}, FormatChrome); err == nil {
-		t.Fatal("chrome format must not stream")
+		t.Fatalf("stream carried %d events, want all %d", s.Points["smc_miss"], emitted)
 	}
 }
 
 func TestTraceStreamWriteErrorIsSticky(t *testing.T) {
 	boom := errors.New("disk full")
-	ts, err := NewTraceStream(&failWriter{err: boom}, FormatJSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := testTracer(1, 0)
+	ts := NewTraceStream(&failWriter{err: boom})
+	tr := testTracer(1)
 	tr.AttachStream(ts)
 	tr.SMCMiss(1)
 	tr.SMCMiss(2)
@@ -235,17 +180,38 @@ func TestTraceStreamWriteErrorIsSticky(t *testing.T) {
 // TestTraceStreamSteadyStateDoesNotAllocate: per-record rendering reuses the
 // stream's buffer, matching the StreamSampler discipline.
 func TestTraceStreamSteadyStateDoesNotAllocate(t *testing.T) {
-	ts, err := NewTraceStream(discardWriter{}, FormatJSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := testTracer(1, 0)
-	tr.AttachStream(ts)
+	ts := NewTraceStream(discardWriter{})
 	ev := Event{Kind: EvMigration, At: 100, Dur: 50, Rank: -1, Channel: 1, Src: 7, Dst: 9, Reason: "drain"}
 	ts.event(ev) // warm up: size the buffer
 	allocs := testing.AllocsPerRun(1000, func() { ts.event(ev) })
 	if allocs != 0 {
 		t.Fatalf("steady-state event allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestTracerEmitDoesNotAllocate: the tracer keeps no copy of what it
+// streams, so the hot emitters allocate nothing once the row buffer has
+// grown.
+func TestTracerEmitDoesNotAllocate(t *testing.T) {
+	tr := testTracer(2)
+	tr.AttachStream(NewTraceStream(io.Discard))
+	for name, emit := range map[string]func(){
+		"Migration": func() { tr.Migration(1, 7, 9, "hotness-swap", 100, 150) },
+		"AttrSpan":  func() { tr.AttrSpan(5, 1, "migration-copy", 100, 400, 2.5) },
+	} {
+		emit() // warm up
+		if allocs := testing.AllocsPerRun(1000, emit); allocs != 0 {
+			t.Fatalf("Tracer.%s allocates %.1f objects/op, want 0", name, allocs)
+		}
+	}
+}
+
+func TestAppendJSONStringMatchesAppendQuote(t *testing.T) {
+	for _, s := range []string{"", "hotness-swap", "a b", `q"uote`, `back\slash`, "tab\t", "é", "\x7f", "<&>"} {
+		got := string(appendJSONString(nil, s))
+		if want := string(strconv.AppendQuote(nil, s)); got != want {
+			t.Fatalf("appendJSONString(%q) = %s, want %s", s, got, want)
+		}
 	}
 }
 
@@ -265,29 +231,22 @@ func TestParseTraceFormat(t *testing.T) {
 	}
 }
 
-// TestSummarizeTraceSniffsAllFormats: one entry point reads all three
-// encodings of the same history into the same summary.
+// TestSummarizeTraceSniffsAllFormats: the one reader reads JSONL and
+// refuses the Chrome and CSV exports of the same history with ErrNotJSONL.
 func TestSummarizeTraceSniffsAllFormats(t *testing.T) {
-	var chrome bytes.Buffer
-	if err := WriteChromeTrace(&chrome, traceFixture(t)); err != nil {
+	jsonl := streamFixture(t).Bytes()
+	s, err := SummarizeJSONL(bytes.NewReader(jsonl))
+	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := map[string]*bytes.Buffer{
-		"chrome": &chrome,
-		"jsonl":  streamFixture(t, FormatJSONL),
-		"csv":    streamFixture(t, FormatCSV),
-	}
-	for name, buf := range inputs {
-		s, err := SummarizeTrace(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	assertFixtureSummary(t, s)
+	for _, format := range []TraceFormat{FormatChrome, FormatCSV} {
+		_, err := SummarizeJSONL(bytes.NewReader(converted(t, jsonl, format)))
+		if !errors.Is(err, ErrNotJSONL) || !strings.Contains(err.Error(), "-trace-format jsonl") {
+			t.Fatalf("%v export: err = %v, want ErrNotJSONL naming -trace-format jsonl", format, err)
 		}
-		assertFixtureSummary(t, s)
 	}
-	if _, err := SummarizeTrace(strings.NewReader("")); err == nil {
-		t.Fatal("expected error on empty trace")
-	}
-	if _, err := SummarizeTrace(strings.NewReader("hello world")); err == nil {
+	if _, err := SummarizeJSONL(strings.NewReader("hello world")); err == nil {
 		t.Fatal("expected error on garbage")
 	}
 }
