@@ -339,9 +339,6 @@ func (t *Tracer) Finish(horizon sim.Time) {
 	t.end = horizon
 }
 
-// Finished reports whether Finish has run.
-func (t *Tracer) Finished() bool { return t != nil && t.finished }
-
 // End reports the horizon passed to Finish.
 func (t *Tracer) End() sim.Time { return t.end }
 

@@ -46,7 +46,7 @@ func TestNilTracerEmitsAreNoOps(t *testing.T) {
 	tr.Storm(0, 64, 1)
 	tr.RetireDeferred(0, "ecc-storm", 10, 1)
 	tr.Finish(100)
-	if tr.Finished() || tr.PowerSpans() != nil {
+	if tr.PowerSpans() != nil {
 		t.Fatal("nil tracer should report nothing")
 	}
 }

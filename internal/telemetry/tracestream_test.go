@@ -141,9 +141,8 @@ func TestStreamedCSVRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamSurvivesRingWraparound: the stream is unbounded, so a run that
-// emits more events than any in-memory ring would hold (1<<16 was the
-// tracer's old ring size) still writes every one of them.
+// TestStreamSurvivesRingWraparound: nothing between the tracer and the
+// stream has a capacity, so every one of 1<<16 + 100 events reaches it.
 func TestStreamSurvivesRingWraparound(t *testing.T) {
 	const emitted = 1<<16 + 100
 	var buf bytes.Buffer
