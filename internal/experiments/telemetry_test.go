@@ -149,3 +149,29 @@ func TestFig9ChromeTraceGolden(t *testing.T) {
 		t.Fatalf("fig9 chrome trace sha256 = %s, want %s", got, fig9ChromeSHA256)
 	}
 }
+
+// TestReplayMetricsGolden pins the -metrics CSV that quick fig2 (2-rank
+// point) and quick fig5 (CXL channel-only replay) sample over the raw
+// controller replay at seed 1: each row must reflect exactly the accesses
+// arriving before its timestamp. Both sample only per-channel bus gauges and
+// replay the same mix, so their files are equal.
+func TestReplayMetricsGolden(t *testing.T) {
+	const want = "c97a8fe18d63ce58429e9a57eddbd4906f4f24af7512fdf10986643a3ce335dd"
+	for _, tc := range []struct {
+		name string
+		run  func(Options) Result
+	}{{"fig2", Fig2}, {"fig5", Fig5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := quickOpts()
+			o.MetricsPath = filepath.Join(t.TempDir(), "m.csv")
+			tc.run(o)
+			data, err := os.ReadFile(o.MetricsPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+				t.Fatalf("%s -metrics sha256 = %s, want %s", tc.name, got, want)
+			}
+		})
+	}
+}
