@@ -182,6 +182,15 @@ func (h *Hierarchy) Access(addr int64, write bool) []MemAccess {
 	return toMem
 }
 
+// Reset empties every level and zeroes its counters, leaving the hierarchy
+// as NewHierarchy built it without reallocating the line arrays.
+func (h *Hierarchy) Reset() {
+	for _, l := range h.levels {
+		clear(l.lines)
+		l.stamp, l.accesses, l.misses = 0, 0, 0
+	}
+}
+
 // LevelMissRatio reports the miss ratio of level i (0-based from the core).
 func (h *Hierarchy) LevelMissRatio(i int) float64 { return h.levels[i].MissRatio() }
 

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -189,5 +190,35 @@ func TestRandomTrafficNoMemoryAmplification(t *testing.T) {
 func TestEmptyHierarchyRejected(t *testing.T) {
 	if _, err := NewHierarchy(nil); err == nil {
 		t.Fatal("empty hierarchy accepted")
+	}
+}
+
+// TestResetMatchesFresh is a property test: whatever traffic a hierarchy has
+// seen, Reset leaves it behaving exactly like a freshly built one, access by
+// access and in every level's counters.
+func TestResetMatchesFresh(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		used := MustTable3()
+		for i := 0; i < 20000+rng.Intn(20000); i++ {
+			used.Access(rng.Int63n(64<<20), rng.Intn(2) == 0)
+		}
+		used.Reset()
+		fresh, err := NewHierarchy(Table3())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50000; i++ {
+			// A footprint past the LLC mixes hits, misses and write-backs.
+			addr, write := rng.Int63n(24<<20), rng.Intn(3) == 0
+			got, want := used.Access(addr, write), fresh.Access(addr, write)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d access %d (%#x, write=%v): reset hierarchy gave %v, fresh gave %v",
+					seed, i, addr, write, got, want)
+			}
+		}
+		if got, want := used.Stats(), fresh.Stats(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: reset hierarchy stats %v, fresh %v", seed, got, want)
+		}
 	}
 }

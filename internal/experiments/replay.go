@@ -26,51 +26,30 @@ func (r replayStats) execTime() float64 {
 	return executionTime(int64(float64(r.instr)/pressure), r.accesses, r.meanLatNs)
 }
 
-// replayController drives a mixed CloudSuite trace through a bare
-// controller with the given geometry and mapping policy.
-//
-// rankInterleave=true models the conventional address mapping (consecutive
-// segments rotate over channels and ranks); false models DTL's
-// channel-only interleaving where traffic packs into the lowest ranks.
 // pressure compresses the replay's arrival pacing, emulating the paper's
 // §5.2 adjustment of the trace replay rate to reach >30 GB/s of memory
 // bandwidth at a comparable fraction of peak ("higher than the 95th percentile of memory bandwidth
 // utilization in datacenters").
 const pressure = 2.0
 
-// chanReplay is one channel's slice of the replay stream in struct-of-arrays
-// form — three dense parallel slices the replay kernel walks front to back —
-// plus that channel's private accumulators. Latency is summed per channel
-// and the partial sums are reduced in fixed channel order: float addition is
-// non-associative, so that order is part of the output bytes.
-type chanReplay struct {
-	dpa    []dram.DPA
-	write  []bool
-	arrive []sim.Time
-
-	next    int // first unplayed index
-	latSum  float64
-	rowHits int64
-}
-
-// runTo replays the channel's entries arriving strictly before limit.
-func (cr *chanReplay) runTo(ctrl *memctrl.Controller, linkLat sim.Time, limit sim.Time) {
-	for ; cr.next < len(cr.arrive) && cr.arrive[cr.next] < limit; cr.next++ {
-		i := cr.next
-		arrive := cr.arrive[i]
-		res := ctrl.Access(memctrl.Request{Addr: cr.dpa[i], Write: cr.write[i], Arrive: arrive})
-		cr.latSum += float64(res.Done-arrive) + float64(linkLat)
-		if res.RowHit {
-			cr.rowHits++
-		}
-	}
-}
-
+// replayController drives a mixed CloudSuite trace through a bare
+// controller with the given geometry and mapping policy.
+//
+// rankInterleave=true models the conventional address mapping (consecutive
+// segments rotate over channels and ranks); false models DTL's
+// channel-only interleaving where traffic packs into the lowest ranks.
+//
 // rt, when non-nil, samples the controller's registry metrics over the
 // replay's virtual clock (the caller finishes it with the returned endTime).
-// Every channel is replayed up to each sampling boundary before the sample
-// fires, so a sample at time T reflects exactly the accesses arriving
-// before T.
+// Each access first fires every sample due at or before its arrival, so a
+// sample at time T reflects exactly the accesses arriving before T.
+//
+// The replay streams: each access is played as the mix generates it.
+// Controller state is all per channel or per rank, so playing channels
+// interleaved in arrival order times every access as replaying each channel
+// alone would. Latency is summed per channel and the partial sums are
+// reduced in fixed channel order: float addition is non-associative, so
+// that order is part of the output bytes.
 func replayController(g dram.Geometry, rankInterleave bool, linkLat sim.Time,
 	profiles []trace.Profile, n int, seed int64, rt *runTelemetry) replayStats {
 
@@ -87,68 +66,43 @@ func replayController(g dram.Geometry, rankInterleave bool, linkLat sim.Time,
 	}
 
 	segBytes := g.SegmentBytes
-	mapSeg := func(seq int64) dram.DSN {
-		if rankInterleave {
-			return codec.RankInterleavedDSN(seq)
-		}
-		return dram.DSN(seq) // natural order: channel-interleaved, rank-high
-	}
-
-	// Generation phase: materialize the merged stream into per-channel SoA
-	// buffers. Arrival stamps are non-decreasing, so endTime is the last one.
-	// Each channel's buffers are sized up front for its even share of n plus
-	// a quarter: segment interleaving keeps every channel's share within
-	// ~12% of even, so they fill without regrowing (append still covers an
-	// outlier).
-	chans := make([]chanReplay, g.Channels)
-	perChan := n/g.Channels + n/(4*g.Channels) + 1
-	for ch := range chans {
-		chans[ch].dpa = make([]dram.DPA, 0, perChan)
-		chans[ch].write = make([]bool, 0, perChan)
-		chans[ch].arrive = make([]sim.Time, 0, perChan)
-	}
+	latSums := make([]float64, g.Channels)
+	var rowHits int64
 	var endTime sim.Time
+	sample, sampling := rt.next()
 	for i := 0; i < n; i++ {
 		a := mix.Next()
 		seq := a.Addr / segBytes
-		dpa := codec.Compose(mapSeg(seq), a.Addr%segBytes)
+		dsn := dram.DSN(seq) // natural order: channel-interleaved, rank-high
+		if rankInterleave {
+			dsn = codec.RankInterleavedDSN(seq)
+		}
+		dpa := codec.Compose(dsn, a.Addr%segBytes)
 		arrive := sim.Time(float64(a.Instr) * 0.5 / pressure) // 2 GHz, IPC 1, rate-adjusted
+		for sampling && sample <= arrive {
+			rt.tick(sample)
+			sample, sampling = rt.next()
+		}
+		res := ctrl.Access(memctrl.Request{Addr: dpa, Write: a.Write, Arrive: arrive})
 		ch, _ := codec.RankOf(dpa)
-		cr := &chans[ch]
-		cr.dpa = append(cr.dpa, dpa)
-		cr.write = append(cr.write, a.Write)
-		cr.arrive = append(cr.arrive, arrive)
-		endTime = arrive
-	}
-
-	// Replay phase: rounds bounded by the sampling clock's next event, each
-	// walking the channels in index order, then a final round past endTime.
-	for {
-		b, ok := rt.next()
-		if !ok || b > endTime {
-			break
+		latSums[ch] += float64(res.Done-arrive) + float64(linkLat)
+		if res.RowHit {
+			rowHits++
 		}
-		for ch := range chans {
-			chans[ch].runTo(ctrl, linkLat, b)
-		}
-		rt.tick(b)
+		endTime = arrive // arrival stamps are non-decreasing
 	}
 	var latSum float64
-	var rowHits, accesses int64
-	for ch := range chans {
-		chans[ch].runTo(ctrl, linkLat, endTime+1)
-		latSum += chans[ch].latSum
-		rowHits += chans[ch].rowHits
-		accesses += int64(len(chans[ch].arrive))
+	for _, s := range latSums {
+		latSum += s
 	}
 
 	// The merged instruction clock advances at the aggregate rate; recover
 	// total instructions from the final access's stamp.
 	return replayStats{
-		accesses:    accesses,
+		accesses:    int64(n),
 		instr:       lastInstr(mix),
-		meanLatNs:   latSum / float64(accesses),
-		rowHitRatio: float64(rowHits) / float64(accesses),
+		meanLatNs:   latSum / float64(n),
+		rowHitRatio: float64(rowHits) / float64(n),
 		endTime:     endTime,
 	}
 }

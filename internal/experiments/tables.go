@@ -38,13 +38,14 @@ func Table4(o Options) Result {
 
 	n := o.scaled(2_000_000, 200_000)
 	tab := metrics.NewTable("workload", "target MAPKI", "measured MAPKI", "ratio")
+	h := cache.MustTable3()
 	for _, p := range trace.CloudSuite() {
 		p.FootprintBytes = 1 << 30
 		if o.Quick {
 			p.FootprintBytes = 256 << 20
 		}
 		g := trace.MustGenerator(p, o.Seed)
-		h := cache.MustTable3()
+		h.Reset()
 		var mem int64
 		for i := 0; i < n; i++ {
 			a := g.NextRaw()
