@@ -45,6 +45,7 @@ package rack
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -143,7 +144,7 @@ func ParseFabric(s string) (FabricConfig, error) {
 			cfg.HopLatency = sim.Time(d.Nanoseconds())
 		case "gbs":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 {
+			if err != nil || !(f > 0) || math.IsInf(f, 1) {
 				return FabricConfig{}, fmt.Errorf("rack: bad bandwidth %q (want a positive GB/s float)", val)
 			}
 			cfg.BandwidthGBs = f

@@ -77,6 +77,12 @@ func TestParseFabricErrors(t *testing.T) {
 		"gbs=0",            // zero bandwidth
 		"gbs=-3",           // negative bandwidth
 		"gbs=wide",         // not a float
+		"gbs=NaN",          // parses as a float, but not a number
+		"gbs=nan",          // same, lower case
+		"gbs=Inf",          // infinite bandwidth
+		"gbs=+inf",         // same, signed lower case
+		"gbs=-Inf",         // negative infinity
+		"gbs=1e400",        // overflows to +Inf
 		"policy=firstfit",  // unknown policy
 		"latency=150ns",    // unknown key
 		"hop=1us;gbs=zero", // later term bad
