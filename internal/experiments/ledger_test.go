@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dtl/internal/dram"
 	"dtl/internal/telemetry"
 	"dtl/internal/trace"
 )
@@ -159,5 +160,49 @@ func TestLedgerArtifactDeterministicAcrossParallel(t *testing.T) {
 	par := run(4)
 	if !bytes.Equal(serial, par) {
 		t.Fatal("serial and parallel runs produced different ledger artifacts")
+	}
+}
+
+// TestLedgerEnergyConservationAcrossRunners checks the energy identity on
+// quick fig12 and on every ablation whose paper point writes a ledger
+// (abl-smc, abl-threshold, abl-tsp; the sweeps' other points run without
+// telemetry): the ledger's total energy equals residency energy (1000 x the
+// trace's EnergyProxy) plus migration energy, one 2 MiB segment copy at
+// activePowerPerGBs per migration span in the trace, within 1e-9 relative.
+func TestLedgerEnergyConservationAcrossRunners(t *testing.T) {
+	const segBytes = 2 * dram.MiB // every runner below uses 2 MiB segments
+	for _, tc := range []struct {
+		id       string
+		migrates bool // the run must trace at least one migration
+	}{
+		{"fig12", true},
+		{"abl-smc", false},
+		{"abl-threshold", true},
+		{"abl-tsp", true},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			r, ok := ByID(tc.id)
+			if !ok {
+				t.Fatalf("no runner %q", tc.id)
+			}
+			dir := t.TempDir()
+			o := quickOpts()
+			o.TracePath = filepath.Join(dir, "t.jsonl")
+			o.TraceFormat = telemetry.FormatJSONL
+			o.LedgerPath = filepath.Join(dir, "ledger.json")
+			r.Run(o)
+
+			snap := parseLedgerFile(t, o.LedgerPath)
+			s := summarizeTraceFile(t, o.TracePath)
+			migs := len(s.MigrationsUs)
+			if tc.migrates && migs == 0 {
+				t.Fatal("no migration spans in the trace")
+			}
+			wantEnergy := 1000*s.EnergyProxy(nil) + activePowerPerGBs*float64(int64(migs)*segBytes)
+			if !relClose(snap.TotalEnergy, wantEnergy, 1e-9) {
+				t.Fatalf("ledger energy %g != residency+migration energy %g (%d migrations)",
+					snap.TotalEnergy, wantEnergy, migs)
+			}
+		})
 	}
 }
