@@ -51,7 +51,6 @@ type way struct {
 
 // level is one set-associative LRU cache.
 type level struct {
-	sets    int
 	ways    int
 	setMask int64
 	lines   []way // sets*ways, row-major by set
@@ -64,7 +63,6 @@ type level struct {
 func newLevel(c Config) *level {
 	sets := c.SizeBytes / (c.Ways * LineBytes)
 	return &level{
-		sets:    sets,
 		ways:    c.Ways,
 		setMask: int64(sets - 1),
 		lines:   make([]way, sets*c.Ways),

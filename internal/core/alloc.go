@@ -297,17 +297,6 @@ func (d *DTL) HostAllocatedBytes() []int64 {
 	return out
 }
 
-// rankUtilization returns allocated-segment counts per rank index summed
-// across channels (rank-group utilization).
-func (d *DTL) rankGroupAllocated() []int64 {
-	out := make([]int64, d.cfg.Geometry.RanksPerChannel)
-	for gr, n := range d.allocated {
-		_, rk := d.codec.SplitGlobalRank(gr)
-		out[rk] += n
-	}
-	return out
-}
-
 // leastUtilizedRank returns the active (non-MPSM, non-failed) rank of a
 // channel with the fewest allocated segments, ties to the lower index, and
 // how many ranks are active (rk is -1 when none is). Failed ranks are

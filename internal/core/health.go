@@ -111,9 +111,6 @@ func (d *DTL) Health() *HealthMonitor { return d.health }
 // Config returns the monitor's effective configuration.
 func (h *HealthMonitor) Config() HealthConfig { return h.cfg }
 
-// SetConfig replaces the detector/retry tuning (tests, experiments).
-func (h *HealthMonitor) SetConfig(cfg HealthConfig) { h.cfg = cfg }
-
 // BucketLevel reports the storm detector's current fill for a rank, after
 // applying the leak up to now.
 func (h *HealthMonitor) BucketLevel(id dram.RankID, now sim.Time) float64 {

@@ -470,6 +470,3 @@ func (h *Hotness) Stats() HotStats { return h.stats }
 
 // PlannedSlot reports where the content at physical slot dsn would move.
 func (h *Hotness) PlannedSlot(dsn dram.DSN) dram.DSN { return h.planned[dsn] }
-
-// AccessBit reports the CLOCK reference bit of a physical segment.
-func (h *Hotness) AccessBit(dsn dram.DSN) bool { return h.accessBit[dsn] }

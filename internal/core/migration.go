@@ -368,9 +368,6 @@ func (m *Migrator) Outstanding() int {
 // BusyUntil reports when channel ch's migration queue drains.
 func (m *Migrator) BusyUntil(ch int) sim.Time { return m.busyUntil[ch] }
 
-// BusyNs reports the total migration bus time charged to channel ch.
-func (m *Migrator) BusyNs(ch int) sim.Time { return m.busyNs[ch] }
-
 // TotalBusyNs sums migration bus time over all channels.
 func (m *Migrator) TotalBusyNs() sim.Time {
 	var t sim.Time

@@ -42,7 +42,6 @@ type Device struct {
 	tim   Timing
 	ranks []rankStatus // indexed by global rank id (rank*Channels + channel)
 
-	lastAccount  sim.Time
 	onTransition TransitionHook
 
 	// fault is lazily allocated on the first injected fault (see fault.go);
@@ -103,12 +102,9 @@ func (d *Device) rank(id RankID) *rankStatus {
 // State reports the power state of a rank.
 func (d *Device) State(id RankID) PowerState { return d.rank(id).state }
 
-// ReadyAt reports the earliest time the rank can accept a command, covering
-// any in-flight power transition.
-func (d *Device) ReadyAt(id RankID) sim.Time { return d.rank(id).readyAt }
-
-// StateAndReady reports State and ReadyAt with one rank lookup, for the
-// controller's per-access path.
+// StateAndReady reports a rank's power state and the earliest time it can
+// accept a command (covering any in-flight power transition) with one rank
+// lookup, for the controller's per-access path.
 func (d *Device) StateAndReady(id RankID) (PowerState, sim.Time) {
 	r := d.rank(id)
 	return r.state, r.readyAt
@@ -184,7 +180,6 @@ func (d *Device) AccountUpTo(now sim.Time) {
 	for i := range d.ranks {
 		d.accountRank(&d.ranks[i], now)
 	}
-	d.lastAccount = now
 }
 
 // BackgroundEnergy reports the total normalized background energy

@@ -125,9 +125,6 @@ func (o Options) checkCanceled() {
 	}
 }
 
-// DefaultOptions returns full-scale deterministic options writing to w.
-func DefaultOptions(w io.Writer) Options { return Options{Seed: 1, Out: w} }
-
 func (o Options) out() io.Writer {
 	if o.Out == nil {
 		return io.Discard

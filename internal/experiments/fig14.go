@@ -57,16 +57,15 @@ func srConfigs() []srConfig {
 
 // srRunResult captures the energy split of one configuration's replay.
 type srRunResult struct {
-	cfg             srConfig
-	activeRanks     int // non-MPSM ranks after power-down
-	totalRanks      int
-	standbyEnergy   float64 // over the measurement span, units x ns
-	selfRefEnergy   float64
-	mpsmEnergy      float64
-	span            sim.Time
-	srEnters        int64
-	srExits         int64
-	warmupSREntries int64
+	cfg           srConfig
+	activeRanks   int // non-MPSM ranks after power-down
+	totalRanks    int
+	standbyEnergy float64 // over the measurement span, units x ns
+	selfRefEnergy float64
+	mpsmEnergy    float64
+	span          sim.Time
+	srEnters      int64
+	srExits       int64
 }
 
 // additionalSaving is the Fig. 14 metric: background-energy reduction over
@@ -170,7 +169,6 @@ func runSelfRefresh(o Options, cfg srConfig) srRunResult {
 
 	dev := d.Device()
 	var wStandby, wSR, wMPSM float64
-	var warmupEnters int64
 	now := sim.Time(0)
 	for i := 0; i < n; i++ {
 		if i&0xffff == 0 {
@@ -185,7 +183,6 @@ func runSelfRefresh(o Options, cfg srConfig) srRunResult {
 		if now == warmup {
 			dev.AccountUpTo(now)
 			wStandby, wSR, wMPSM = dev.BackgroundEnergy()
-			warmupEnters = d.Stats().SelfRefreshEnters
 		}
 	}
 	d.Tick(now)
@@ -196,16 +193,15 @@ func runSelfRefresh(o Options, cfg srConfig) srRunResult {
 	st, sr, mp := dev.BackgroundEnergy()
 
 	return srRunResult{
-		cfg:             cfg,
-		activeRanks:     activeRanks,
-		totalRanks:      g.TotalRanks(),
-		standbyEnergy:   st - wStandby,
-		selfRefEnergy:   sr - wSR,
-		mpsmEnergy:      mp - wMPSM,
-		span:            horizon - warmup,
-		srEnters:        d.Stats().SelfRefreshEnters,
-		srExits:         d.Stats().SelfRefreshExits,
-		warmupSREntries: warmupEnters,
+		cfg:           cfg,
+		activeRanks:   activeRanks,
+		totalRanks:    g.TotalRanks(),
+		standbyEnergy: st - wStandby,
+		selfRefEnergy: sr - wSR,
+		mpsmEnergy:    mp - wMPSM,
+		span:          horizon - warmup,
+		srEnters:      d.Stats().SelfRefreshEnters,
+		srExits:       d.Stats().SelfRefreshExits,
 	}
 }
 

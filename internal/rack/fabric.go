@@ -161,15 +161,6 @@ func ParseFabric(s string) (FabricConfig, error) {
 	return cfg, nil
 }
 
-// MustParseFabric is ParseFabric that panics on error.
-func MustParseFabric(s string) FabricConfig {
-	cfg, err := ParseFabric(s)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
 // MaxExpanders bounds the rack size: beyond this a single switch tier
 // stops being a credible topology.
 const MaxExpanders = 64
@@ -419,10 +410,6 @@ func (f *Fabric) copyOver(vm core.VMID, src, dst int, bytes int64, now sim.Time)
 	f.tracer.Migration(-1, int64(src), int64(dst), "fabric", now, done)
 	return done
 }
-
-// LinkBusyUntil reports when the fabric link frees up (its bandwidth-share
-// clock); before that instant cross-expander accesses run at half rate.
-func (f *Fabric) LinkBusyUntil() sim.Time { return f.linkBusyUntil }
 
 // Tick advances every expander's background machinery (migrations,
 // deferred retirements) in index order.

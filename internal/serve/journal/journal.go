@@ -68,7 +68,6 @@ type WriteHook func(frame []byte) []byte
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
-	path   string
 	killed atomic.Bool
 
 	// Hook, when non-nil, may mutate (typically truncate) the framed bytes
@@ -93,7 +92,7 @@ func Open(path string) (*Journal, [][]byte, ReplayStats, error) {
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	return &Journal{f: f, path: path}, payloads, stats, nil
+	return &Journal{f: f}, payloads, stats, nil
 }
 
 // Replay reads the log at path without opening it for writes. A missing file
@@ -221,9 +220,6 @@ func (j *Journal) Close() error {
 	}
 	return j.f.Close()
 }
-
-// Path reports the log's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Rewrite atomically replaces the log at path with exactly the given
 // payloads: write to a temp file in the same directory, fsync it, rename

@@ -171,11 +171,6 @@ func (r *Registry) Timer(name string, boundsNs []float64) *Timer {
 	return t
 }
 
-// Names lists registered metric names in registration order.
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.names...)
-}
-
 // Value reports the current scalar value of a metric by name: counters as
 // their count, gauges as their value, timers as their mean. The second
 // return is false for unknown names.
