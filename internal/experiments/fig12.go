@@ -51,10 +51,8 @@ type pdRun struct {
 	migEnergy    float64 // extra migration energy (technique only)
 
 	meanActiveRanks float64
-	maxActiveRanks  int
 	samples         []power.Sample // technique timeline
 	migrationSpans  int            // intervals with migration activity
-	perfOverhead    float64
 	bytesMigrated   int64
 	probeLatNs      int64 // summed latency of health-plane degraded probes
 	degradedProbes  int   // probes issued against failed-but-live ranks
@@ -175,11 +173,7 @@ func runPowerDownSchedule(o Options) pdRun {
 
 		// Sum in VM-id order: float addition is not associative, so a map
 		// iteration here would let rounding differ between identical runs.
-		liveIDs = liveIDs[:0]
-		for id := range live {
-			liveIDs = append(liveIDs, id)
-		}
-		sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i] < liveIDs[j] })
+		liveIDs = sortedLive(live, liveIDs)
 		var bw float64
 		for _, id := range liveIDs {
 			bw += vmBandwidthGBs(live[id])
@@ -193,11 +187,7 @@ func runPowerDownSchedule(o Options) pdRun {
 		prevMigBytes = migBytes
 		meter.Record(t, bg, pm.Active(bw), migrating)
 
-		active := d.ActiveRanksPerChannel()
-		rankSum += float64(active)
-		if active > run.maxActiveRanks {
-			run.maxActiveRanks = active
-		}
+		rankSum += float64(d.ActiveRanksPerChannel())
 		intervals++
 		rt.tick(t)
 	}
@@ -207,12 +197,7 @@ func runPowerDownSchedule(o Options) pdRun {
 		// not yet drained still serves reads in degraded mode).
 		// Probe in VM-id order: Access has model side effects (SMC fills,
 		// self-refresh wakes), so map order here would leak into the trace.
-		liveIDs = liveIDs[:0]
-		for id := range live {
-			liveIDs = append(liveIDs, id)
-		}
-		sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i] < liveIDs[j] })
-		for _, id := range liveIDs {
+		for _, id := range sortedLive(live, liveIDs) {
 			addrs, err := d.VMAddresses(id)
 			if err != nil {
 				panic(err)
@@ -256,12 +241,37 @@ func runPowerDownSchedule(o Options) pdRun {
 	run.migEnergy = pm.ActivePowerPerGBs * float64(run.bytesMigrated)
 	run.meanActiveRanks = rankSum / float64(intervals)
 	run.samples = meter.Samples()
-
-	// Performance overhead of the technique (§5.1 method): channel-only
-	// mapping on the mean active-rank configuration versus the
-	// rank-interleaved 8-rank baseline, plus the DTL translation overhead.
-	run.perfOverhead = measurePerfOverhead(o, int(run.meanActiveRanks+0.5))
 	return run
+}
+
+// sortedLive refills ids with the ids of live in ascending order and
+// returns it.
+func sortedLive(live map[core.VMID]vmtrace.VM, ids []core.VMID) []core.VMID {
+	ids = ids[:0]
+	for id := range live {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// writePowerTimeline writes a power timeline as the CSV file name, one row
+// per sample interval, when o asks for CSVs.
+func writePowerTimeline(o Options, name string, samples []power.Sample) {
+	f := o.csvFile(name)
+	if f == nil {
+		return
+	}
+	fmt.Fprintln(f, "minute,background,active,total,migrating")
+	for _, s := range samples {
+		mig := 0
+		if s.Migrating {
+			mig = 1
+		}
+		fmt.Fprintf(f, "%d,%.3f,%.3f,%.3f,%d\n",
+			int64(s.At/sim.Minute), s.Background, s.Active, s.Total(), mig)
+	}
+	f.Close()
 }
 
 // measurePerfOverhead replays a short CloudSuite mix on the baseline
@@ -296,19 +306,11 @@ func Fig12(o Options) Result {
 	res.header(w)
 
 	run := runPowerDownSchedule(o)
-
-	if f := o.csvFile("fig12_power_timeline"); f != nil {
-		fmt.Fprintln(f, "minute,background,active,total,migrating")
-		for _, s := range run.samples {
-			mig := 0
-			if s.Migrating {
-				mig = 1
-			}
-			fmt.Fprintf(f, "%d,%.3f,%.3f,%.3f,%d\n",
-				int64(s.At/sim.Minute), s.Background, s.Active, s.Total(), mig)
-		}
-		f.Close()
-	}
+	// Performance overhead of the technique (§5.1 method): channel-only
+	// mapping on the mean active-rank configuration versus the
+	// rank-interleaved 8-rank baseline, plus the DTL translation overhead.
+	perfOverhead := measurePerfOverhead(o, int(run.meanActiveRanks+0.5))
+	writePowerTimeline(o, "fig12_power_timeline", run.samples)
 
 	fmt.Fprintln(w, "(a) runtime DRAM power (technique), one row per 30 minutes")
 	tab := metrics.NewTable("time", "background", "active", "total", "migrating")
@@ -332,12 +334,12 @@ func Fig12(o Options) Result {
 	fmt.Fprintf(w, "\n(b) energy: baseline %.3g, technique %.3g units-s\n",
 		baseTotal/1e9, techTotal/1e9)
 	fmt.Fprintf(w, "energy saving %s (paper: 31.6%%), perf overhead %s (paper: 1.6%%)\n",
-		pct(saving), pct(run.perfOverhead))
+		pct(saving), pct(perfOverhead))
 	fmt.Fprintf(w, "mean active ranks/channel %.2f of 8; %s migrated across %d intervals\n",
 		run.meanActiveRanks, dram.FormatBytes(run.bytesMigrated), run.migrationSpans)
 
 	res.Metrics["energy_saving"] = saving
-	res.Metrics["perf_overhead"] = run.perfOverhead
+	res.Metrics["perf_overhead"] = perfOverhead
 	res.Metrics["mean_active_ranks"] = run.meanActiveRanks
 	res.footer(w)
 	return res

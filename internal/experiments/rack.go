@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"dtl/internal/core"
 	"dtl/internal/dram"
@@ -129,15 +128,6 @@ func runRackSchedule(o Options, fcfg rack.FabricConfig, n int) rackRun {
 	var intervals int
 	var prevMigBytes int64
 
-	sortedLive := func() []core.VMID {
-		liveIDs = liveIDs[:0]
-		for id := range live {
-			liveIDs = append(liveIDs, id)
-		}
-		sort.Slice(liveIDs, func(i, j int) bool { return liveIDs[i] < liveIDs[j] })
-		return liveIDs
-	}
-
 	for t := sim.Time(0); t <= genCfg.Horizon; t += vmtrace.Interval {
 		o.checkCanceled()
 		// Fault events for every expander share the rack engine, so one
@@ -187,7 +177,8 @@ func runRackSchedule(o Options, fcfg rack.FabricConfig, n int) rackRun {
 		// model side effects, so map order would leak into the artifacts).
 		// A packed VM away from its affinity expander pays the fabric here.
 		var bw float64
-		for _, id := range sortedLive() {
+		liveIDs = sortedLive(live, liveIDs)
+		for _, id := range liveIDs {
 			bw += vmBandwidthGBs(live[id])
 			x, ok := alloc.Lookup(id)
 			if !ok {
@@ -234,7 +225,7 @@ func runRackSchedule(o Options, fcfg rack.FabricConfig, n int) rackRun {
 	if faults {
 		// Zero-data-loss check, rack-wide: every surviving VM's memory must
 		// still be readable wherever the allocator left it.
-		for _, id := range sortedLive() {
+		for _, id := range sortedLive(live, liveIDs) {
 			x, ok := alloc.Lookup(id)
 			if !ok {
 				panic(fmt.Sprintf("experiments: live vm %d has no placement", id))
@@ -348,18 +339,7 @@ func Rack(o Options) Result {
 	head := runRackSchedule(o, fcfg, n)
 	alt := runRackSchedule(o.withoutTelemetry(), altCfg, n)
 
-	if f := o.csvFile("rack_power_timeline"); f != nil {
-		fmt.Fprintln(f, "minute,background,active,total,migrating")
-		for _, s := range head.samples {
-			mig := 0
-			if s.Migrating {
-				mig = 1
-			}
-			fmt.Fprintf(f, "%d,%.3f,%.3f,%.3f,%d\n",
-				int64(s.At/sim.Minute), s.Background, s.Active, s.Total(), mig)
-		}
-		f.Close()
-	}
+	writePowerTimeline(o, "rack_power_timeline", head.samples)
 
 	fmt.Fprintf(w, "(a) per-expander rollup, %s policy\n", head.policy)
 	tab := metrics.NewTable("expander", "mean active ranks/ch", "bg energy (units-s)", "allocated at end", "live VMs")

@@ -61,8 +61,7 @@ type runTelemetry struct {
 	stream      *telemetry.StreamSampler
 	metricsErr  error // deferred os.Create failure, reported at finish
 
-	watch      chan WatchSnapshot
-	watchLabel string
+	watch chan WatchSnapshot
 }
 
 // telemetryFor attaches tracing, periodic metrics sampling, and the watch
@@ -101,7 +100,6 @@ func (o Options) telemetryForSource(src attrSource, snapshot func(sim.Time, bool
 		eng:         sim.NewEngine(),
 		horizon:     horizon,
 		watch:       o.Watch,
-		watchLabel:  o.watchExperiment,
 	}
 	if o.TracePath != "" {
 		rt.tr = src.StartTrace(0)
@@ -195,9 +193,8 @@ func (rt *runTelemetry) tick(now sim.Time) {
 }
 
 // next reports the sampling clock's next due time; ok is false when rt is
-// nil or nothing is scheduled. The controller replay uses it as the round
-// boundary: replay every channel strictly before next(), then tick the
-// sample.
+// nil or nothing is scheduled. The controller replay fires every sample due
+// at or before each access's arrival before it issues the access.
 func (rt *runTelemetry) next() (at sim.Time, ok bool) {
 	if rt == nil {
 		return 0, false
