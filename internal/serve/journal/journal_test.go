@@ -19,73 +19,10 @@ func openT(t *testing.T, path string) (*Journal, [][]byte, ReplayStats) {
 	return j, payloads, stats
 }
 
-func TestAppendReplayRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	j, payloads, stats := openT(t, path)
-	if len(payloads) != 0 || stats.Valid != 0 || stats.Corrupt != 0 {
-		t.Fatalf("fresh log replayed %d/%+v", len(payloads), stats)
-	}
-	want := [][]byte{
-		[]byte(`{"type":"submitted","id":"j000001"}`),
-		[]byte(`{"type":"started","id":"j000001"}`),
-		[]byte(`{"type":"finished","id":"j000001","state":"done"}`),
-	}
-	for _, p := range want {
-		if err := j.Append(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-
-	got, stats, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Valid != 3 || stats.Corrupt != 0 || stats.TornTail {
-		t.Fatalf("stats = %+v", stats)
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
 func TestReplayMissingFileIsEmpty(t *testing.T) {
 	got, stats, err := Replay(filepath.Join(t.TempDir(), "nope.jsonl"))
 	if err != nil || len(got) != 0 || stats != (ReplayStats{}) {
 		t.Fatalf("missing file: %v %v %+v", got, err, stats)
-	}
-}
-
-func TestTornTailDetectedAndDropped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
-	j, _, _ := openT(t, path)
-	if err := j.Append([]byte(`{"a":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append([]byte(`{"b":2}`)); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	// Simulate a crash mid-append: chop bytes off the final record.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw[:len(raw)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, stats, err := Replay(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Valid != 1 || stats.Corrupt != 1 || !stats.TornTail {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if len(got) != 1 || !bytes.Equal(got[0], []byte(`{"a":1}`)) {
-		t.Fatalf("replayed %q", got)
 	}
 }
 
