@@ -26,9 +26,9 @@ import (
 // internal types: unknown fields are ignored, so the daemon can grow its
 // status payload without breaking older dtlstat binaries.
 type jobRow struct {
-	ID   string `json:"id"`
+	ID    string `json:"id"`
 	State string `json:"state"`
-	Spec struct {
+	Spec  struct {
 		Experiment string `json:"experiment"`
 		Seed       int64  `json:"seed"`
 	} `json:"spec"`

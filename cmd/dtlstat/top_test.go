@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -49,19 +48,20 @@ func fixtureLedger(t *testing.T) string {
 	return path
 }
 
-// runTop invokes cmdTop with stdout captured.
-func runTop(t *testing.T, args ...string) (string, int) {
+// runOut invokes run with stdout captured in a file, so output of any size
+// cannot block on a pipe.
+func runOut(t *testing.T, args ...string) (string, int) {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = w
-	code := cmdTop(args)
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	code := run(args)
 	os.Stdout = old
-	w.Close()
-	out, err := io.ReadAll(r)
+	out, err := os.ReadFile(f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,9 @@ func runTop(t *testing.T, args ...string) (string, int) {
 // inside the golden by templating the path out before comparing.
 func TestTopJSONGolden(t *testing.T) {
 	path := fixtureLedger(t)
-	out, code := runTop(t, "-json", path)
+	out, code := runOut(t, "top", "-json", path)
 	if code != 0 {
-		t.Fatalf("cmdTop exit %d, output:\n%s", code, out)
+		t.Fatalf("top exit %d, output:\n%s", code, out)
 	}
 	got := bytes.ReplaceAll([]byte(out), []byte(path), []byte("LEDGER"))
 
@@ -108,9 +108,9 @@ func TestTopJSONGolden(t *testing.T) {
 // the fabric causes, the same contract CI relies on for the other causes.
 func TestTopTextNamesFabricCauses(t *testing.T) {
 	path := fixtureLedger(t)
-	out, code := runTop(t, path)
+	out, code := runOut(t, "top", path)
 	if code != 0 {
-		t.Fatalf("cmdTop exit %d, output:\n%s", code, out)
+		t.Fatalf("top exit %d, output:\n%s", code, out)
 	}
 	for _, cause := range []string{"fabric-copy", "fabric-stall"} {
 		if !bytes.Contains([]byte(out), []byte(cause)) {
