@@ -104,34 +104,6 @@ func TestEndToEndLifecycle(t *testing.T) {
 	}
 }
 
-func TestHotnessViaPublicAPI(t *testing.T) {
-	cfg := core.DefaultConfig(smallGeometry())
-	cfg.AUBytes = 16 * dram.MiB
-	cfg.ProfilingWindow = 10_000
-	cfg.ProfilingThreshold = 100_000
-	dev, err := Open(WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := dev.AllocateVM(1, 0, 512*dram.MiB, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.EnableHotnessAwareSelfRefresh(0)
-	now := Time(0)
-	hot := a.AUBases[:4]
-	for i := 0; i < 3000; i++ {
-		if _, err := dev.Read(hot[i%len(hot)]+HPA(int64(i%8)*2*dram.MiB), now); err != nil {
-			t.Fatal(err)
-		}
-		now += 500
-	}
-	dev.Tick(now + 200_000)
-	if dev.Stats().SelfRefreshEnters == 0 {
-		t.Fatal("hotness engine produced no self-refresh via public API")
-	}
-}
-
 func TestModelAccessors(t *testing.T) {
 	dev := openSmall(t)
 	sizes := dev.MetadataSizes()
