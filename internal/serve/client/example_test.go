@@ -32,6 +32,7 @@ func Example() {
 	dir := must(os.MkdirTemp("", "dtlserved-store"))
 	defer os.RemoveAll(dir)
 	srv := must(serve.New(serve.Config{Workers: 2, StoreDir: dir}))
+	defer srv.Drain(context.Background()) // stops the workers
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
