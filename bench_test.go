@@ -228,6 +228,57 @@ func BenchmarkVMChurnDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkScheduleDrain is BenchmarkVMChurnDrain on the device the
+// schedule experiments (fig12, faults, rack) run: 4 channels × 8 ranks of
+// 12 GiB, whose 6,144 segments per rank are not a power of two, with the
+// default 2 GiB allocation units, so every freed AU takes the SMC's range
+// sweep. Each iteration starts with a 40 GiB filler alone in the one active
+// 48 GiB rank group: a 36 GiB VM wakes a second group, an 8 GiB VM lands
+// there, freeing the 36 GiB VM drains the 8 GiB VM's 4,096 segments into
+// the first group so the second powers down, and freeing the 8 GiB VM
+// restores the starting state.
+func BenchmarkScheduleDrain(b *testing.B) {
+	cfg := core.DefaultConfig(dram.Geometry{
+		Channels: 4, RanksPerChannel: 8, BanksPerRank: 16,
+		SegmentBytes: 2 * dram.MiB, RankBytes: 12 * dram.GiB,
+	})
+	dev, err := Open(WithConfig(cfg))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Steps of 1 s let each drain's copies (1,024 per channel) retire
+	// before the next one, so the migration queue stays short.
+	const step = Time(1_000_000_000)
+	now := Time(0)
+	if _, err := dev.AllocateVM(1, 0, 40*dram.GiB, now); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += step
+		if _, err := dev.AllocateVM(2, 0, 36*dram.GiB, now); err != nil {
+			b.Fatal(err)
+		}
+		now += step
+		if _, err := dev.AllocateVM(3, 0, 8*dram.GiB, now); err != nil {
+			b.Fatal(err)
+		}
+		now += step
+		if err := dev.DeallocateVM(2, now); err != nil {
+			b.Fatal(err)
+		}
+		now += step
+		if err := dev.DeallocateVM(3, now); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got, want := dev.Stats().SegmentsMigrated, int64(b.N)*4096; got != want {
+		b.Fatalf("migrated %d segments over %d iterations, want %d", got, b.N, want)
+	}
+}
+
 // --- Ablation benchmarks (design choices of §4.1, §3.4, §3.3) ---
 // Each delegates to the registered abl-* experiment so `go test -bench`
 // and `dtlsim -exp abl-...` report the same sweeps.

@@ -76,15 +76,13 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 		return Allocation{}, fmt.Errorf("core: host %d out of AU ids", host)
 	}
 
-	segsPerAU := d.segsPerAU
 	st := &vmState{host: host, aus: make([]int64, 0, aus)}
 	alloc := Allocation{
 		VM: vm, Host: host, Bytes: aus * d.cfg.AUBytes, Reactivated: reactivated,
 		AUBases: make([]dram.HPA, 0, aus),
 	}
-	perChannel := segsPerAU / int64(d.cfg.Geometry.Channels)
-
 	channels := d.cfg.Geometry.Channels
+	perChannel := d.segsPerAU / int64(channels)
 	for i := int64(0); i < aus; i++ {
 		auID := d.auFree[host].popFront()
 		st.aus = append(st.aus, auID)
@@ -99,12 +97,15 @@ func (d *DTL) AllocateVM(vm VMID, host HostID, bytes int64, now sim.Time) (Alloc
 		for ch := 0; ch < channels; ch++ {
 			perCh[ch] = d.takeSegments(ch, perCh[ch][:0], perChannel)
 		}
-		for off := int64(0); off < segsPerAU; off++ {
-			ch := int(off % int64(channels))
-			dsn := perCh[ch][off/int64(channels)]
-			hsn := d.hsnOf(host, auID, off)
-			d.segMap.set(hsn, dsn)
-			d.revMap[dsn] = hsn
+		// Host segment off = j×channels + ch takes channel ch's j-th segment.
+		hsn := d.hsnOf(host, auID, 0)
+		for j := int64(0); j < perChannel; j++ {
+			for ch := 0; ch < channels; ch++ {
+				dsn := perCh[ch][j]
+				d.segMap.set(hsn, dsn)
+				d.revMap[dsn] = hsn
+				hsn++
+			}
 		}
 	}
 	d.vms[vm] = st
@@ -241,6 +242,7 @@ func (d *DTL) DeallocateVM(vm VMID, now sim.Time) error {
 	for _, au := range st.aus {
 		d.auOwner[int64(st.host)*d.totalAUs+au] = telemetry.SystemVM
 		base := d.hsnOf(st.host, au, 0)
+		d.smc.invalidateRange(base, d.segsPerAU)
 		for hsn := base; hsn < base+dram.HSN(d.segsPerAU); hsn++ {
 			dsn, ok := d.segMap.get(hsn)
 			if !ok {
@@ -248,9 +250,7 @@ func (d *DTL) DeallocateVM(vm VMID, now sim.Time) error {
 			}
 			d.segMap.del(hsn)
 			d.revMap[dsn] = dsnFree
-			d.smc.invalidate(hsn)
-			l := d.codec.DecodeDSN(dsn)
-			gr := d.codec.GlobalRank(l.Channel, l.Rank)
+			_, gr := d.codec.GlobalRankOf(dsn)
 			d.free[gr].push(dsn)
 			d.allocated[gr]--
 			d.hot.onSegmentFreed(dsn)

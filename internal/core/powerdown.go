@@ -152,7 +152,8 @@ func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 
 	// Collect live segments on the victim (into the channel's scratch).
 	live := d.allocScratch[ch][:0]
-	for idx := int64(0); idx < d.cfg.Geometry.SegmentsPerRank(); idx++ {
+	segs := d.cfg.Geometry.SegmentsPerRank()
+	for idx := int64(0); idx < segs; idx++ {
 		dsn := d.codec.EncodeDSN(dram.Loc{Rank: victim.Rank, Channel: ch, Index: idx})
 		if d.revMap[dsn] != dsnFree {
 			live = append(live, dsn)
@@ -160,10 +161,21 @@ func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 	}
 	d.allocScratch[ch] = live
 
-	for _, src := range live {
-		dst := d.takeDrainTarget(ch, victim.Rank)
-		d.moveSegment(src, dst, now, reason)
-		d.st.segmentsMigrated.Inc()
+	// Each move raises the target's allocated count and lowers only the
+	// victim's (which is excluded); no rank changes state or fails. The
+	// target takeDrainTargetOn would pick therefore stays the strict
+	// maximum until its free queue runs dry, so it is picked once per run
+	// of moves rather than once per segment.
+	for i := 0; i < len(live); {
+		gr := d.drainTargetRank(ch, victim.Rank)
+		if gr < 0 {
+			panic("core: no drain target available (capacity precondition violated)")
+		}
+		for q := &d.free[gr]; i < len(live) && q.len() > 0; i++ {
+			d.allocated[gr]++
+			d.moveSegment(live[i], q.popFront(), now, reason)
+			d.st.segmentsMigrated.Inc()
+		}
 	}
 
 	// The victim's free queue stays intact (its segments remain physically
@@ -173,22 +185,25 @@ func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 	}
 }
 
-// takeDrainTarget pops a free segment on channel ch from the most-utilized
-// active rank other than exclude. Callers must have checked capacity
-// (drainCapacityOn); running out mid-drain is a model bug and panics.
-func (d *DTL) takeDrainTarget(ch, exclude int) dram.DSN {
-	dsn, ok := d.takeDrainTargetOn(ch, exclude)
-	if !ok {
-		panic("core: no drain target available (capacity precondition violated)")
+// takeDrainTargetOn pops a free segment on channel ch from the rank
+// drainTargetRank picks, reporting false when there is none. Power-down
+// drains check capacity first (drainCapacityOn); the migration
+// verify-after-copy path uses it to re-route around a destination rank
+// that faulted mid-copy.
+func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, bool) {
+	gr := d.drainTargetRank(ch, exclude)
+	if gr < 0 {
+		return 0, false
 	}
-	return dsn
+	d.allocated[gr]++
+	return d.free[gr].popFront(), true
 }
 
-// takeDrainTargetOn is takeDrainTarget without the capacity precondition:
-// it reports false when no eligible rank (active, non-failed, with free
-// space) exists on the channel. The migration verify-after-copy path uses it
-// to re-route around a destination rank that faulted mid-copy.
-func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, bool) {
+// drainTargetRank returns the global rank a drain on channel ch moves its
+// next segment to: the most-utilized active (non-MPSM, non-failed) rank
+// with free space other than exclude, ties to the lower index, or -1 when
+// none is eligible.
+func (d *DTL) drainTargetRank(ch, exclude int) int {
 	best := -1
 	var bestAlloc int64 = -1
 	for rk := 0; rk < d.cfg.Geometry.RanksPerChannel; rk++ {
@@ -206,12 +221,7 @@ func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, bool) {
 			best, bestAlloc = gr, d.allocated[gr]
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	dsn := d.free[best].popFront()
-	d.allocated[best]++
-	return dsn, true
+	return best
 }
 
 // moveSegment relocates the live segment at src into the free slot dst:
@@ -230,8 +240,7 @@ func (d *DTL) moveSegment(src, dst dram.DSN, now sim.Time, reason string) {
 	d.revMap[src] = dsnFree
 	d.smc.invalidate(hsn)
 
-	srcLoc := d.codec.DecodeDSN(src)
-	srcGR := d.codec.GlobalRank(srcLoc.Channel, srcLoc.Rank)
+	_, srcGR := d.codec.GlobalRankOf(src)
 	d.free[srcGR].push(src)
 	d.allocated[srcGR]--
 

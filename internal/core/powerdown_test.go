@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dtl/internal/dram"
@@ -248,4 +250,138 @@ func TestDrainAllocsIndependentOfVMSize(t *testing.T) {
 		t.Fatalf("drain cycle allocs/op: %v at 2 AUs, %v at 6 AUs; want equal", allocs[2], allocs[6])
 	}
 	t.Logf("drain cycle: %v allocs", allocs[2])
+}
+
+// TestDrainTargetReuseMatchesPerSegmentPick drains randomized fill states and
+// requires drainRank, which picks a target rank once per run of moves, to
+// send every live segment where picking afresh per segment
+// (takeDrainTargetOn) would, and to leave the same device behind. Each state
+// is cloned through SaveMetadata/LoadMetadata; both clones then wake or
+// doze the same random ranks so drains see several eligible targets.
+func TestDrainTargetReuseMatchesPerSegmentPick(t *testing.T) {
+	cfg := testConfig()
+	cfg.Geometry.RanksPerChannel = 6
+	cfg.Geometry.RankBytes = 24 * dram.MiB // 12 segments: not a power of two
+	cfg.AUBytes = 8 * dram.MiB
+	g := cfg.Geometry
+	const reason = "powerdown-drain"
+	drained, switched := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := sim.Time(0)
+		var live []VMID
+		for i := 0; i < 30; i++ {
+			now += sim.Millisecond
+			if len(live) == 0 || rng.Intn(3) != 0 {
+				id := VMID(i + 1)
+				sz := int64(rng.Intn(6)+1) * cfg.AUBytes
+				if _, err := d.AllocateVM(id, HostID(rng.Intn(cfg.MaxHosts)), sz, now); err == nil {
+					live = append(live, id)
+				}
+				continue
+			}
+			k := rng.Intn(len(live))
+			if err := d.DeallocateVM(live[k], now); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live[:k], live[k+1:]...)
+		}
+		var snap bytes.Buffer
+		if err := d.SaveMetadata(&snap); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadMetadata(bytes.NewReader(snap.Bytes()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := LoadMetadata(bytes.NewReader(snap.Bytes()), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gr := 0; gr < g.TotalRanks(); gr++ {
+			ch, rk := got.codec.SplitGlobalRank(gr)
+			id := dram.RankID{Channel: ch, Rank: rk}
+			state := []dram.PowerState{dram.Standby, dram.SelfRefresh, dram.MPSM}[rng.Intn(3)]
+			if got.allocated[gr] != 0 && state == dram.MPSM {
+				continue // MPSM ranks never hold live data
+			}
+			got.dev.SetState(id, state, now)
+			want.dev.SetState(id, state, now)
+		}
+
+		for ch := 0; ch < g.Channels; ch++ {
+			var victims []int
+			for rk := 0; rk < g.RanksPerChannel; rk++ {
+				gr := got.codec.GlobalRank(ch, rk)
+				if n := got.allocated[gr]; n > 0 && got.drainCapacityOn(ch, rk) >= n {
+					victims = append(victims, rk)
+				}
+			}
+			if len(victims) == 0 {
+				continue
+			}
+			rk := victims[rng.Intn(len(victims))]
+			var srcs []dram.DSN
+			var hsns []dram.HSN
+			var wantDst []dram.DSN
+			for idx := int64(0); idx < g.SegmentsPerRank(); idx++ {
+				src := want.codec.EncodeDSN(dram.Loc{Rank: rk, Channel: ch, Index: idx})
+				if want.revMap[src] == dsnFree {
+					continue
+				}
+				srcs, hsns = append(srcs, src), append(hsns, got.revMap[src])
+				dst, ok := want.takeDrainTargetOn(ch, rk)
+				if !ok {
+					t.Fatalf("seed %d: reference ran out of drain targets", seed)
+				}
+				wantDst = append(wantDst, dst)
+				want.moveSegment(src, dst, now, reason)
+			}
+			got.drainRank(dram.RankID{Channel: ch, Rank: rk}, now, reason)
+			for i, hsn := range hsns {
+				if dst, _ := got.segMap.get(hsn); dst != wantDst[i] {
+					t.Fatalf("seed %d channel %d rank %d: segment %d (dsn %d) moved to %d, per-segment pick %d",
+						seed, ch, rk, i, srcs[i], dst, wantDst[i])
+				}
+			}
+			drained++
+			if len(wantDst) > 0 {
+				_, first := want.codec.GlobalRankOf(wantDst[0])
+				_, last := want.codec.GlobalRankOf(wantDst[len(wantDst)-1])
+				if first != last {
+					switched++
+				}
+			}
+		}
+		for gr := range got.free {
+			if a, b := got.free[gr].items(), want.free[gr].items(); !slices.Equal(a, b) || got.allocated[gr] != want.allocated[gr] {
+				t.Fatalf("seed %d rank %d: free queue %v (allocated %d), per-segment pick %v (allocated %d)",
+					seed, gr, a, got.allocated[gr], b, want.allocated[gr])
+			}
+		}
+		var a, b bytes.Buffer
+		if err := got.SaveMetadata(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.SaveMetadata(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("seed %d: snapshots differ after draining", seed)
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	// A drain whose first and last segments go to different ranks switched
+	// target mid-way, the case the reuse must get right.
+	t.Logf("%d rank drains, %d switched target rank", drained, switched)
+	if drained < 40 || switched < 10 {
+		t.Fatalf("%d rank drains, %d switching target, over 40 fill states; want at least 40 and 10",
+			drained, switched)
+	}
 }

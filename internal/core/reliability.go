@@ -105,7 +105,7 @@ func (d *DTL) retireRank(id dram.RankID, now sim.Time, cause string) error {
 
 // drainCapacityOn sums the free segments of a channel's ranks that are
 // eligible drain targets: not the excluded rank, not retired, not failed,
-// not in MPSM. It must agree exactly with takeDrainTarget's eligibility
+// not in MPSM. It must agree exactly with drainTargetRank's eligibility
 // rule, or draining panics mid-way.
 func (d *DTL) drainCapacityOn(ch, exclude int) int64 {
 	var free int64

@@ -95,6 +95,25 @@ func (c *smc) invalidate(hsn dram.HSN) {
 	}
 }
 
+// invalidateRange drops any cached mapping for the n HSNs from lo, as n
+// calls of invalidate would. A span that covers every L2 set several times
+// over (n × ways ≥ L2 entries, e.g. a freed 2 GiB allocation unit) sweeps
+// the L1 list and the L2 array once instead of probing per HSN.
+func (c *smc) invalidateRange(lo dram.HSN, n int64) {
+	if n*int64(c.l2Ways) < int64(len(c.l2)) {
+		for hsn := lo; hsn < lo+dram.HSN(n); hsn++ {
+			c.invalidate(hsn)
+		}
+		return
+	}
+	c.l1.removeRange(lo, n)
+	for i := range c.l2 {
+		if uint64(c.l2[i].hsn-lo) < uint64(n) {
+			c.l2[i].valid = false
+		}
+	}
+}
+
 // l1Cache is the fully-associative L1. The hardware matches every entry in
 // parallel; the model gets the same constant cost from three structures
 // over one slot array: an open-addressed hsn→slot index (linear probing,
@@ -201,6 +220,19 @@ func (c *l1Cache) remove(hsn dram.HSN) {
 	c.index[hole] = 0
 	c.unlink(s)
 	c.free = append(c.free, s)
+}
+
+// removeRange drops every cached HSN in [lo, lo+n). It frees slots in MRU
+// order rather than HSN order, which only changes which free slot a later
+// fill takes.
+func (c *l1Cache) removeRange(lo dram.HSN, n int64) {
+	for s := c.head; s != noSlot; {
+		next := c.next[s]
+		if h := c.hsn[s]; uint64(h-lo) < uint64(n) {
+			c.remove(h)
+		}
+		s = next
+	}
 }
 
 func (c *l1Cache) pushFront(s int32) {

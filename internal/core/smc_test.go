@@ -331,7 +331,11 @@ func checkL1(t *testing.T, c *l1Cache) {
 // TestSMCMatchesLinearScan drives random lookup/install/invalidate sequences
 // through the constant-time cache and the linear-scan reference and requires
 // the same hit level, DSN and counters at every step. Installs follow a full
-// miss, as on the DTL's access path, so an HSN is never cached twice.
+// miss, as on the DTL's access path, so an HSN is never cached twice. Range
+// invalidations are checked against the reference invalidating each HSN of
+// the span in turn; their spans fall on both sides of the sweep threshold
+// (n × ways ≥ L2 entries) and either cover a universe HSN or lie past all
+// of them.
 func TestSMCMatchesLinearScan(t *testing.T) {
 	sizes := []struct{ l1, l2, ways int }{
 		{1, 16, 4}, {2, 16, 4}, {64, 1024, 4}, // edge sizes and the paper's
@@ -350,7 +354,22 @@ func TestSMCMatchesLinearScan(t *testing.T) {
 			for step := 0; step < 20000; step++ {
 				h := dram.HSN(rng.Intn(universe)) * stride
 				op := rng.Intn(10)
-				if op == 0 {
+				if op == 0 && rng.Intn(8) == 0 {
+					n := int64(1 + rng.Intn(2*c.l2Sets))
+					lo := max(h-dram.HSN(rng.Int63n(n)), 0)
+					if rng.Intn(4) == 0 {
+						lo = dram.HSN(universe) * stride
+					}
+					c.invalidateRange(lo, n)
+					for x := lo; x < lo+dram.HSN(n); x++ {
+						ref.invalidate(x)
+					}
+					for x := range gen {
+						if x >= lo && x < lo+dram.HSN(n) {
+							gen[x]++
+						}
+					}
+				} else if op == 0 {
 					c.invalidate(h)
 					ref.invalidate(h)
 					gen[h]++ // the next fill carries a new mapping
