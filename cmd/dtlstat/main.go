@@ -265,7 +265,7 @@ func cmdRead(args []string) int {
 		}
 	}
 
-	fmt.Printf("\nenergy proxy: %.0f (weight x us, standby=1.0 self-refresh=0.2 mpsm=0.068)\n",
+	fmt.Printf("\nenergy proxy: %.4g (weight x us, standby=1.0 self-refresh=0.2 mpsm=0.068)\n",
 		s.EnergyProxy(nil))
 
 	if len(s.Points) > 0 {
@@ -372,7 +372,7 @@ func cmdDiff(args []string) int {
 	for _, p := range d.Percentiles {
 		fmt.Printf("  %-4s %8.1f us -> %8.1f us  (%+.1f%%)\n", p.Name, p.A, p.B, 100*p.Shift())
 	}
-	fmt.Printf("energy proxy: A %.0f  B %.0f  (%+.2f%%)\n", d.EnergyA, d.EnergyB, 100*d.EnergyDelta())
+	fmt.Printf("energy proxy: A %.4g  B %.4g  (%+.2f%%)\n", d.EnergyA, d.EnergyB, 100*d.EnergyDelta())
 
 	if len(d.Causes) > 0 {
 		fmt.Println("\nattribution (per cause):")
