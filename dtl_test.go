@@ -1,10 +1,13 @@
 package dtl
 
 import (
+	"bytes"
 	"testing"
 
 	"dtl/internal/core"
 	"dtl/internal/dram"
+	"dtl/internal/sim"
+	"dtl/internal/telemetry"
 )
 
 func smallGeometry() Geometry {
@@ -123,5 +126,65 @@ func TestModelAccessors(t *testing.T) {
 	}
 	if dev.Core() == nil {
 		t.Fatal("core accessor nil")
+	}
+}
+
+// TestStopTraceDetachesStream records a VM lifecycle into a trace stream,
+// stops tracing, and requires a second lifecycle (power-downs, drains,
+// reactivations, SMC misses) to reach neither the old stream nor the
+// stopped tracer. Restarting the trace with a fresh stream records the same
+// lifecycle again, so the silence is StopTrace's doing.
+func TestStopTraceDetachesStream(t *testing.T) {
+	dev := openSmall(t)
+	now := Time(0)
+	lifecycle := func() {
+		t.Helper()
+		for _, vm := range []VMID{1, 2, 3} {
+			now += Time(sim.Millisecond)
+			a, err := dev.AllocateVM(vm, 0, int64(vm)*48*dram.MiB, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, base := range a.AUBases {
+				now += 1000
+				if _, err := dev.Read(base, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, vm := range []VMID{2, 1, 3} {
+			now += Time(sim.Millisecond)
+			if err := dev.DeallocateVM(vm, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var first bytes.Buffer
+	tr := dev.StartTrace(now)
+	stream := telemetry.NewTraceStream(&first)
+	tr.AttachStream(stream)
+	lifecycle()
+	if stream.Rows() == 0 {
+		t.Fatal("traced lifecycle wrote no records")
+	}
+	rows, size := stream.Rows(), first.Len()
+
+	dev.StopTrace()
+	lifecycle()
+	if stream.Rows() != rows || first.Len() != size {
+		t.Fatalf("after StopTrace the stream grew from %d records (%d bytes) to %d (%d bytes)",
+			rows, size, stream.Rows(), first.Len())
+	}
+
+	var second bytes.Buffer
+	again := telemetry.NewTraceStream(&second)
+	dev.StartTrace(now).AttachStream(again)
+	lifecycle()
+	if again.Rows() == 0 {
+		t.Fatal("restarted trace recorded nothing: the lifecycle emits no events")
+	}
+	if stream.Rows() != rows {
+		t.Fatalf("restarted trace wrote %d records to the stopped stream", stream.Rows()-rows)
 	}
 }
