@@ -250,7 +250,8 @@ func (d *DTL) DeallocateVM(vm VMID, now sim.Time) error {
 			}
 			d.segMap.del(hsn)
 			d.revMap[dsn] = dsnFree
-			_, gr := d.codec.GlobalRankOf(dsn)
+			l := d.codec.DecodeDSN(dsn)
+			gr := d.codec.GlobalRank(l.Channel, l.Rank)
 			d.free[gr].push(dsn)
 			d.allocated[gr]--
 			d.hot.onSegmentFreed(dsn)

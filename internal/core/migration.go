@@ -121,7 +121,8 @@ func (m *migrator) isNamed(dsn dram.DSN) bool { return m.named[dsn>>6]&(1<<(dsn&
 // channel) using the channel's idle bandwidth; copies on a channel are
 // serialized behind each other.
 func (m *migrator) enqueueCopy(src, dst dram.DSN, now sim.Time, reason string) {
-	ch, _ := m.d.codec.GlobalRankOf(src)
+	loc := m.d.codec.DecodeDSN(src)
+	ch := loc.Channel
 	dur := m.d.ctrl.MigrationTime(ch, m.d.cfg.Geometry.SegmentBytes, now)
 	start := now
 	if m.busyUntil[ch] > start {
@@ -150,7 +151,8 @@ func (m *migrator) enqueueCopy(src, dst dram.DSN, now sim.Time, reason string) {
 		// Charge the copy window (latency) and the active energy of moving
 		// one segment to the destination rank, attributed to the VM whose
 		// data is moving (SystemVM for unowned segments).
-		_, gr := m.d.codec.GlobalRankOf(dst)
+		dloc := m.d.codec.DecodeDSN(dst)
+		gr := m.d.codec.GlobalRank(dloc.Channel, dloc.Rank)
 		vm := telemetry.SystemVM
 		if hsn := m.d.revMap[dst]; hsn != dsnFree {
 			vm = m.d.ownerOf(hsn)

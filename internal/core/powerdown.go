@@ -240,7 +240,8 @@ func (d *DTL) moveSegment(src, dst dram.DSN, now sim.Time, reason string) {
 	d.revMap[src] = dsnFree
 	d.smc.invalidate(hsn)
 
-	_, srcGR := d.codec.GlobalRankOf(src)
+	srcLoc := d.codec.DecodeDSN(src)
+	srcGR := d.codec.GlobalRank(srcLoc.Channel, srcLoc.Rank)
 	d.free[srcGR].push(src)
 	d.allocated[srcGR]--
 

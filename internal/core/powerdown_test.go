@@ -350,9 +350,9 @@ func TestDrainTargetReuseMatchesPerSegmentPick(t *testing.T) {
 			}
 			drained++
 			if len(wantDst) > 0 {
-				_, first := want.codec.GlobalRankOf(wantDst[0])
-				_, last := want.codec.GlobalRankOf(wantDst[len(wantDst)-1])
-				if first != last {
+				first := want.codec.DecodeDSN(wantDst[0])
+				last := want.codec.DecodeDSN(wantDst[len(wantDst)-1])
+				if first.Rank != last.Rank {
 					switched++
 				}
 			}

@@ -1,10 +1,5 @@
 package dram
 
-import (
-	"math"
-	"math/bits"
-)
-
 // DPA is a DRAM device physical address: the post-translation address that
 // selects a (rank, channel, segment, offset) tuple inside the device.
 //
@@ -63,11 +58,6 @@ type AddressCodec struct {
 	rkMask   int64
 	idxMask  int64
 	bankMask int64
-
-	// chRecip and rankRecip are ⌊(2⁶⁴−1)/d⌋ for d = channels and d =
-	// channels × segments per (rank, channel): the reciprocals
-	// GlobalRankOf multiplies by instead of dividing.
-	chRecip, rankRecip uint64
 }
 
 // NewAddressCodec builds a codec for g.
@@ -91,9 +81,6 @@ func NewAddressCodec(g Geometry) (*AddressCodec, error) {
 		rkMask:   int64(g.RanksPerChannel) - 1,
 		idxMask:  segs - 1,
 		bankMask: int64(g.BanksPerRank) - 1,
-
-		chRecip:   math.MaxUint64 / uint64(g.Channels),
-		rankRecip: math.MaxUint64 / uint64(int64(g.Channels)*segs),
 	}, nil
 }
 
@@ -146,25 +133,6 @@ func (c *AddressCodec) decodeDSNDiv(v int64) Loc {
 		Index:   block % c.segsPerRkCh,
 		Rank:    int(block / c.segsPerRkCh),
 	}
-}
-
-// GlobalRankOf reports the channel and device-wide rank of segment s, what
-// DecodeDSN followed by GlobalRank gives, for the free and drain loops that
-// need nothing else. It divides by multiplying with a precomputed
-// reciprocal: for 0 ≤ v < 2³² and any d ≥ 1, the high word of
-// (v+1)·⌊(2⁶⁴−1)/d⌋ is exactly ⌊v/d⌋. Non-power-of-two geometries (12 GiB
-// ranks hold 6,144 segments) thus stay off the divider; DecodeDSN has no
-// inlining budget left for a third path. A DSN outside [0, 2³²) panics;
-// every segment of a device with fewer than 2³² segments is inside.
-func (c *AddressCodec) GlobalRankOf(s DSN) (channel, gr int) {
-	v := uint64(s)
-	if v >= 1<<32 {
-		panic("dram: GlobalRankOf of a DSN outside [0, 2^32)")
-	}
-	block, _ := bits.Mul64(v+1, c.chRecip)
-	rank, _ := bits.Mul64(v+1, c.rankRecip)
-	channel = int(v - block*uint64(c.channels))
-	return channel, int(rank)*c.geom.Channels + channel
 }
 
 // EncodeDSN is the inverse of DecodeDSN.

@@ -248,8 +248,7 @@ func TestFormatBytes(t *testing.T) {
 // with shifts and masks; it must agree with the div/mod decode on every DSN
 // in range and on random device addresses, negative and out-of-range ones
 // included. Other geometries (the 6-rank devices of Fig. 2, the 12 GiB ranks
-// of the power-down device) must keep the div/mod path. GlobalRankOf must
-// agree with the div/mod decode on every DSN of every geometry.
+// of the power-down device) must keep the div/mod path.
 func TestShiftDecodeMatchesDivMod(t *testing.T) {
 	small := Default1TB()
 	small.RankBytes = 2 * GiB
@@ -305,11 +304,6 @@ func TestShiftDecodeMatchesDivMod(t *testing.T) {
 			for s := int64(0); s < total; s++ {
 				off := (s * (rowBlock + 64)) & (tc.g.SegmentBytes - 1)
 				check(c.Compose(DSN(s), off), s)
-				l := c.decodeDSNDiv(s)
-				if ch, gr := c.GlobalRankOf(DSN(s)); ch != l.Channel || gr != c.GlobalRank(l.Channel, l.Rank) {
-					t.Fatalf("GlobalRankOf(%d) = (%d,%d), div/mod (%d,%d)",
-						s, ch, gr, l.Channel, c.GlobalRank(l.Channel, l.Rank))
-				}
 			}
 			bytes := tc.g.TotalBytes()
 			for i := 0; i < 100_000; i++ {
@@ -317,42 +311,5 @@ func TestShiftDecodeMatchesDivMod(t *testing.T) {
 				check(DPA(a), a>>c.segShift)
 			}
 		})
-	}
-}
-
-// TestGlobalRankOfReciprocalIsExact checks GlobalRankOf's reciprocal division
-// against div/mod up to the top of its range, 2³²−1, on channel and segment
-// counts that are not powers of two, and that it refuses DSNs outside
-// [0, 2³²).
-func TestGlobalRankOfReciprocalIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, g := range []Geometry{
-		{Channels: 3, RanksPerChannel: 5, BanksPerRank: 16, SegmentBytes: 2 * MiB, RankBytes: 12 * GiB},
-		{Channels: 6, RanksPerChannel: 8, BanksPerRank: 12, SegmentBytes: 4 * KiB, RankBytes: 7 * GiB},
-		{Channels: 1, RanksPerChannel: 1, BanksPerRank: 1, SegmentBytes: 1, RankBytes: 1},
-		Default1TB(),
-	} {
-		c := MustCodec(g)
-		probes := []int64{0, 1, 1<<32 - 1, 1<<32 - 2, 1<<31 + 1}
-		for i := 0; i < 100_000; i++ {
-			probes = append(probes, rng.Int63n(1<<32))
-		}
-		for _, v := range probes {
-			l := c.decodeDSNDiv(v)
-			if ch, gr := c.GlobalRankOf(DSN(v)); ch != l.Channel || gr != c.GlobalRank(l.Channel, l.Rank) {
-				t.Fatalf("%+v: GlobalRankOf(%d) = (%d,%d), div/mod (%d,%d)",
-					g, v, ch, gr, l.Channel, c.GlobalRank(l.Channel, l.Rank))
-			}
-		}
-		for _, v := range []DSN{-1, 1 << 32} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("%+v: GlobalRankOf(%d) did not panic", g, v)
-					}
-				}()
-				c.GlobalRankOf(v)
-			}()
-		}
 	}
 }
