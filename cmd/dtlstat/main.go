@@ -265,8 +265,8 @@ func cmdRead(args []string) int {
 		}
 	}
 
-	fmt.Printf("\nenergy proxy: %.4g (weight x us, standby=1.0 self-refresh=0.2 mpsm=0.068)\n",
-		s.EnergyProxy(nil))
+	fmt.Printf("\nenergy proxy: %s (weight x us, standby=1.0 self-refresh=0.2 mpsm=0.068)\n",
+		fmtEnergy(s.EnergyProxy(nil)))
 
 	if len(s.Points) > 0 {
 		fmt.Println("\nevents:")
@@ -289,6 +289,13 @@ func cmdRead(args []string) int {
 	}
 	return 0
 }
+
+// fmtEnergy prints an energy-proxy value to six significant digits, as
+// `top` does, for small traces (units) and full-scale ones (1e6 and up)
+// alike. Six digits resolve any two values whose shift prints nonzero at
+// diff's 0.01% resolution, so a nonzero delta never sits beside two
+// equal-looking values.
+func fmtEnergy(v float64) string { return fmt.Sprintf("%.6g", v) }
 
 // cmdDiff compares a baseline trace A against a candidate B.
 func cmdDiff(args []string) int {
@@ -372,7 +379,7 @@ func cmdDiff(args []string) int {
 	for _, p := range d.Percentiles {
 		fmt.Printf("  %-4s %8.1f us -> %8.1f us  (%+.1f%%)\n", p.Name, p.A, p.B, 100*p.Shift())
 	}
-	fmt.Printf("energy proxy: A %.4g  B %.4g  (%+.2f%%)\n", d.EnergyA, d.EnergyB, 100*d.EnergyDelta())
+	fmt.Printf("energy proxy: A %s  B %s  (%+.2f%%)\n", fmtEnergy(d.EnergyA), fmtEnergy(d.EnergyB), 100*d.EnergyDelta())
 
 	if len(d.Causes) > 0 {
 		fmt.Println("\nattribution (per cause):")
@@ -381,7 +388,7 @@ func cmdDiff(args []string) int {
 			ctab.AddRow(c.Cause,
 				fmt.Sprintf("%d", c.LatA), fmt.Sprintf("%d", c.LatB),
 				fmt.Sprintf("%+.1f%%", 100*c.LatShift()),
-				fmt.Sprintf("%.4g", c.EnergyA), fmt.Sprintf("%.4g", c.EnergyB),
+				fmtEnergy(c.EnergyA), fmtEnergy(c.EnergyB),
 				fmt.Sprintf("%+.1f%%", 100*c.EnergyShift()))
 		}
 		ctab.Render(os.Stdout)

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dtl/internal/telemetry"
 )
 
 // TestBarePathOrFlagIsUsageError: every command is spelled out, so a bare
@@ -117,6 +122,24 @@ func TestReadDiffGolden(t *testing.T) {
 		}
 		if out != string(want) {
 			t.Errorf("dtlstat %q drifted from %s\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, out, want)
+		}
+	}
+}
+
+// TestEnergyFormatResolvesPrintedDelta: wherever diff prints a nonzero
+// energy delta, the two values it prints beside it differ too, from
+// small-trace proxies of a few units to full-scale ones of 1e6 and up.
+func TestEnergyFormatResolvesPrintedDelta(t *testing.T) {
+	if a, b := fmtEnergy(1_234_567), fmtEnergy(1_234_567*1.0001); a == b {
+		t.Fatalf("a +0.01%% shift at full scale prints %s both sides", a)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		a := math.Pow(10, -3+15*rng.Float64())
+		b := a * (1 + (rng.Float64()-0.5)*4e-3)
+		d := (&telemetry.SummaryDiff{EnergyA: a, EnergyB: b}).EnergyDelta()
+		if p := fmt.Sprintf("%+.2f", 100*d); p != "+0.00" && p != "-0.00" && fmtEnergy(a) == fmtEnergy(b) {
+			t.Fatalf("A=%v B=%v print as %s beside a %s%% delta", a, b, fmtEnergy(a), p)
 		}
 	}
 }
