@@ -8,11 +8,14 @@ package dtl
 // per-rank power-down granularity.
 
 import (
+	"bufio"
+	"io"
 	"testing"
 
 	"dtl/internal/core"
 	"dtl/internal/dram"
 	"dtl/internal/experiments"
+	"dtl/internal/telemetry"
 	"dtl/internal/trace"
 )
 
@@ -237,7 +240,17 @@ func BenchmarkVMChurnDrain(b *testing.B) {
 // there, freeing the 36 GiB VM drains the 8 GiB VM's 4,096 segments into
 // the first group so the second powers down, and freeing the 8 GiB VM
 // restores the starting state.
+//
+// The bare sub-benchmark runs with no sink attached. The sinks one streams
+// JSONL into a buffered io.Discard and keeps a cost ledger, as the
+// schedule runners do, so each drain move also writes its migration and
+// attribution records and charges the ledger.
 func BenchmarkScheduleDrain(b *testing.B) {
+	b.Run("bare", func(b *testing.B) { benchScheduleDrain(b, false) })
+	b.Run("sinks", func(b *testing.B) { benchScheduleDrain(b, true) })
+}
+
+func benchScheduleDrain(b *testing.B, sinks bool) {
 	cfg := core.DefaultConfig(dram.Geometry{
 		Channels: 4, RanksPerChannel: 8, BanksPerRank: 16,
 		SegmentBytes: 2 * dram.MiB, RankBytes: 12 * dram.GiB,
@@ -250,6 +263,12 @@ func BenchmarkScheduleDrain(b *testing.B) {
 	// before the next one, so the migration queue stays short.
 	const step = Time(1_000_000_000)
 	now := Time(0)
+	var ts *telemetry.TraceStream
+	if sinks {
+		ts = telemetry.NewTraceStream(bufio.NewWriterSize(io.Discard, 64<<10))
+		dev.StartTrace(now).AttachStream(ts)
+		dev.Core().StartLedger()
+	}
 	if _, err := dev.AllocateVM(1, 0, 40*dram.GiB, now); err != nil {
 		b.Fatal(err)
 	}
@@ -276,6 +295,13 @@ func BenchmarkScheduleDrain(b *testing.B) {
 	b.StopTimer()
 	if got, want := dev.Stats().SegmentsMigrated, int64(b.N)*4096; got != want {
 		b.Fatalf("migrated %d segments over %d iterations, want %d", got, b.N, want)
+	}
+	// Each drain move writes a migration record and an attr record.
+	if err := ts.Err(); err != nil {
+		b.Fatal(err)
+	}
+	if sinks && ts.Rows() < 2*b.N*4096 {
+		b.Fatalf("streamed %d records over %d iterations, want at least %d", ts.Rows(), b.N, 2*b.N*4096)
 	}
 }
 

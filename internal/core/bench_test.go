@@ -145,7 +145,7 @@ func migratingAccessPath(tb testing.TB, perChannel int) func(i int) {
 			for n := len(ws); n < perChannel; n++ {
 				k := next[ch]
 				next[ch]++
-				d.mig.enqueueCopy(srcs[ch][k%len(srcs[ch])], dsts[ch][k%len(dsts[ch])], now, "bench")
+				copyDecoded(d, srcs[ch][k%len(srcs[ch])], dsts[ch][k%len(dsts[ch])], now, "bench")
 			}
 		}
 	}

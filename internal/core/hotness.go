@@ -363,7 +363,7 @@ func (h *hotness) applySwap(a, b dram.DSN, now sim.Time) {
 		d.revMap[a], d.revMap[b] = hb, ha
 		d.smc.invalidate(ha)
 		d.smc.invalidate(hb)
-		d.mig.enqueueSwap(a, b, now, "hotness-swap")
+		d.mig.enqueueSwap(la.Channel, gra, grb, a, b, now, "hotness-swap")
 		d.st.bytesMigrated.Add(2 * d.cfg.Geometry.SegmentBytes)
 	case ha != dsnFree: // move a -> b; slot a becomes free
 		d.segMap.set(ha, b)
@@ -374,7 +374,7 @@ func (h *hotness) applySwap(a, b dram.DSN, now sim.Time) {
 		d.free[gra].push(a)
 		d.allocated[grb]++
 		d.allocated[gra]--
-		d.mig.enqueueCopy(a, b, now, "hotness-move")
+		d.mig.enqueueCopy(la.Channel, grb, a, b, now, d.mig.copyTime(la.Channel, now), "hotness-move")
 		d.st.bytesMigrated.Add(d.cfg.Geometry.SegmentBytes)
 	default: // hb live: move b -> a; slot b becomes free
 		d.segMap.set(hb, a)
@@ -385,7 +385,7 @@ func (h *hotness) applySwap(a, b dram.DSN, now sim.Time) {
 		d.free[grb].push(b)
 		d.allocated[gra]++
 		d.allocated[grb]--
-		d.mig.enqueueCopy(b, a, now, "hotness-move")
+		d.mig.enqueueCopy(lb.Channel, gra, b, a, now, d.mig.copyTime(lb.Channel, now), "hotness-move")
 		d.st.bytesMigrated.Add(d.cfg.Geometry.SegmentBytes)
 	}
 }

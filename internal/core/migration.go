@@ -117,13 +117,11 @@ func (m *migrator) clearNamed(dsn dram.DSN) { m.named[dsn>>6] &^= 1 << (dsn & 63
 
 func (m *migrator) isNamed(dsn dram.DSN) bool { return m.named[dsn>>6]&(1<<(dsn&63)) != 0 }
 
-// enqueueCopy schedules the copy of one segment from src to dst (same
-// channel) using the channel's idle bandwidth; copies on a channel are
-// serialized behind each other.
-func (m *migrator) enqueueCopy(src, dst dram.DSN, now sim.Time, reason string) {
-	loc := m.d.codec.DecodeDSN(src)
-	ch := loc.Channel
-	dur := m.d.ctrl.MigrationTime(ch, m.d.cfg.Geometry.SegmentBytes, now)
+// enqueueCopy schedules the copy of one segment from src to dst on channel
+// ch, taking dur of the channel's idle bandwidth (the caller's
+// memctrl.MigrationTime at now); copies on a channel are serialized behind
+// each other. dstGR is dst's global rank, which the caller has decoded.
+func (m *migrator) enqueueCopy(ch, dstGR int, src, dst dram.DSN, now, dur sim.Time, reason string) {
 	start := now
 	if m.busyUntil[ch] > start {
 		start = m.busyUntil[ch]
@@ -151,16 +149,22 @@ func (m *migrator) enqueueCopy(src, dst dram.DSN, now sim.Time, reason string) {
 		// Charge the copy window (latency) and the active energy of moving
 		// one segment to the destination rank, attributed to the VM whose
 		// data is moving (SystemVM for unowned segments).
-		dloc := m.d.codec.DecodeDSN(dst)
-		gr := m.d.codec.GlobalRank(dloc.Channel, dloc.Rank)
 		vm := telemetry.SystemVM
 		if hsn := m.d.revMap[dst]; hsn != dsnFree {
 			vm = m.d.ownerOf(hsn)
 		} else if hsn := m.d.revMap[src]; hsn != dsnFree {
 			vm = m.d.ownerOf(hsn)
 		}
-		m.d.chargeSpan(vm, gr, causeForReason(reason), w.start, w.end, m.d.migEnergyPerSeg)
+		m.d.chargeSpan(vm, dstGR, causeForReason(reason), w.start, w.end, m.d.migEnergyPerSeg)
 	}
+}
+
+// copyTime is the duration of one segment copy on channel ch enqueued at
+// now. It reads only the controller's foreground bus time, which no copy
+// changes, so every copy enqueued at one now without a foreground access
+// between them takes the same value.
+func (m *migrator) copyTime(ch int, now sim.Time) sim.Time {
+	return m.d.ctrl.MigrationTime(ch, m.d.cfg.Geometry.SegmentBytes, now)
 }
 
 // causeForReason maps a migration reason tag to its attribution cause:
@@ -178,10 +182,12 @@ func causeForReason(reason string) telemetry.Cause {
 	}
 }
 
-// enqueueSwap schedules a bidirectional exchange (two segment copies).
-func (m *migrator) enqueueSwap(a, b dram.DSN, now sim.Time, reason string) {
-	m.enqueueCopy(a, b, now, reason)
-	m.enqueueCopy(b, a, now, reason)
+// enqueueSwap schedules a bidirectional exchange (two segment copies) of
+// slots a and b on channel ch, whose global ranks are grA and grB.
+func (m *migrator) enqueueSwap(ch, grA, grB int, a, b dram.DSN, now sim.Time, reason string) {
+	dur := m.copyTime(ch, now)
+	m.enqueueCopy(ch, grB, a, b, now, dur, reason)
+	m.enqueueCopy(ch, grA, b, a, now, dur, reason)
 }
 
 // completeUpTo retires windows that finished by now, verifying each copy
@@ -237,14 +243,15 @@ func (m *migrator) completeUpTo(now sim.Time) {
 				continue
 			}
 			loc := m.d.codec.DecodeDSN(r.dst)
-			nd, ok := m.d.takeDrainTargetOn(loc.Channel, loc.Rank)
+			nd, ngr, ok := m.d.takeDrainTargetOn(loc.Channel, loc.Rank)
 			if !ok {
 				// No healthy rank with free space on this channel; the data
 				// stays readable in degraded mode until retirement drains it.
 				m.stats.VerifyGiveups++
 				continue
 			}
-			m.d.moveSegment(r.dst, nd, now, "verify-reroute")
+			m.d.moveSegment(loc.Channel, m.d.codec.GlobalRank(loc.Channel, loc.Rank), ngr, r.dst, nd,
+				now, m.copyTime(loc.Channel, now), "verify-reroute")
 			nws := m.windows[ch]
 			nws[len(nws)-1].vretries = r.vretries + 1
 			m.stats.Reroutes++

@@ -8,6 +8,23 @@ import (
 	"dtl/internal/sim"
 )
 
+// copyDecoded enqueues a copy of src to dst with the channel, destination
+// rank and copy time enqueueCopy's callers supply, decoded from the DSNs.
+func copyDecoded(d *DTL, src, dst dram.DSN, now sim.Time, reason string) {
+	s, t := d.codec.DecodeDSN(src), d.codec.DecodeDSN(dst)
+	d.mig.enqueueCopy(s.Channel, d.codec.GlobalRank(t.Channel, t.Rank), src, dst,
+		now, d.mig.copyTime(s.Channel, now), reason)
+}
+
+// moveDecoded moves the live segment at src into the free slot dst, with
+// the channel, ranks and copy time moveSegment's callers supply, decoded
+// from the DSNs.
+func moveDecoded(d *DTL, src, dst dram.DSN, now sim.Time, reason string) {
+	s, t := d.codec.DecodeDSN(src), d.codec.DecodeDSN(dst)
+	d.moveSegment(s.Channel, d.codec.GlobalRank(s.Channel, s.Rank), d.codec.GlobalRank(t.Channel, t.Rank),
+		src, dst, now, d.mig.copyTime(s.Channel, now), reason)
+}
+
 // migSetup produces a DTL with an in-flight drain migration and returns the
 // HPA of a segment that is being migrated plus the time migration started.
 func migSetup(t *testing.T) (*DTL, dram.HPA, sim.Time) {
@@ -338,8 +355,8 @@ func TestWriteFilterIsExact(t *testing.T) {
 	}
 
 	// A fresh copy names the segment again, and writes conflict again.
-	d.mig.enqueueCopy(dsn, dsn+1, end+3, "test")
-	ref.mig.enqueueCopy(dsn, dsn+1, end+3, "test")
+	copyDecoded(d, dsn, dsn+1, end+3, "test")
+	copyDecoded(ref, dsn, dsn+1, end+3, "test")
 	if !d.mig.isNamed(dsn) || !d.mig.isNamed(dsn+1) {
 		t.Fatal("enqueue did not set the filter bits")
 	}

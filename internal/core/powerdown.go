@@ -165,7 +165,9 @@ func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 	// victim's (which is excluded); no rank changes state or fails. The
 	// target takeDrainTargetOn would pick therefore stays the strict
 	// maximum until its free queue runs dry, so it is picked once per run
-	// of moves rather than once per segment.
+	// of moves rather than once per segment. No foreground access runs
+	// between the moves, so every copy takes the same time.
+	dur := d.mig.copyTime(ch, now)
 	for i := 0; i < len(live); {
 		gr := d.drainTargetRank(ch, victim.Rank)
 		if gr < 0 {
@@ -173,7 +175,7 @@ func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 		}
 		for q := &d.free[gr]; i < len(live) && q.len() > 0; i++ {
 			d.allocated[gr]++
-			d.moveSegment(live[i], q.popFront(), now, reason)
+			d.moveSegment(ch, victimGR, gr, live[i], q.popFront(), now, dur, reason)
 			d.st.segmentsMigrated.Inc()
 		}
 	}
@@ -186,17 +188,17 @@ func (d *DTL) drainRank(victim dram.RankID, now sim.Time, reason string) {
 }
 
 // takeDrainTargetOn pops a free segment on channel ch from the rank
-// drainTargetRank picks, reporting false when there is none. Power-down
-// drains check capacity first (drainCapacityOn); the migration
-// verify-after-copy path uses it to re-route around a destination rank
-// that faulted mid-copy.
-func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, bool) {
+// drainTargetRank picks and returns it with that global rank, reporting
+// false when there is none. Power-down drains check capacity first
+// (drainCapacityOn); the migration verify-after-copy path uses it to
+// re-route around a destination rank that faulted mid-copy.
+func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, int, bool) {
 	gr := d.drainTargetRank(ch, exclude)
 	if gr < 0 {
-		return 0, false
+		return 0, -1, false
 	}
 	d.allocated[gr]++
-	return d.free[gr].popFront(), true
+	return d.free[gr].popFront(), gr, true
 }
 
 // drainTargetRank returns the global rank a drain on channel ch moves its
@@ -227,7 +229,9 @@ func (d *DTL) drainTargetRank(ch, exclude int) int {
 // moveSegment relocates the live segment at src into the free slot dst:
 // mapping tables are updated, the SMC entry invalidated, the source slot
 // returned to its free queue, and the copy charged to the migration engine.
-func (d *DTL) moveSegment(src, dst dram.DSN, now sim.Time, reason string) {
+// Both slots lie on channel ch; srcGR and dstGR are their global ranks and
+// dur the copy time (migrator.copyTime), all known to the caller.
+func (d *DTL) moveSegment(ch, srcGR, dstGR int, src, dst dram.DSN, now, dur sim.Time, reason string) {
 	hsn := d.revMap[src]
 	if hsn == dsnFree {
 		panic("core: moveSegment on free source")
@@ -240,13 +244,11 @@ func (d *DTL) moveSegment(src, dst dram.DSN, now sim.Time, reason string) {
 	d.revMap[src] = dsnFree
 	d.smc.invalidate(hsn)
 
-	srcLoc := d.codec.DecodeDSN(src)
-	srcGR := d.codec.GlobalRank(srcLoc.Channel, srcLoc.Rank)
 	d.free[srcGR].push(src)
 	d.allocated[srcGR]--
 
 	d.hot.onSegmentMoved(src, dst)
-	d.mig.enqueueCopy(src, dst, now, reason)
+	d.mig.enqueueCopy(ch, dstGR, src, dst, now, dur, reason)
 	d.st.bytesMigrated.Add(d.cfg.Geometry.SegmentBytes)
 }
 

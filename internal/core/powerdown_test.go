@@ -334,12 +334,12 @@ func TestDrainTargetReuseMatchesPerSegmentPick(t *testing.T) {
 					continue
 				}
 				srcs, hsns = append(srcs, src), append(hsns, got.revMap[src])
-				dst, ok := want.takeDrainTargetOn(ch, rk)
+				dst, _, ok := want.takeDrainTargetOn(ch, rk)
 				if !ok {
 					t.Fatalf("seed %d: reference ran out of drain targets", seed)
 				}
 				wantDst = append(wantDst, dst)
-				want.moveSegment(src, dst, now, reason)
+				moveDecoded(want, src, dst, now, reason)
 			}
 			got.drainRank(dram.RankID{Channel: ch, Rank: rk}, now, reason)
 			for i, hsn := range hsns {
@@ -361,6 +361,20 @@ func TestDrainTargetReuseMatchesPerSegmentPick(t *testing.T) {
 			if a, b := got.free[gr].items(), want.free[gr].items(); !slices.Equal(a, b) || got.allocated[gr] != want.allocated[gr] {
 				t.Fatalf("seed %d rank %d: free queue %v (allocated %d), per-segment pick %v (allocated %d)",
 					seed, gr, a, got.allocated[gr], b, want.allocated[gr])
+			}
+		}
+		// The drain's copy windows, with its one copy time and the ranks it
+		// passes down, match the reference's decoded per-move ones.
+		for ch := range got.mig.windows {
+			gw, ww := got.mig.windows[ch], want.mig.windows[ch]
+			if len(gw) != len(ww) || got.mig.busyNs[ch] != want.mig.busyNs[ch] {
+				t.Fatalf("seed %d channel %d: %d windows (busy %v), per-segment moves %d (busy %v)",
+					seed, ch, len(gw), got.mig.busyNs[ch], len(ww), want.mig.busyNs[ch])
+			}
+			for i := range gw {
+				if *gw[i] != *ww[i] {
+					t.Fatalf("seed %d channel %d: window %d is %+v, per-segment move %+v", seed, ch, i, *gw[i], *ww[i])
+				}
 			}
 		}
 		var a, b bytes.Buffer

@@ -75,12 +75,12 @@ func TestRetireWhileMigrationInFlightToVictim(t *testing.T) {
 	// the retirement drain must move the eagerly-remapped segment again and
 	// the stale in-flight window must complete harmlessly.
 	src, srcRank := liveDSNOn(t, d, 0)
-	dst, ok := d.takeDrainTargetOn(0, srcRank.Rank)
+	dst, _, ok := d.takeDrainTargetOn(0, srcRank.Rank)
 	if !ok {
 		t.Fatal("no drain target on channel 0")
 	}
 	start := sim.Time(1000)
-	d.moveSegment(src, dst, start, "test")
+	moveDecoded(d, src, dst, start, "test")
 	if d.Migrator().Outstanding() == 0 {
 		t.Fatal("setup: no in-flight migration")
 	}
@@ -114,12 +114,12 @@ func TestMigrationVerifyFailureReroutes(t *testing.T) {
 	wakeAllRanks(t, d, 0)
 
 	src, srcRank := liveDSNOn(t, d, 0)
-	dst, ok := d.takeDrainTargetOn(0, srcRank.Rank)
+	dst, _, ok := d.takeDrainTargetOn(0, srcRank.Rank)
 	if !ok {
 		t.Fatal("no drain target on channel 0")
 	}
 	start := sim.Time(1000)
-	d.moveSegment(src, dst, start, "test")
+	moveDecoded(d, src, dst, start, "test")
 	dstLoc := d.codec.DecodeDSN(dst)
 
 	// The destination rank dies while the copy is in flight: verify-after-
@@ -157,12 +157,12 @@ func TestMigrationVerifyGivesUpAtRetryLimit(t *testing.T) {
 	wakeAllRanks(t, d, 0)
 
 	src, srcRank := liveDSNOn(t, d, 0)
-	dst, ok := d.takeDrainTargetOn(0, srcRank.Rank)
+	dst, _, ok := d.takeDrainTargetOn(0, srcRank.Rank)
 	if !ok {
 		t.Fatal("no drain target on channel 0")
 	}
 	start := sim.Time(1000)
-	d.moveSegment(src, dst, start, "test")
+	moveDecoded(d, src, dst, start, "test")
 	// Pretend this segment already exhausted its verify retries.
 	w := d.mig.windows[0][len(d.mig.windows[0])-1]
 	w.vretries = d.cfg.MigrationRetryLimit

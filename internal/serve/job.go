@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"dtl/internal/experiments"
 	"dtl/internal/fault"
@@ -87,6 +88,13 @@ func (s JobSpec) normalized() (JobSpec, error) {
 	}
 	if _, err := telemetry.ParseTraceFormat(s.TraceFormat); err != nil {
 		return s, err
+	}
+	// A JSON body cannot carry invalid UTF-8, but a spec passed to Submit
+	// can, and its journal record would decode to a different spec.
+	for _, f := range [...]struct{ name, v string }{{"policy", s.Policy}, {"faults", s.Faults}, {"fabric", s.Fabric}} {
+		if !utf8.ValidString(f.v) {
+			return s, fmt.Errorf("%s is not valid UTF-8", f.name)
+		}
 	}
 	if _, err := experiments.ParsePolicy(s.Policy); err != nil {
 		return s, err

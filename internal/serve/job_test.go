@@ -62,3 +62,18 @@ func TestSpecValidatesRackFields(t *testing.T) {
 		t.Errorf("valid rack spec rejected: %v", err)
 	}
 }
+
+// TestSpecRejectsInvalidUTF8: a free-text field that is not valid UTF-8 is
+// refused at admission. JSON would carry it as U+FFFD, so the journaled
+// spec would hash to another digest than the one the job ran under.
+func TestSpecRejectsInvalidUTF8(t *testing.T) {
+	for _, spec := range []JobSpec{
+		{Experiment: "fig12", Quick: true, Policy: "reserve=3\xff"},
+		{Experiment: "faults", Quick: true, Faults: "storm:ch0/rk0\xff"},
+		{Experiment: "rack", Quick: true, Fabric: "policy=pack\xff"},
+	} {
+		if _, err := spec.normalized(); err == nil || !strings.Contains(err.Error(), "UTF-8") {
+			t.Errorf("%+v accepted (err %v)", spec, err)
+		}
+	}
+}

@@ -140,7 +140,13 @@ type Ledger struct {
 	// The pointer slice is allocated on the VM's first charge and a row on
 	// the first charge to its rank, so a VM that touches few of a rack's
 	// many ranks pays for those rows only.
-	cells   map[int64][]*[NumCauses]LedgerCell
+	cells map[int64][]*[NumCauses]LedgerCell
+	// lastVM's row slice is lastRows, so a run of charges to one VM (a
+	// drain moves one VM's segments in a row) looks in cells once. Only
+	// Charge writes cells, so the memo never goes stale.
+	lastVM   int64
+	lastRows []*[NumCauses]LedgerCell
+
 	byCause [NumCauses]LedgerCell
 	total   LedgerCell
 }
@@ -168,10 +174,13 @@ func (l *Ledger) Charge(vm int64, rank int, cause Cause, latNs int64, energy flo
 	if rank < -1 || rank >= l.cfg.Ranks {
 		panic(fmt.Sprintf("telemetry: ledger charge on rank %d of %d", rank, l.cfg.Ranks))
 	}
-	rows := l.cells[vm]
-	if rows == nil {
-		rows = make([]*[NumCauses]LedgerCell, l.cfg.Ranks+1)
-		l.cells[vm] = rows
+	rows := l.lastRows
+	if vm != l.lastVM || rows == nil {
+		if rows = l.cells[vm]; rows == nil {
+			rows = make([]*[NumCauses]LedgerCell, l.cfg.Ranks+1)
+			l.cells[vm] = rows
+		}
+		l.lastVM, l.lastRows = vm, rows
 	}
 	row := rows[rank+1]
 	if row == nil {

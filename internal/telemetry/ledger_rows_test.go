@@ -198,3 +198,39 @@ func TestLedgerChargeAllocatesOneRow(t *testing.T) {
 			best, bestMallocs, limit, ptrBytes, rowBytes)
 	}
 }
+
+// TestLedgerRowMemoFollowsVMChanges charges runs to VM 0 (the memo's zero
+// value), SystemVM, VM 0 again, VM 7 and then a VM never seen, checking
+// Snapshot after every run against a plain sum per (vm, rank, cause): a
+// memoized row slice that outlived its VM would put a run's charges on the
+// previous VM.
+func TestLedgerRowMemoFollowsVMChanges(t *testing.T) {
+	const ranks = 6
+	type key struct {
+		vm    int64
+		rank  int
+		cause Cause
+	}
+	l := NewLedger(LedgerConfig{Ranks: ranks})
+	ref := map[key]LedgerCell{}
+	rng := rand.New(rand.NewSource(3))
+	for step, vm := range []int64{0, SystemVM, 0, 7, 42} {
+		for i := 0; i < 5+rng.Intn(20); i++ {
+			k := key{vm: vm, rank: rng.Intn(ranks+1) - 1, cause: Cause(rng.Intn(NumCauses))}
+			lat, energy := int64(1+rng.Intn(1000)), rng.Float64()*100
+			l.Charge(k.vm, k.rank, k.cause, lat, energy)
+			c := ref[k]
+			c.LatNs += lat
+			c.Energy += energy
+			ref[k] = c
+		}
+		var want []LedgerEntry
+		for k, c := range ref {
+			want = append(want, LedgerEntry{VM: k.vm, Rank: k.rank, Cause: k.cause.String(), LatNs: c.LatNs, Energy: c.Energy})
+		}
+		sortEntries(want)
+		if got := l.Snapshot().Entries; !reflect.DeepEqual(got, want) {
+			t.Fatalf("after run %d (vm %d):\n got %+v\nwant %+v", step, vm, got, want)
+		}
+	}
+}

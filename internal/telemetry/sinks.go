@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,17 +94,14 @@ func ParseTraceFormat(s string) (TraceFormat, error) {
 //
 // Absent fields are omitted.
 
-func appendJSONField(buf []byte, name string, v int64) []byte {
-	buf = append(buf, ',', '"')
-	buf = append(buf, name...)
-	buf = append(buf, '"', ':')
+// appendJSONField appends key, a rendered `,"name":` field opening, and v.
+func appendJSONField(buf []byte, key string, v int64) []byte {
+	buf = append(buf, key...)
 	return strconv.AppendInt(buf, v, 10)
 }
 
-func appendJSONStringField(buf []byte, name, v string) []byte {
-	buf = append(buf, ',', '"')
-	buf = append(buf, name...)
-	buf = append(buf, '"', ':')
+func appendJSONStringField(buf []byte, key, v string) []byte {
+	buf = append(buf, key...)
 	return appendJSONString(buf, v)
 }
 
@@ -122,52 +120,76 @@ func appendJSONString(buf []byte, v string) []byte {
 	return append(buf, '"')
 }
 
-func appendJSONFloatField(buf []byte, name string, v float64) []byte {
-	buf = append(buf, ',', '"')
-	buf = append(buf, name...)
-	buf = append(buf, '"', ':')
-	return strconv.AppendFloat(buf, v, 'g', -1, 64)
-}
-
 // appendPowerJSONL renders one power span as a JSONL record.
 func appendPowerJSONL(buf []byte, rankName, stateName string, s PowerSpan) []byte {
 	buf = append(buf, `{"type":"power"`...)
-	buf = appendJSONField(buf, "rank", int64(s.Rank))
-	buf = appendJSONStringField(buf, "rank_name", rankName)
-	buf = appendJSONStringField(buf, "state", stateName)
-	buf = appendJSONField(buf, "start_ns", int64(s.Start))
-	buf = appendJSONField(buf, "end_ns", int64(s.End))
+	buf = appendJSONField(buf, `,"rank":`, int64(s.Rank))
+	buf = appendJSONStringField(buf, `,"rank_name":`, rankName)
+	buf = appendJSONStringField(buf, `,"state":`, stateName)
+	buf = appendJSONField(buf, `,"start_ns":`, int64(s.Start))
+	buf = appendJSONField(buf, `,"end_ns":`, int64(s.End))
 	return append(buf, '}', '\n')
 }
 
-// appendEventJSONL renders one structured event as a JSONL record.
-func appendEventJSONL(buf []byte, ev Event) []byte {
-	buf = append(buf, `{"type":`...)
-	buf = appendJSONString(buf, ev.Kind.String())
-	buf = appendJSONField(buf, "at_ns", int64(ev.At))
+// eventOpen is each known kind's record opening, `{"type":"<kind>","at_ns":`,
+// rendered once.
+var eventOpen = func() (open [numEventKinds]string) {
+	for k := range open {
+		open[k] = `{"type":` + string(appendJSONString(nil, EventKind(k).String())) + `,"at_ns":`
+	}
+	return open
+}()
+
+// appendEventJSONL renders one structured event as a JSONL record. The
+// stream remembers the last energy field it rendered, keyed by the value's
+// math.Float64bits (so 0 and -0, and NaN payloads, stay apart), and each
+// kind's last reason field, keyed by the reason string: a drain's
+// thousands of attr records carry one energy and one cause, and render
+// each once. A memo holds exactly the bytes the field renders to, so
+// records are unchanged.
+func (ts *TraceStream) appendEventJSONL(buf []byte, ev *Event) []byte {
+	if int(ev.Kind) < numEventKinds {
+		buf = append(buf, eventOpen[ev.Kind]...)
+	} else {
+		buf = append(buf, `{"type":`...)
+		buf = appendJSONString(buf, ev.Kind.String())
+		buf = append(buf, `,"at_ns":`...)
+	}
+	buf = strconv.AppendInt(buf, int64(ev.At), 10)
 	if ev.Dur != 0 {
-		buf = appendJSONField(buf, "dur_ns", int64(ev.Dur))
+		buf = appendJSONField(buf, `,"dur_ns":`, int64(ev.Dur))
 	}
 	if ev.Rank >= 0 {
-		buf = appendJSONField(buf, "rank", int64(ev.Rank))
+		buf = appendJSONField(buf, `,"rank":`, int64(ev.Rank))
 	}
 	if ev.Channel >= 0 {
-		buf = appendJSONField(buf, "channel", int64(ev.Channel))
+		buf = appendJSONField(buf, `,"channel":`, int64(ev.Channel))
 	}
 	switch ev.Kind {
 	case EvMigration:
-		buf = appendJSONField(buf, "src", ev.Src)
-		buf = appendJSONField(buf, "dst", ev.Dst)
+		buf = appendJSONField(buf, `,"src":`, ev.Src)
+		buf = appendJSONField(buf, `,"dst":`, ev.Dst)
 	case EvScrub:
-		buf = appendJSONField(buf, "segments", ev.Src)
+		buf = appendJSONField(buf, `,"segments":`, ev.Src)
 	case EvFault, EvStorm:
-		buf = appendJSONField(buf, "count", ev.Src)
+		buf = appendJSONField(buf, `,"count":`, ev.Src)
 	case EvAttr, EvLedger:
-		buf = appendJSONField(buf, "vm", ev.Src)
-		buf = appendJSONFloatField(buf, "energy", ev.Energy)
+		buf = appendJSONField(buf, `,"vm":`, ev.Src)
+		if bits := math.Float64bits(ev.Energy); bits != ts.energyBits || len(ts.energy) == 0 {
+			ts.energyBits = bits
+			ts.energy = strconv.AppendFloat(append(ts.energy[:0], `,"energy":`...), ev.Energy, 'g', -1, 64)
+		}
+		buf = append(buf, ts.energy...)
 	}
 	if ev.Reason != "" {
-		buf = appendJSONStringField(buf, "reason", ev.Reason)
+		// The field depends on the reason alone. A slot per kind keeps a
+		// drain's alternating migration and attr records both hitting.
+		m := &ts.reasons[int(ev.Kind)%len(ts.reasons)]
+		if ev.Reason != m.key { // a key is never "", so a fresh memo misses
+			m.key = ev.Reason
+			m.field = appendJSONString(append(m.field[:0], `,"reason":`...), ev.Reason)
+		}
+		buf = append(buf, m.field...)
 	}
 	return append(buf, '}', '\n')
 }

@@ -42,6 +42,9 @@ const (
 	EvLedger
 )
 
+// numEventKinds is the number of defined event kinds.
+const numEventKinds = int(EvLedger) + 1
+
 // String implements fmt.Stringer.
 func (k EventKind) String() string {
 	switch k {
@@ -218,7 +221,7 @@ func (t *Tracer) AttachStream(ts *TraceStream) {
 	t.stream = ts
 }
 
-func (t *Tracer) emit(ev Event) { t.stream.event(ev) }
+func (t *Tracer) emit(ev *Event) { t.stream.event(ev) }
 
 // Migration records one background segment copy on a channel over
 // [start, end), tagged with the engine that requested it.
@@ -226,7 +229,7 @@ func (t *Tracer) Migration(ch int, src, dst int64, reason string, start, end sim
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvMigration, At: start, Dur: end - start, Rank: -1, Channel: ch,
+	t.emit(&Event{Kind: EvMigration, At: start, Dur: end - start, Rank: -1, Channel: ch,
 		Src: src, Dst: dst, Reason: reason})
 }
 
@@ -235,7 +238,7 @@ func (t *Tracer) SMCMiss(at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvSMCMiss, At: at, Rank: -1, Channel: -1})
+	t.emit(&Event{Kind: EvSMCMiss, At: at, Rank: -1, Channel: -1})
 }
 
 // Wake records an access forcing a rank out of self-refresh, with the exit
@@ -244,7 +247,7 @@ func (t *Tracer) Wake(rank int, at, penalty sim.Time) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvWake, At: at, Dur: penalty, Rank: rank, Channel: -1})
+	t.emit(&Event{Kind: EvWake, At: at, Dur: penalty, Rank: rank, Channel: -1})
 }
 
 // Scrub records one patrol-scrubber run that visited segments segments.
@@ -252,7 +255,7 @@ func (t *Tracer) Scrub(at sim.Time, segments int64) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvScrub, At: at, Rank: -1, Channel: -1, Src: segments})
+	t.emit(&Event{Kind: EvScrub, At: at, Rank: -1, Channel: -1, Src: segments})
 }
 
 // WriteConflict records a foreground write hitting an in-flight migration.
@@ -260,7 +263,7 @@ func (t *Tracer) WriteConflict(ch int, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvWriteConflict, At: at, Rank: -1, Channel: ch})
+	t.emit(&Event{Kind: EvWriteConflict, At: at, Rank: -1, Channel: ch})
 }
 
 // Retire records a rank being permanently taken offline, tagged with the
@@ -269,7 +272,7 @@ func (t *Tracer) Retire(rank int, cause string, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvRetire, At: at, Rank: rank, Channel: -1, Reason: cause})
+	t.emit(&Event{Kind: EvRetire, At: at, Rank: rank, Channel: -1, Reason: cause})
 }
 
 // Fault records a device fault report. kind names the fault class and count
@@ -278,7 +281,7 @@ func (t *Tracer) Fault(rank int, kind string, count int64, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvFault, At: at, Rank: rank, Channel: -1, Src: count, Reason: kind})
+	t.emit(&Event{Kind: EvFault, At: at, Rank: rank, Channel: -1, Src: count, Reason: kind})
 }
 
 // Storm records the health monitor's storm detector tripping on a rank.
@@ -286,7 +289,7 @@ func (t *Tracer) Storm(rank int, level int64, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvStorm, At: at, Rank: rank, Channel: -1, Src: level})
+	t.emit(&Event{Kind: EvStorm, At: at, Rank: rank, Channel: -1, Src: level})
 }
 
 // RetireDeferred records an auto-retirement postponed because draining the
@@ -295,7 +298,7 @@ func (t *Tracer) RetireDeferred(rank int, cause string, backoff, at sim.Time) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvRetireDeferred, At: at, Dur: backoff, Rank: rank, Channel: -1, Reason: cause})
+	t.emit(&Event{Kind: EvRetireDeferred, At: at, Dur: backoff, Rank: rank, Channel: -1, Reason: cause})
 }
 
 // AttrSpan records one closed attribution span: the cost ledger charged
@@ -305,7 +308,7 @@ func (t *Tracer) AttrSpan(vm int64, rank int, cause string, start, end sim.Time,
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvAttr, At: start, Dur: end - start, Rank: rank, Channel: -1,
+	t.emit(&Event{Kind: EvAttr, At: start, Dur: end - start, Rank: rank, Channel: -1,
 		Src: vm, Reason: cause, Energy: energy})
 }
 
@@ -316,7 +319,7 @@ func (t *Tracer) LedgerCell(vm int64, rank int, cause string, latNs int64, energ
 	if t == nil {
 		return
 	}
-	t.emit(Event{Kind: EvLedger, At: at, Dur: sim.Time(latNs), Rank: rank, Channel: -1,
+	t.emit(&Event{Kind: EvLedger, At: at, Dur: sim.Time(latNs), Rank: rank, Channel: -1,
 		Src: vm, Reason: cause, Energy: energy})
 }
 

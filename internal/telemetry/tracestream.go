@@ -19,6 +19,17 @@ type TraceStream struct {
 	buf  []byte // reused row buffer
 	rows int
 	err  error
+
+	// Field memos of appendEventJSONL: the `,"energy":` field of the value
+	// whose math.Float64bits is energyBits (empty until the first one), and
+	// per event kind (modulo the defined ones) the `,"reason":` field of
+	// the reason string key.
+	energyBits uint64
+	energy     []byte
+	reasons    [numEventKinds]struct {
+		key   string
+		field []byte
+	}
 }
 
 // NewTraceStream builds a JSONL streaming sink writing to w. The caller
@@ -38,11 +49,11 @@ func (ts *TraceStream) span(t *Tracer, s PowerSpan) {
 }
 
 // event renders one structured event.
-func (ts *TraceStream) event(ev Event) {
+func (ts *TraceStream) event(ev *Event) {
 	if ts == nil || ts.err != nil {
 		return
 	}
-	ts.buf = appendEventJSONL(ts.buf[:0], ev)
+	ts.buf = ts.appendEventJSONL(ts.buf[:0], ev)
 	ts.write()
 }
 

@@ -2,9 +2,12 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -177,30 +180,141 @@ func TestTraceStreamWriteErrorIsSticky(t *testing.T) {
 }
 
 // TestTraceStreamSteadyStateDoesNotAllocate: per-record rendering reuses the
-// stream's buffer, matching the StreamSampler discipline.
+// stream's buffer, matching the StreamSampler discipline, and refilling the
+// energy and reason memos reuses theirs.
 func TestTraceStreamSteadyStateDoesNotAllocate(t *testing.T) {
 	ts := NewTraceStream(discardWriter{})
-	ev := Event{Kind: EvMigration, At: 100, Dur: 50, Rank: -1, Channel: 1, Src: 7, Dst: 9, Reason: "drain"}
-	ts.event(ev) // warm up: size the buffer
-	allocs := testing.AllocsPerRun(1000, func() { ts.event(ev) })
-	if allocs != 0 {
-		t.Fatalf("steady-state event allocates %.1f objects/op, want 0", allocs)
+	mig := Event{Kind: EvMigration, At: 100, Dur: 50, Rank: -1, Channel: 1, Src: 7, Dst: 9, Reason: "drain"}
+	attrs := [2]Event{
+		{Kind: EvAttr, At: 100, Dur: 50, Rank: 3, Channel: -1, Src: 5, Energy: 1.1534336e6, Reason: "demotion-wait"},
+		{Kind: EvAttr, At: 100, Dur: 50, Rank: 3, Channel: -1, Src: 5, Energy: 2.5, Reason: "migration-stall"},
+	}
+	for name, emit := range map[string]func(int){
+		"migration":        func(int) { ts.event(&mig) },
+		"alternating attr": func(i int) { ts.event(&attrs[i%2]) },
+	} {
+		emit(0) // warm up: size the buffer and both memo values
+		emit(1)
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() { emit(i); i++ })
+		if allocs != 0 {
+			t.Fatalf("steady-state %s event allocates %.1f objects/op, want 0", name, allocs)
+		}
 	}
 }
 
 // TestTracerEmitDoesNotAllocate: the tracer keeps no copy of what it
 // streams, so the hot emitters allocate nothing once the row buffer has
-// grown.
+// grown, even when every record refills the energy and reason memos.
 func TestTracerEmitDoesNotAllocate(t *testing.T) {
 	tr := testTracer(2)
 	tr.AttachStream(NewTraceStream(io.Discard))
+	alternate := 0
 	for name, emit := range map[string]func(){
 		"Migration": func() { tr.Migration(1, 7, 9, "hotness-swap", 100, 150) },
 		"AttrSpan":  func() { tr.AttrSpan(5, 1, "migration-copy", 100, 400, 2.5) },
+		"AttrSpan alternating": func() {
+			if alternate++; alternate%2 == 0 {
+				tr.AttrSpan(5, 1, "demotion-wait", 100, 400, 1.1534336e6)
+			} else {
+				tr.AttrSpan(-1, 0, "fault-retry", 100, 400, 0)
+			}
+		},
 	} {
+		emit() // warm up
+		emit()
 		emit() // warm up
 		if allocs := testing.AllocsPerRun(1000, emit); allocs != 0 {
 			t.Fatalf("Tracer.%s allocates %.1f objects/op, want 0", name, allocs)
+		}
+	}
+}
+
+// recordWriter keeps each Write as one row, so a test sees exactly what
+// the stream wrote per call.
+type recordWriter struct{ rows [][]byte }
+
+func (w *recordWriter) Write(p []byte) (int, error) {
+	w.rows = append(w.rows, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestEventEncoderMemosMatchFreshStream streams a long random sequence of
+// events of every kind, plus a kind the tracer does not define, through
+// one stream, whose energy and reason memos then hit, miss and refill in
+// every order. Each record must be exactly what a fresh stream renders for
+// that event alone, written by one Write, and its energy and reason must
+// decode back to the event's bits and string.
+func TestEventEncoderMemosMatchFreshStream(t *testing.T) {
+	energies := []float64{
+		0, math.Copysign(0, -1), 5e-324, 2.2250738585072e-310, 1e-7, 1e21,
+		1.1534336e6, 1.1534336e6, 2.5, -3.75, 0.1, 1 << 53,
+	}
+	reasons := []string{
+		"", "powerdown-drain", "demotion-wait", "hotness-swap",
+		`q"uote`, `back\slash`, "tab\there", "é",
+	}
+	kinds := make([]EventKind, 0, numEventKinds+1)
+	for k := 0; k < numEventKinds; k++ {
+		kinds = append(kinds, EventKind(k))
+	}
+	kinds = append(kinds, EventKind(200)) // rendered through the generic opening
+
+	rng := rand.New(rand.NewSource(1))
+	w := &recordWriter{}
+	ts := NewTraceStream(w)
+	var events []Event
+	var prev Event
+	for i := 0; i < 20000; i++ {
+		ev := Event{
+			Kind: kinds[rng.Intn(len(kinds))], At: sim.Time(rng.Int63n(1 << 40)),
+			Rank: rng.Intn(40) - 8, Channel: rng.Intn(12) - 4,
+			Src: rng.Int63n(1<<20) - 8, Dst: rng.Int63n(1 << 20),
+			Energy: energies[rng.Intn(len(energies))], Reason: reasons[rng.Intn(len(reasons))],
+		}
+		if rng.Intn(2) == 0 {
+			ev.Dur = sim.Time(rng.Int63n(1 << 30))
+		}
+		switch rng.Intn(4) {
+		case 0: // a random energy
+			ev.Energy = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+		case 1: // repeat the last energy and reason, as a drain's attr records do
+			ev.Energy, ev.Reason = prev.Energy, prev.Reason
+		}
+		prev = ev
+		events = append(events, ev)
+		ts.event(&ev)
+	}
+	if err := ts.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.rows) != len(events) || ts.Rows() != len(events) {
+		t.Fatalf("%d events made %d writes and %d rows", len(events), len(w.rows), ts.Rows())
+	}
+	for i := range events {
+		ev := &events[i]
+		var fresh bytes.Buffer
+		NewTraceStream(&fresh).event(ev)
+		if got := w.rows[i]; !bytes.Equal(got, fresh.Bytes()) {
+			t.Fatalf("event %d %+v:\n got %s\nwant %s", i, *ev, got, fresh.Bytes())
+		}
+		var rec struct {
+			Type   string   `json:"type"`
+			Energy *float64 `json:"energy"`
+			Reason string   `json:"reason"`
+		}
+		if err := json.Unmarshal(w.rows[i], &rec); err != nil {
+			t.Fatalf("event %d: %s: %v", i, w.rows[i], err)
+		}
+		if rec.Type != ev.Kind.String() || rec.Reason != ev.Reason {
+			t.Fatalf("event %d %+v decoded type %q reason %q", i, *ev, rec.Type, rec.Reason)
+		}
+		if hasEnergy := ev.Kind == EvAttr || ev.Kind == EvLedger; hasEnergy != (rec.Energy != nil) {
+			t.Fatalf("event %d %+v: energy field present = %v", i, *ev, rec.Energy != nil)
+		}
+		if rec.Energy != nil && math.Float64bits(*rec.Energy) != math.Float64bits(ev.Energy) {
+			t.Fatalf("event %d: energy %v (bits %#x) decoded as %v (bits %#x)", i,
+				ev.Energy, math.Float64bits(ev.Energy), *rec.Energy, math.Float64bits(*rec.Energy))
 		}
 	}
 }
