@@ -71,59 +71,33 @@ func TestConvertMatchesGoldensAndReadRefusesExports(t *testing.T) {
 	}
 }
 
-// TestReadDiffGolden pins the exact stdout and exit status of `dtlstat read`
-// on the two telemetry fixture streams and of `dtlstat diff` on the pair, in
-// text and -json, ungated, gated to fail, and misused. Regenerate with
-//
-//	go test ./cmd/dtlstat -run TestReadDiffGolden -update
+// TestReadDiffGolden pins the exact stdout, stderr and exit status of
+// `dtlstat read` on the two telemetry fixture streams and of `dtlstat diff`
+// on the pair, in text and -json, ungated, gated to fail, and misused.
 func TestReadDiffGolden(t *testing.T) {
 	const (
 		fixture = "../../internal/telemetry/testdata/fixture.stream.jsonl"
 		kinds   = "../../internal/telemetry/testdata/kinds.stream.jsonl"
 	)
-	for _, tc := range []struct {
-		golden string // empty: the command must print nothing to stdout
-		code   int
-		args   []string
-	}{
-		{"read_fixture.golden.txt", 0, []string{"read", fixture}},
-		{"read_fixture.golden.json", 0, []string{"read", "-json", fixture}},
-		{"read_kinds.golden.txt", 0, []string{"read", kinds}},
-		{"read_kinds.golden.json", 0, []string{"read", "-json", kinds}},
-		{"", 1, []string{"read", "testdata/missing.jsonl"}},
-		{"", 2, []string{"read", fixture, kinds}},
-		{"diff.golden.txt", 0, []string{"diff", fixture, kinds}},
-		{"diff.golden.json", 0, []string{"diff", "-json", fixture, kinds}},
-		{"diff_fail.golden.txt", 1, []string{"diff", "-share", "1e-9", "-energy", "1e-9", fixture, kinds}},
-		{"diff_fail.golden.json", 1, []string{"diff", "-json", "-share", "1e-9", "-energy", "1e-9", fixture, kinds}},
-		{"diff_pass.golden.txt", 0, []string{"diff", "-share", "1", "-lat", "100", "-energy", "100", "-attr", "100", fixture, fixture}},
-		{"", 2, []string{"diff", fixture}},
-	} {
-		out, code := runOut(t, tc.args...)
-		if code != tc.code {
-			t.Errorf("dtlstat %q exited %d, want %d", tc.args, code, tc.code)
-		}
-		if tc.golden == "" {
-			if out != "" {
-				t.Errorf("dtlstat %q printed %q, want nothing", tc.args, out)
-			}
-			continue
-		}
-		path := filepath.Join("testdata", tc.golden)
-		if *update {
-			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (regenerate with go test ./cmd/dtlstat -run TestReadDiffGolden -update)", err)
-		}
-		if out != string(want) {
-			t.Errorf("dtlstat %q drifted from %s\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, out, want)
-		}
-	}
+	const drift = "dtlstat: FAIL: aggregate self-refresh share drift -0.075 exceeds ±0.000\n" +
+		"dtlstat: FAIL: aggregate standby share drift +0.075 exceeds ±0.000\n" +
+		"dtlstat: FAIL: rank ch1/rk0 self-refresh share drift -0.500 exceeds ±0.000\n" +
+		"dtlstat: FAIL: rank ch1/rk0 standby share drift +0.500 exceeds ±0.000\n" +
+		"dtlstat: FAIL: energy proxy drift +8.69% exceeds ±0.00%\n"
+	runGoldens(t, nil, []goldenCase{
+		{"read_fixture.golden.txt", 0, "", []string{"read", fixture}},
+		{"read_fixture.golden.json", 0, "", []string{"read", "-json", fixture}},
+		{"read_kinds.golden.txt", 0, "", []string{"read", kinds}},
+		{"read_kinds.golden.json", 0, "", []string{"read", "-json", kinds}},
+		{"", 1, "dtlstat: open testdata/missing.jsonl: no such file or directory\n", []string{"read", "testdata/missing.jsonl"}},
+		{"", 2, "", []string{"read", fixture, kinds}},
+		{"diff.golden.txt", 0, "", []string{"diff", fixture, kinds}},
+		{"diff.golden.json", 0, "", []string{"diff", "-json", fixture, kinds}},
+		{"diff_fail.golden.txt", 1, drift, []string{"diff", "-share", "1e-9", "-energy", "1e-9", fixture, kinds}},
+		{"diff_fail.golden.json", 1, "", []string{"diff", "-json", "-share", "1e-9", "-energy", "1e-9", fixture, kinds}},
+		{"diff_pass.golden.txt", 0, "", []string{"diff", "-share", "1", "-lat", "100", "-energy", "100", "-attr", "100", fixture, fixture}},
+		{"", 2, "", []string{"diff", fixture}},
+	})
 }
 
 // TestEnergyFormatResolvesPrintedDelta: wherever diff prints a nonzero

@@ -12,7 +12,7 @@ import (
 
 // update regenerates the golden files instead of comparing against them:
 //
-//	go test ./cmd/dtlstat -run TestTopJSONGolden -update
+//	go test ./cmd/dtlstat -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixtureLedger charges one cell per cause — including the rack fabric pair —
@@ -48,24 +48,40 @@ func fixtureLedger(t *testing.T) string {
 	return path
 }
 
-// runOut invokes run with stdout captured in a file, so output of any size
-// cannot block on a pipe.
+// runOut invokes run and returns its stdout and exit status.
 func runOut(t *testing.T, args ...string) (string, int) {
 	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "stdout")
-	if err != nil {
-		t.Fatal(err)
+	out, _, code := runStd(t, args...)
+	return out, code
+}
+
+// runStd invokes run with stdout and stderr each captured in a file, so
+// output of any size cannot block on a pipe.
+func runStd(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	dir := t.TempDir()
+	capture := func(name string) *os.File {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
-	defer f.Close()
-	old := os.Stdout
-	os.Stdout = f
-	code := run(args)
-	os.Stdout = old
-	out, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
+	outF, errF := capture("stdout"), capture("stderr")
+	defer outF.Close()
+	defer errF.Close()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	code = run(args)
+	os.Stdout, os.Stderr = oldOut, oldErr
+	read := func(f *os.File) string {
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	return string(out), code
+	return read(outF), read(errF), code
 }
 
 // TestTopJSONGolden pins the exact `dtlstat top -json` bytes for a ledger
