@@ -259,8 +259,18 @@ func parseClause(s string) (Clause, error) {
 			return Clause{}, fmt.Errorf("fault: bad channel %q in clause %q (want chN)", rank, s)
 		}
 		c.Rank = dram.RankID{Channel: n, Rank: WholeChannel}
-	} else if _, err := fmt.Sscanf(rank, "ch%d/rk%d", &c.Rank.Channel, &c.Rank.Rank); err != nil {
-		return Clause{}, fmt.Errorf("fault: bad rank %q in clause %q (want chN/rkM)", rank, s)
+	} else {
+		// Each number must run to the end of its field: "ch0/rk0zz" is a
+		// typo, not rank 0.
+		chs, rks, ok := strings.Cut(rank, "/")
+		chs, okCh := strings.CutPrefix(strings.TrimSpace(chs), "ch")
+		rks, okRk := strings.CutPrefix(strings.TrimSpace(rks), "rk")
+		ch, errCh := strconv.Atoi(strings.TrimSpace(chs))
+		rk, errRk := strconv.Atoi(strings.TrimSpace(rks))
+		if !ok || !okCh || !okRk || errCh != nil || errRk != nil {
+			return Clause{}, fmt.Errorf("fault: bad rank %q in clause %q (want chN/rkM)", rank, s)
+		}
+		c.Rank = dram.RankID{Channel: ch, Rank: rk}
 	}
 
 	if len(fields) == 3 {

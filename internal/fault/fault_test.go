@@ -83,6 +83,40 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsTrailingRankBytes: a rank target ends at its rank
+// digits; anything after them is a typo to refuse, not to drop.
+func TestParseRejectsTrailingRankBytes(t *testing.T) {
+	for _, s := range []string{
+		"storm:ch0/rk0zz",
+		"storm:ch0/rk0\xff",
+		"kill:ch1/rk2x:at=1h",
+		"ce:ch0/rk0/rk1",
+		"ce:ch0x/rk0",
+		"ue:x1/ch0/rk0zz",
+		"ce:ch0",
+		"ce:ch0/",
+	} {
+		if spec, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) = %+v, want an error", s, spec)
+		}
+	}
+	for s, want := range map[string]dram.RankID{
+		"kill:ch1/rk2:at=1h":  {Channel: 1, Rank: 2},
+		"storm: ch3/rk10 ":    {Channel: 3, Rank: 10},
+		"ue:x1/ch0/rk7":       {Channel: 0, Rank: 7},
+		"ce:ch 2/rk 1:rate=5": {Channel: 2, Rank: 1},
+	} {
+		spec, err := Parse(s)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", s, err)
+			continue
+		}
+		if got := spec.Clauses[0].Rank; got != want {
+			t.Errorf("Parse(%q) rank = %+v, want %+v", s, got, want)
+		}
+	}
+}
+
 func TestMustParsePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

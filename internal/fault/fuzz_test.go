@@ -1,6 +1,10 @@
 package fault
 
-import "testing"
+import (
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // maxFuzzExpanderSweep bounds the dense ForExpander sweep below; past it the
 // fuzzer checks the expanders the clauses name, which is where every clause
@@ -11,7 +15,8 @@ const maxFuzzExpanderSweep = 1024
 // panic; for a spec it accepts, MaxExpander and ForExpander must not panic
 // either, and the per-expander projections must partition the clauses:
 // every clause lands on exactly one expander (unscoped ones on expander 0),
-// and comes out unscoped. The seed corpus under testdata/fuzz/FuzzParse holds
+// and comes out unscoped. An accepted rank target carries nothing after its
+// rank digits. The seed corpus under testdata/fuzz/FuzzParse holds
 // the specs of this package's tests and the README.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
@@ -53,6 +58,26 @@ func FuzzParse(f *testing.F) {
 		}
 		if projected != len(spec.Clauses) {
 			t.Fatalf("Parse(%q): expander projections hold %d clauses, spec has %d", s, projected, len(spec.Clauses))
+		}
+		i := 0
+		for _, raw := range strings.Split(s, ";") {
+			part := strings.TrimSpace(raw)
+			if part == "" || strings.HasPrefix(part, "seed=") {
+				continue
+			}
+			c := spec.Clauses[i]
+			i++
+			if c.Kind == PSU {
+				continue
+			}
+			target := strings.TrimSpace(strings.SplitN(part, ":", 3)[1])
+			j := strings.LastIndex(target, "rk")
+			if j < 0 {
+				t.Fatalf("Parse(%q) accepted rank target %q without rk", s, target)
+			}
+			if n, err := strconv.Atoi(strings.TrimSpace(target[j+2:])); err != nil || n != c.Rank.Rank {
+				t.Fatalf("Parse(%q) read rank %d from target %q", s, c.Rank.Rank, target)
+			}
 		}
 	})
 }
