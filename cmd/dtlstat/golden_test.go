@@ -93,6 +93,18 @@ func TestReadCheckAndExpandersGolden(t *testing.T) {
 	})
 }
 
+// TestReadIgnoresMapOrder pins `read -json` of two ranks whose states hold
+// 0.1, 0.2 and 0.3 us. Summed in Go map order, the rank totals and the
+// energy proxy printed a different last digit from run to run; the fixed
+// summation order prints one set of bytes.
+func TestReadIgnoresMapOrder(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		runGoldens(t, nil, []goldenCase{
+			{"read_order.golden.json", 0, "", []string{"read", "-json", "testdata/order.stream.jsonl"}},
+		})
+	}
+}
+
 // TestTopTextGolden pins the text tables of `dtlstat top`, which only its
 // -json form had pinned; the ledger's temp path is templated out.
 func TestTopTextGolden(t *testing.T) {

@@ -71,20 +71,6 @@ func normalizeAddr(addr string) string {
 	return strings.TrimRight(addr, "/")
 }
 
-// stageSeconds extracts one stage's total seconds from a snapshot (0 when
-// the stage never ran).
-func stageSeconds(tl *obs.TimelineSnapshot, stage string) float64 {
-	if tl == nil {
-		return 0
-	}
-	for _, st := range tl.Stages {
-		if st.Stage == stage {
-			return st.Seconds
-		}
-	}
-	return 0
-}
-
 // cmdJobs lists the daemon's jobs with wall-clock stage breakdowns.
 func cmdJobs(args []string) int {
 	fs := flag.NewFlagSet("dtlstat jobs", flag.ExitOnError)
@@ -107,16 +93,12 @@ func cmdJobs(args []string) int {
 	}
 	var jobs []jobRow
 	if err := getJSON(url, &jobs); err != nil {
-		fmt.Fprintln(os.Stderr, "dtlstat:", err)
-		return 1
+		return fail(err)
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "dtlstat:", err)
-			return 1
+		if err := printJSON(jobs); err != nil {
+			return fail(err)
 		}
 		return 0
 	}
@@ -128,11 +110,13 @@ func cmdJobs(args []string) int {
 	tab := metrics.NewTable("job", "state", "experiment", "submitted", "wall_s", "queued_s", "running_s", "commit_s", "arts")
 	for _, j := range jobs {
 		wall, queued, running, commit := "-", "-", "-", "-"
-		if j.Timeline != nil {
-			wall = fmt.Sprintf("%.3f", j.Timeline.WallSeconds)
-			queued = fmt.Sprintf("%.3f", stageSeconds(j.Timeline, "queued"))
-			running = fmt.Sprintf("%.3f", stageSeconds(j.Timeline, "running"))
-			commit = fmt.Sprintf("%.3f", stageSeconds(j.Timeline, "artifact-commit"))
+		if tl := j.Timeline; tl != nil {
+			seconds := func(stage string) string {
+				st, _ := tl.StageStat(stage) // zero when the stage never ran
+				return fmt.Sprintf("%.3f", st.Seconds)
+			}
+			wall = fmt.Sprintf("%.3f", tl.WallSeconds)
+			queued, running, commit = seconds("queued"), seconds("running"), seconds("artifact-commit")
 		}
 		exp := j.Spec.Experiment
 		if j.Error != "" {
@@ -179,12 +163,7 @@ func (c *checkFlags) Set(s string) error {
 
 // eval gates one check against the snapshot's per-stage span samples.
 func (c stageCheck) eval(tl *obs.TimelineSnapshot) error {
-	var samples []float64
-	for _, sp := range tl.Spans {
-		if sp.Stage == c.stage {
-			samples = append(samples, float64(sp.DurUs)/1e6)
-		}
-	}
+	samples := tl.StageSpanSeconds(c.stage)
 	if len(samples) == 0 {
 		return fmt.Errorf("stage %q has no spans in this timeline", c.stage)
 	}
@@ -258,16 +237,12 @@ func cmdTimeline(args []string) int {
 
 	tl, err := loadTimeline(path, *addr, *job)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtlstat:", err)
-		return 1
+		return fail(err)
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(tl); err != nil {
-			fmt.Fprintln(os.Stderr, "dtlstat:", err)
-			return 1
+		if err := printJSON(tl); err != nil {
+			return fail(err)
 		}
 	} else {
 		renderTimeline(os.Stdout, tl)

@@ -58,6 +58,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -111,6 +112,19 @@ and csv exports from one. 'top' also accepts the attribution ledger JSON
 written by dtlsim -ledger.
 'jobs' and 'timeline' talk to a live dtlserved; 'timeline' also reads the
 timeline.json artifact every finished job carries.`)
+}
+
+// fail reports err on stderr and returns exit status 1.
+func fail(err error) int {
+	fmt.Fprintln(os.Stderr, "dtlstat:", err)
+	return 1
+}
+
+// printJSON writes v to stdout as indented JSON.
+func printJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // loadSummary opens and summarizes one JSONL trace file. Empty,
@@ -173,121 +187,186 @@ func cmdRead(args []string) int {
 
 	s, err := loadSummary(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtlstat:", err)
-		return 1
+		return fail(err)
 	}
 	if len(s.Residency) == 0 {
 		fmt.Fprintln(os.Stderr, "dtlstat: no power spans in trace")
 		return 1
 	}
 
-	ranks := s.Ranks()
-	states := stateColumns(s)
-
-	var expRows []expanderResidency
-	if *expanders > 0 {
-		expRows, err = splitByExpander(s, ranks, states, *expanders)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtlstat:", err)
-			return 1
-		}
-	} else if *expanders < 0 {
+	if *expanders < 0 {
 		fmt.Fprintf(os.Stderr, "dtlstat: -expanders %d: want a positive count\n", *expanders)
 		return 2
 	}
-
+	rep, err := buildReadReport(s, *expanders)
+	if err != nil {
+		return fail(err)
+	}
 	if *jsonOut {
-		agg, aggTotal := aggregateResidency(s, ranks, states)
-		if err := writeReadJSON(s, ranks, states, agg, aggTotal, expRows); err != nil {
-			fmt.Fprintln(os.Stderr, "dtlstat:", err)
-			return 1
+		if err := printJSON(rep); err != nil {
+			return fail(err)
 		}
-		if *check != "" {
-			if err := checkBand(*check, agg, aggTotal); err != nil {
-				fmt.Fprintln(os.Stderr, "dtlstat:", err)
-				return 1
-			}
-		}
+	} else {
+		rep.render(os.Stdout)
+	}
+	if *check == "" {
 		return 0
 	}
-
-	fmt.Printf("power-state residency (%d ranks, run %.3f s)\n\n",
-		len(ranks), s.RankDuration(ranks[0])/1e6)
-	header := append([]string{"rank"}, states...)
-	tab := metrics.NewTable(append(header, "total_s")...)
-	for _, rank := range ranks {
-		total := s.RankDuration(rank)
-		cells := []string{s.RankLabel(rank)}
-		for _, st := range states {
-			cells = append(cells, sharePct(s.Residency[rank][st], total))
-		}
-		cells = append(cells, fmt.Sprintf("%.3f", total/1e6))
-		tab.AddRow(cells...)
+	if err := checkBand(*check, rep.all.fold); err != nil {
+		return fail(err)
 	}
-	agg, aggTotal := aggregateResidency(s, ranks, states)
-	cells := []string{"ALL"}
-	for _, st := range states {
-		cells = append(cells, sharePct(agg[st], aggTotal))
-	}
-	cells = append(cells, fmt.Sprintf("%.3f", aggTotal/1e6))
-	tab.AddRow(cells...)
-	tab.Render(os.Stdout)
-
-	if len(expRows) > 0 {
-		fmt.Printf("\nper-expander residency (%d expanders):\n", len(expRows))
-		etab := metrics.NewTable(append(append([]string{"expander", "ranks"}, states...), "total_s")...)
-		for _, er := range expRows {
-			cells := []string{fmt.Sprintf("x%d", er.Expander), fmt.Sprintf("%d", er.Ranks)}
-			for _, st := range states {
-				cells = append(cells, sharePct(er.residencyUs[st], er.totalUs))
-			}
-			cells = append(cells, fmt.Sprintf("%.3f", er.totalUs/1e6))
-			etab.AddRow(cells...)
-		}
-		etab.Render(os.Stdout)
-	}
-
-	fmt.Printf("\nmigrations: %d", len(s.MigrationsUs))
-	if len(s.MigrationsUs) > 0 {
-		sum := metrics.Summarize(s.MigrationsUs)
-		fmt.Printf("  latency us: P50 %.1f  P95 %.1f  P99 %.1f  max %.1f",
-			sum.P50, sum.P95, sum.P99, sum.Max)
-	}
-	fmt.Println()
-	if len(s.MigrationReasons) > 0 {
-		reasons := make([]string, 0, len(s.MigrationReasons))
-		for r := range s.MigrationReasons {
-			reasons = append(reasons, r)
-		}
-		sort.Strings(reasons)
-		for _, r := range reasons {
-			fmt.Printf("  %-18s %d\n", r, s.MigrationReasons[r])
-		}
-	}
-
-	fmt.Printf("\nenergy proxy: %s (weight x us, standby=1.0 self-refresh=0.2 mpsm=0.068)\n",
-		fmtEnergy(s.EnergyProxy(nil)))
-
-	if len(s.Points) > 0 {
-		fmt.Println("\nevents:")
-		names := make([]string, 0, len(s.Points))
-		for n := range s.Points {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Printf("  %-18s %d\n", n, s.Points[n])
-		}
-	}
-
-	if *check != "" {
-		if err := checkBand(*check, agg, aggTotal); err != nil {
-			fmt.Fprintln(os.Stderr, "dtlstat:", err)
-			return 1
-		}
+	if !*jsonOut {
 		fmt.Printf("\nresidency band check against %s: PASS\n", *check)
 	}
 	return 0
+}
+
+// readReport is one trace's `read` summary: the -json shape, and what the
+// text tables render.
+type readReport struct {
+	Ranks       []rankResidency         `json:"ranks"`
+	Aggregate   map[string]float64      `json:"aggregate_shares"`
+	Expanders   []expanderResidency     `json:"expanders,omitempty"`
+	Migrations  int                     `json:"migrations"`
+	LatencyUs   *metrics.Summary        `json:"migration_latency_us,omitempty"`
+	Reasons     map[string]int          `json:"migration_reasons,omitempty"`
+	EnergyProxy float64                 `json:"energy_proxy"`
+	Events      map[string]int          `json:"events,omitempty"`
+	Attribution []telemetry.LedgerEntry `json:"attribution,omitempty"`
+
+	states []string  // residency columns, stateColumns order
+	all    residency // the device-wide fold behind Aggregate
+}
+
+// residency is one fold of residency (a rank, an expander or the device)
+// as it is printed: its total in seconds and each state's share.
+type residency struct {
+	TotalS float64            `json:"total_s"`
+	Shares map[string]float64 `json:"shares"`
+
+	fold telemetry.StateTime
+}
+
+func newResidency(fold telemetry.StateTime, states []string) residency {
+	return residency{TotalS: fold.Total / 1e6, Shares: fold.Shares(states), fold: fold}
+}
+
+// rankResidency is one rank's residency.
+type rankResidency struct {
+	Rank  int    `json:"rank"`
+	Label string `json:"label"`
+	residency
+}
+
+// expanderResidency is one expander's fold of the rack-global rank axis.
+type expanderResidency struct {
+	Expander int `json:"expander"`
+	Ranks    int `json:"ranks"`
+	residency
+}
+
+// buildReadReport summarizes s for `read`, with one row per expander when
+// expanders > 0.
+func buildReadReport(s *telemetry.TraceSummary, expanders int) (*readReport, error) {
+	ranks := s.Ranks()
+	states := stateColumns(s)
+	rep := &readReport{
+		Migrations:  len(s.MigrationsUs),
+		Reasons:     s.MigrationReasons,
+		EnergyProxy: s.EnergyProxy(),
+		Events:      s.Points,
+		Attribution: s.Attribution,
+		states:      states,
+		all:         newResidency(s.Fold(ranks...), states),
+	}
+	rep.Aggregate = rep.all.Shares
+	for _, rank := range ranks {
+		rep.Ranks = append(rep.Ranks, rankResidency{rank, s.RankLabel(rank), newResidency(s.Fold(rank), states)})
+	}
+	if expanders > 0 {
+		var err error
+		if rep.Expanders, err = splitByExpander(s, ranks, states, expanders); err != nil {
+			return nil, err
+		}
+	}
+	if len(s.MigrationsUs) > 0 {
+		sum := metrics.Summarize(s.MigrationsUs)
+		rep.LatencyUs = &sum
+	}
+	return rep, nil
+}
+
+// render writes the report as text tables.
+func (rep *readReport) render(w io.Writer) {
+	fmt.Fprintf(w, "power-state residency (%d ranks, run %.3f s)\n\n", len(rep.Ranks), rep.Ranks[0].TotalS)
+	tab := metrics.NewTable(append(append([]string{"rank"}, rep.states...), "total_s")...)
+	for _, r := range rep.Ranks {
+		tab.AddRow(r.row(rep.states, r.Label)...)
+	}
+	tab.AddRow(rep.all.row(rep.states, "ALL")...)
+	tab.Render(w)
+
+	if len(rep.Expanders) > 0 {
+		fmt.Fprintf(w, "\nper-expander residency (%d expanders):\n", len(rep.Expanders))
+		etab := metrics.NewTable(append(append([]string{"expander", "ranks"}, rep.states...), "total_s")...)
+		for _, er := range rep.Expanders {
+			etab.AddRow(er.row(rep.states, fmt.Sprintf("x%d", er.Expander), fmt.Sprintf("%d", er.Ranks))...)
+		}
+		etab.Render(w)
+	}
+
+	fmt.Fprintf(w, "\nmigrations: %d", rep.Migrations)
+	if sum := rep.LatencyUs; sum != nil {
+		fmt.Fprintf(w, "  latency us: P50 %.1f  P95 %.1f  P99 %.1f  max %.1f",
+			sum.P50, sum.P95, sum.P99, sum.Max)
+	}
+	fmt.Fprintln(w)
+	for _, r := range sortedKeys(rep.Reasons) {
+		fmt.Fprintf(w, "  %-18s %d\n", r, rep.Reasons[r])
+	}
+
+	fmt.Fprintf(w, "\nenergy proxy: %s (weight x us, standby=1.0 self-refresh=0.2 mpsm=0.068)\n",
+		fmtEnergy(rep.EnergyProxy))
+
+	if len(rep.Events) > 0 {
+		fmt.Fprintln(w, "\nevents:")
+		for _, n := range sortedKeys(rep.Events) {
+			fmt.Fprintf(w, "  %-18s %d\n", n, rep.Events[n])
+		}
+	}
+}
+
+// row renders r as a table row: the key cells, each state's share ("0%"
+// for a state never entered), and the total in seconds.
+func (r residency) row(states []string, keys ...string) []string {
+	cells := keys
+	for _, st := range states {
+		if us := r.fold.Us[st]; us == 0 && r.fold.Total > 0 {
+			cells = append(cells, "0%")
+		} else {
+			cells = append(cells, sharePct(us, r.fold.Total))
+		}
+	}
+	return append(cells, fmt.Sprintf("%.3f", r.TotalS))
+}
+
+// sharePct renders part as a percentage of total, "-" when total is not
+// positive.
+func sharePct(part, total float64) string {
+	if total <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f%%", 100*part/total)
+}
+
+// sortedKeys lists a map's keys in order, for stable rendering.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // fmtEnergy prints an energy-proxy value to six significant digits, as
@@ -317,21 +396,19 @@ func cmdDiff(args []string) int {
 
 	a, err := loadSummary(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtlstat:", err)
-		return 1
+		return fail(err)
 	}
 	b, err := loadSummary(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtlstat:", err)
-		return 1
+		return fail(err)
 	}
 
 	d := telemetry.DiffSummaries(a, b)
 	tol := telemetry.DiffTolerance{Share: *share, LatFrac: *lat, EnergyFrac: *energy, AttrFrac: *attr}
 	gated := tol.Share > 0 || tol.LatFrac > 0 || tol.EnergyFrac > 0 || tol.AttrFrac > 0
+	bad := d.Check(tol)
 
 	if *jsonOut {
-		bad := d.Check(tol)
 		wrapper := struct {
 			A          string                 `json:"a"`
 			B          string                 `json:"b"`
@@ -342,11 +419,8 @@ func cmdDiff(args []string) int {
 		if wrapper.Violations == nil {
 			wrapper.Violations = []string{}
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(wrapper); err != nil {
-			fmt.Fprintln(os.Stderr, "dtlstat:", err)
-			return 1
+		if err := printJSON(wrapper); err != nil {
+			return fail(err)
 		}
 		if len(bad) > 0 {
 			return 1
@@ -395,19 +469,13 @@ func cmdDiff(args []string) int {
 	}
 
 	if len(d.Points) > 0 {
-		names := make([]string, 0, len(d.Points))
-		for n := range d.Points {
-			names = append(names, n)
-		}
-		sort.Strings(names)
 		fmt.Println("events:")
-		for _, n := range names {
+		for _, n := range sortedKeys(d.Points) {
 			c := d.Points[n]
 			fmt.Printf("  %-18s A %-8d B %-8d (%+d)\n", n, c[0], c[1], c[1]-c[0])
 		}
 	}
 
-	bad := d.Check(tol)
 	if len(bad) > 0 {
 		fmt.Println()
 		for _, v := range bad {
@@ -419,31 +487,6 @@ func cmdDiff(args []string) int {
 		fmt.Println("\ntolerance check: PASS")
 	}
 	return 0
-}
-
-// aggregateResidency sums residency microseconds across ranks per state, and
-// the device-wide total rank-time.
-func aggregateResidency(s *telemetry.TraceSummary, ranks []int, states []string) (map[string]float64, float64) {
-	agg := map[string]float64{}
-	var total float64
-	for _, rank := range ranks {
-		for _, st := range states {
-			agg[st] += s.Residency[rank][st]
-		}
-		total += s.RankDuration(rank)
-	}
-	return agg, total
-}
-
-// expanderResidency is one expander's fold of the rack-global rank axis.
-type expanderResidency struct {
-	Expander int                `json:"expander"`
-	Ranks    int                `json:"ranks"`
-	TotalS   float64            `json:"total_s"`
-	Shares   map[string]float64 `json:"shares"`
-
-	residencyUs map[string]float64
-	totalUs     float64
 }
 
 // splitByExpander folds a rack trace's ranks into n per-expander rows. Rack
@@ -471,30 +514,14 @@ func splitByExpander(s *telemetry.TraceSummary, ranks []int, states []string, n 
 		return nil, fmt.Errorf("-expanders %d does not divide the trace's %d channels", n, channels)
 	}
 	perExp := channels / n
-	rows := make([]expanderResidency, n)
-	for x := range rows {
-		rows[x] = expanderResidency{
-			Expander:    x,
-			Shares:      map[string]float64{},
-			residencyUs: map[string]float64{},
-		}
-	}
+	members := make([][]int, n)
 	for _, rank := range ranks {
-		er := &rows[chOf[rank]/perExp]
-		er.Ranks++
-		for _, st := range states {
-			er.residencyUs[st] += s.Residency[rank][st]
-		}
-		er.totalUs += s.RankDuration(rank)
+		x := chOf[rank] / perExp
+		members[x] = append(members[x], rank)
 	}
-	for x := range rows {
-		er := &rows[x]
-		er.TotalS = er.totalUs / 1e6
-		if er.totalUs > 0 {
-			for _, st := range states {
-				er.Shares[st] = er.residencyUs[st] / er.totalUs
-			}
-		}
+	rows := make([]expanderResidency, n)
+	for x, rs := range members {
+		rows[x] = expanderResidency{x, len(rs), newResidency(s.Fold(rs...), states)}
 	}
 	return rows, nil
 }
@@ -510,8 +537,8 @@ type residencyBand struct {
 	} `json:"states"`
 }
 
-// checkBand compares the aggregate residency against the band file.
-func checkBand(path string, agg map[string]float64, total float64) error {
+// checkBand compares the device-wide residency against the band file.
+func checkBand(path string, all telemetry.StateTime) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -523,18 +550,13 @@ func checkBand(path string, agg map[string]float64, total float64) error {
 	if len(band.States) == 0 {
 		return fmt.Errorf("%s: band has no states", path)
 	}
-	if total <= 0 {
+	if all.Total <= 0 {
 		return fmt.Errorf("trace has no rank time to check")
 	}
-	names := make([]string, 0, len(band.States))
-	for st := range band.States {
-		names = append(names, st)
-	}
-	sort.Strings(names)
 	var bad []string
-	for _, st := range names {
+	for _, st := range sortedKeys(band.States) {
 		b := band.States[st]
-		got := agg[st] / total
+		got := all.Share(st)
 		if got < b.Share-b.Tol || got > b.Share+b.Tol {
 			bad = append(bad, fmt.Sprintf("%s share %.3f outside %.3f±%.3f", st, got, b.Share, b.Tol))
 		}
@@ -560,74 +582,4 @@ func stateColumns(s *telemetry.TraceSummary) []string {
 		}
 	}
 	return cols
-}
-
-// readRankJSON is one rank's residency in the -json summary.
-type readRankJSON struct {
-	Rank   int                `json:"rank"`
-	Label  string             `json:"label"`
-	TotalS float64            `json:"total_s"`
-	Shares map[string]float64 `json:"shares"`
-}
-
-// readReport is the `dtlstat read -json` shape.
-type readReport struct {
-	Ranks       []readRankJSON          `json:"ranks"`
-	Aggregate   map[string]float64      `json:"aggregate_shares"`
-	Expanders   []expanderResidency     `json:"expanders,omitempty"`
-	Migrations  int                     `json:"migrations"`
-	LatencyUs   *metrics.Summary        `json:"migration_latency_us,omitempty"`
-	Reasons     map[string]int          `json:"migration_reasons,omitempty"`
-	EnergyProxy float64                 `json:"energy_proxy"`
-	Events      map[string]int          `json:"events,omitempty"`
-	Attribution []telemetry.LedgerEntry `json:"attribution,omitempty"`
-}
-
-// writeReadJSON emits the machine-readable form of the `read` summary.
-func writeReadJSON(s *telemetry.TraceSummary, ranks []int, states []string, agg map[string]float64, aggTotal float64, expRows []expanderResidency) error {
-	rep := readReport{
-		Aggregate:   map[string]float64{},
-		Expanders:   expRows,
-		Migrations:  len(s.MigrationsUs),
-		Reasons:     s.MigrationReasons,
-		EnergyProxy: s.EnergyProxy(nil),
-		Events:      s.Points,
-		Attribution: s.Attribution,
-	}
-	for _, rank := range ranks {
-		total := s.RankDuration(rank)
-		rr := readRankJSON{
-			Rank: rank, Label: s.RankLabel(rank),
-			TotalS: total / 1e6, Shares: map[string]float64{},
-		}
-		for _, st := range states {
-			if total > 0 {
-				rr.Shares[st] = s.Residency[rank][st] / total
-			}
-		}
-		rep.Ranks = append(rep.Ranks, rr)
-	}
-	for _, st := range states {
-		if aggTotal > 0 {
-			rep.Aggregate[st] = agg[st] / aggTotal
-		}
-	}
-	if len(s.MigrationsUs) > 0 {
-		sum := metrics.Summarize(s.MigrationsUs)
-		rep.LatencyUs = &sum
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// sharePct renders a residency share of the rank's total time.
-func sharePct(us, total float64) string {
-	if total <= 0 {
-		return "-"
-	}
-	if us == 0 {
-		return "0%"
-	}
-	return fmt.Sprintf("%.1f%%", 100*us/total)
 }

@@ -8,7 +8,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -54,8 +53,7 @@ func cmdTop(args []string) int {
 
 	snap, err := loadLedger(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtlstat:", err)
-		return 1
+		return fail(err)
 	}
 	if len(snap.Entries) == 0 {
 		fmt.Fprintf(os.Stderr, "dtlstat: %s: no attribution records — run dtlsim with -ledger (or -trace) to record the cost ledger\n", fs.Arg(0))
@@ -65,11 +63,8 @@ func cmdTop(args []string) int {
 	rep := buildTopReport(fs.Arg(0), snap)
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "dtlstat:", err)
-			return 1
+		if err := printJSON(rep); err != nil {
+			return fail(err)
 		}
 		return 0
 	}
@@ -186,23 +181,9 @@ func renderTopTable(title, keyName string, groups []topGroup, totLat int64, totE
 	tab := metrics.NewTable(keyName, "lat_ns", "lat_share", "energy", "energy_share")
 	for _, g := range groups {
 		tab.AddRow(g.Key,
-			fmt.Sprintf("%d", g.LatNs), shareOfInt(g.LatNs, totLat),
-			fmt.Sprintf("%.6g", g.Energy), shareOfFloat(g.Energy, totEnergy))
+			fmt.Sprintf("%d", g.LatNs), sharePct(float64(g.LatNs), float64(totLat)),
+			fmt.Sprintf("%.6g", g.Energy), sharePct(g.Energy, totEnergy))
 	}
 	tab.Render(os.Stdout)
 	fmt.Println()
-}
-
-func shareOfInt(part, total int64) string {
-	if total <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(total))
-}
-
-func shareOfFloat(part, total float64) string {
-	if total <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", 100*part/total)
 }

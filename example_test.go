@@ -448,22 +448,15 @@ func Example_observability() {
 	// Re-read the trace offline, exactly as `dtlstat read` does.
 	s := must(telemetry.SummarizeJSONL(bytes.NewReader(trace)))
 	ranks := s.Ranks()
-	fmt.Printf("summarized from trace: %d ranks, run %.0f s\n", len(ranks), s.RankDuration(ranks[0])/1e6)
-	totals := map[string]float64{}
-	var total float64
-	for _, rank := range ranks {
-		for state, us := range s.Residency[rank] {
-			totals[state] += us
-		}
-		total += s.RankDuration(rank)
-	}
-	states := make([]string, 0, len(totals))
-	for st := range totals {
+	all := s.Fold(ranks...)
+	fmt.Printf("summarized from trace: %d ranks, run %.0f s\n", len(ranks), s.Fold(ranks[0]).Total/1e6)
+	states := make([]string, 0, len(all.Us))
+	for st := range all.Us {
 		states = append(states, st)
 	}
 	sort.Strings(states)
 	for _, st := range states {
-		fmt.Printf("  %-14s %5.1f%% of rank-time\n", st, 100*totals[st]/total)
+		fmt.Printf("  %-14s %5.1f%% of rank-time\n", st, 100*all.Us[st]/all.Total)
 	}
 
 	fmt.Printf("\nmigrations: %d", len(s.MigrationsUs))
@@ -472,7 +465,7 @@ func Example_observability() {
 		fmt.Printf("  (P50 %.1f us, P99 %.1f us)", sum.P50, sum.P99)
 	}
 	fmt.Printf("\nenergy proxy: %.3g weight-us (standby=1.0, self-refresh=0.2, mpsm=0.068)\n",
-		s.EnergyProxy(nil))
+		s.EnergyProxy())
 
 	// A second identical run writes the same trace byte for byte, so
 	// `dtlstat diff` of the pair is zero at any tolerance: that is what lets

@@ -324,7 +324,7 @@ func (d *DTL) StartLedger() *telemetry.Ledger {
 // rack.Fabric implements the same method with a cross-expander fold, so
 // experiment telemetry can treat one expander and a rack uniformly.
 func (d *DTL) FinishAttribution(tr *telemetry.Tracer, led *telemetry.Ledger, horizon sim.Time) {
-	led.ChargeResidency(tr, nil)
+	led.ChargeResidency(tr)
 	led.EmitTo(tr, horizon)
 }
 

@@ -92,7 +92,7 @@ func TestFig9LedgerConservation(t *testing.T) {
 	}
 
 	s := summarizeTraceFile(t, o.TracePath)
-	wantEnergy := 1000*s.EnergyProxy(nil) + activePowerPerGBs*float64(migBytes)
+	wantEnergy := 1000*s.EnergyProxy() + activePowerPerGBs*float64(migBytes)
 	if !relClose(snap.TotalEnergy, wantEnergy, 1e-9) {
 		t.Fatalf("ledger energy %g != residency+migration energy %g", snap.TotalEnergy, wantEnergy)
 	}
@@ -130,7 +130,7 @@ func TestFaultsLedgerConservation(t *testing.T) {
 	}
 
 	s := summarizeTraceFile(t, o.TracePath)
-	wantEnergy := 1000*s.EnergyProxy(nil) + activePowerPerGBs*res.Metrics["bytes_migrated"]
+	wantEnergy := 1000*s.EnergyProxy() + activePowerPerGBs*res.Metrics["bytes_migrated"]
 	if !relClose(snap.TotalEnergy, wantEnergy, 1e-9) {
 		t.Fatalf("ledger energy %g != residency+migration energy %g", snap.TotalEnergy, wantEnergy)
 	}
@@ -198,7 +198,7 @@ func TestLedgerEnergyConservationAcrossRunners(t *testing.T) {
 			if tc.migrates && migs == 0 {
 				t.Fatal("no migration spans in the trace")
 			}
-			wantEnergy := 1000*s.EnergyProxy(nil) + activePowerPerGBs*float64(int64(migs)*segBytes)
+			wantEnergy := 1000*s.EnergyProxy() + activePowerPerGBs*float64(int64(migs)*segBytes)
 			if !relClose(snap.TotalEnergy, wantEnergy, 1e-9) {
 				t.Fatalf("ledger energy %g != residency+migration energy %g (%d migrations)",
 					snap.TotalEnergy, wantEnergy, migs)

@@ -77,7 +77,7 @@ func TestRackLedgerConservation(t *testing.T) {
 	}
 
 	s := summarizeTraceFile(t, o.TracePath)
-	wantEnergy := 1000*s.EnergyProxy(nil) +
+	wantEnergy := 1000*s.EnergyProxy() +
 		activePowerPerGBs*(res.Metrics["bytes_migrated"]+res.Metrics["fabric_bytes"])
 	if !relClose(snap.TotalEnergy, wantEnergy, 1e-9) {
 		t.Fatalf("ledger energy %g != residency+migration+fabric energy %g", snap.TotalEnergy, wantEnergy)

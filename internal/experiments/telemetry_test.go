@@ -47,7 +47,7 @@ func TestFig12TraceSpansPartitionRun(t *testing.T) {
 	}
 	horizonUs := float64(run.horizon) / 1e3
 	for rank := 0; rank < wantRanks; rank++ {
-		got := s.RankDuration(rank)
+		got := s.Fold(rank).Total
 		if diff := got - horizonUs; diff > 1e-3 || diff < -1e-3 {
 			t.Errorf("rank %d (%s): spans sum to %.3f us, want %.3f",
 				rank, s.RankNames[rank], got, horizonUs)
@@ -112,9 +112,9 @@ func TestFig9TraceReplay(t *testing.T) {
 	if len(s.Residency) == 0 {
 		t.Fatal("no power timelines in fig9 trace")
 	}
-	d0 := s.RankDuration(0)
+	d0 := s.Fold(0).Total
 	for rank := range s.Residency {
-		if got := s.RankDuration(rank); got != d0 {
+		if got := s.Fold(rank).Total; got != d0 {
 			t.Errorf("rank %d duration %v != rank 0 duration %v", rank, got, d0)
 		}
 	}

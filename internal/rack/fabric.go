@@ -578,7 +578,7 @@ func (f *Fabric) Ledger() *telemetry.Ledger { return f.ledger }
 // merged cells are dumped into the trace. The fold visits expanders and
 // cells in canonical order, so identical runs fold to identical bytes.
 func (f *Fabric) FinishAttribution(tr *telemetry.Tracer, led *telemetry.Ledger, horizon sim.Time) {
-	led.ChargeResidency(tr, nil)
+	led.ChargeResidency(tr)
 	g := f.cfg.Expander.Geometry
 	for _, e := range f.exps {
 		sub := e.DTL.Ledger()

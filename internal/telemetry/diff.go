@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dtl/internal/metrics"
@@ -13,37 +14,38 @@ import (
 // a residency-weighted background-energy proxy — with tolerance bands so a
 // policy change can be reviewed (or CI-gated) in one command.
 
-// DefaultStateWeights returns the Table 2 normalized background power per
-// state (mirroring dram.DefaultPowerModel), used by EnergyProxy. States a
-// trace names that are absent here weigh 1.0 (standby-equivalent), so an
-// unknown state can only make the proxy pessimistic, never hide energy.
-func DefaultStateWeights() map[string]float64 {
-	return map[string]float64{
-		"standby":      1.0,
-		"self-refresh": 0.2,
-		"mpsm":         0.068,
-	}
+// stateWeights is the Table 2 normalized background power per state
+// (mirroring dram.DefaultPowerModel), the weights of EnergyProxy and
+// Ledger.ChargeResidency.
+var stateWeights = map[string]float64{
+	"standby":      1.0,
+	"self-refresh": 0.2,
+	"mpsm":         0.068,
 }
 
-// EnergyProxy folds residency into a background-energy figure (weight ×
-// microseconds, summed over every rank and state) using the given per-state
-// power weights (nil selects DefaultStateWeights). It deliberately excludes
-// active and migration energy — those need the power meter — but tracks
-// exactly the background component the power-down and self-refresh engines
-// optimize, which is what a residency trace can support.
-func (s *TraceSummary) EnergyProxy(weights map[string]float64) float64 {
-	if weights == nil {
-		weights = DefaultStateWeights()
+// stateWeight is state's Table 2 weight. A state absent from the table
+// weighs 1.0 (standby-equivalent), so an unknown state can only make the
+// proxy pessimistic, never hide energy.
+func stateWeight(state string) float64 {
+	if w, ok := stateWeights[state]; ok {
+		return w
 	}
+	return 1.0
+}
+
+// EnergyProxy folds residency into a background-energy figure: Table 2
+// weight × microseconds, summed over ranks in id order and each rank's
+// states in name order, so the result does not depend on map order. It
+// deliberately excludes active and migration energy — those need the
+// power meter — but tracks exactly the background component the
+// power-down and self-refresh engines optimize, which is what a residency
+// trace can support.
+func (s *TraceSummary) EnergyProxy() float64 {
 	var total float64
-	for _, states := range s.Residency {
-		for name, us := range states {
-			w, ok := weights[name]
-			if !ok {
-				w = 1.0
-			}
-			total += w * us
-		}
+	for _, rank := range s.Ranks() {
+		s.eachState(rank, func(state string, us float64) {
+			total += stateWeight(state) * us
+		})
 	}
 	return total
 }
@@ -86,15 +88,19 @@ type PercentileDelta struct {
 	A, B float64 // microseconds
 }
 
-// Shift reports the relative change (B-A)/A, or 0 when both are zero.
-func (d PercentileDelta) Shift() float64 {
-	if d.A == 0 {
-		if d.B == 0 {
+// Shift reports the relative change (B-A)/A (see relShift).
+func (d PercentileDelta) Shift() float64 { return relShift(d.A, d.B) }
+
+// relShift is the relative change (b-a)/a: 0 when both are zero, and 1 (a
+// full shift) for a value appearing from nothing.
+func relShift(a, b float64) float64 {
+	if a == 0 {
+		if b == 0 {
 			return 0
 		}
-		return 1 // appeared from nothing: treat as a full shift
+		return 1
 	}
-	return (d.B - d.A) / d.A
+	return (b - a) / a
 }
 
 // CauseDelta is one attribution cause's ledger total in both runs.
@@ -104,29 +110,11 @@ type CauseDelta struct {
 	EnergyA, EnergyB float64 // energy-proxy units
 }
 
-// LatShift reports the relative latency change (B-A)/A, or 0 when both are
-// zero; a cost appearing from nothing counts as a full shift.
-func (d CauseDelta) LatShift() float64 {
-	if d.LatA == 0 {
-		if d.LatB == 0 {
-			return 0
-		}
-		return 1
-	}
-	return float64(d.LatB-d.LatA) / float64(d.LatA)
-}
+// LatShift reports the relative latency change (B-A)/A (see relShift).
+func (d CauseDelta) LatShift() float64 { return relShift(float64(d.LatA), float64(d.LatB)) }
 
-// EnergyShift reports the relative energy change (B-A)/A, with the same
-// zero conventions as LatShift.
-func (d CauseDelta) EnergyShift() float64 {
-	if d.EnergyA == 0 {
-		if d.EnergyB == 0 {
-			return 0
-		}
-		return 1
-	}
-	return (d.EnergyB - d.EnergyA) / d.EnergyA
-}
+// EnergyShift reports the relative energy change (B-A)/A (see relShift).
+func (d CauseDelta) EnergyShift() float64 { return relShift(d.EnergyA, d.EnergyB) }
 
 // SummaryDiff is the structured comparison of two trace summaries.
 type SummaryDiff struct {
@@ -151,36 +139,6 @@ type SummaryDiff struct {
 	Causes []CauseDelta
 }
 
-// aggregateShares computes device-wide residency share per state.
-func aggregateShares(s *TraceSummary, states []string) map[string]float64 {
-	var total float64
-	sums := map[string]float64{}
-	for _, rank := range s.Ranks() {
-		for _, st := range states {
-			sums[st] += s.Residency[rank][st]
-		}
-		total += s.RankDuration(rank)
-	}
-	out := make(map[string]float64, len(sums))
-	for st, us := range sums {
-		if total > 0 {
-			out[st] = us / total
-		}
-	}
-	return out
-}
-
-func rankShares(s *TraceSummary, rank int, states []string) map[string]float64 {
-	total := s.RankDuration(rank)
-	out := make(map[string]float64, len(states))
-	for _, st := range states {
-		if total > 0 {
-			out[st] = s.Residency[rank][st] / total
-		}
-	}
-	return out
-}
-
 // DiffSummaries compares two summaries (A is the baseline, B the candidate)
 // into a SummaryDiff; apply tolerances with Check.
 func DiffSummaries(a, b *TraceSummary) *SummaryDiff {
@@ -201,17 +159,17 @@ func DiffSummaries(a, b *TraceSummary) *SummaryDiff {
 		States:      states,
 		MigrationsA: len(a.MigrationsUs),
 		MigrationsB: len(b.MigrationsUs),
-		EnergyA:     a.EnergyProxy(nil),
-		EnergyB:     b.EnergyProxy(nil),
+		EnergyA:     a.EnergyProxy(),
+		EnergyB:     b.EnergyProxy(),
 		Points:      map[string][2]int{},
 	}
 
-	aggA, aggB := aggregateShares(a, states), aggregateShares(b, states)
+	ranksA, ranksB := a.Ranks(), b.Ranks()
+	aggA, aggB := a.Fold(ranksA...), b.Fold(ranksB...)
 	for _, st := range states {
-		d.Aggregate = append(d.Aggregate, ShareDelta{State: st, A: aggA[st], B: aggB[st]})
+		d.Aggregate = append(d.Aggregate, ShareDelta{State: st, A: aggA.Share(st), B: aggB.Share(st)})
 	}
 
-	ranksA, ranksB := a.Ranks(), b.Ranks()
 	inA := map[int]bool{}
 	for _, r := range ranksA {
 		inA[r] = true
@@ -234,10 +192,10 @@ func DiffSummaries(a, b *TraceSummary) *SummaryDiff {
 		if !inB[r] {
 			continue
 		}
-		shA, shB := rankShares(a, r, states), rankShares(b, r, states)
+		shA, shB := a.Fold(r), b.Fold(r)
 		rd := RankDiff{Rank: r, Label: a.RankLabel(r)}
 		for _, st := range states {
-			rd.Shares = append(rd.Shares, ShareDelta{State: st, A: shA[st], B: shB[st]})
+			rd.Shares = append(rd.Shares, ShareDelta{State: st, A: shA.Share(st), B: shB.Share(st)})
 		}
 		d.Ranks = append(d.Ranks, rd)
 	}
@@ -273,21 +231,19 @@ func diffCauses(a, b []LedgerEntry) []CauseDelta {
 		return nil
 	}
 	totals := map[string]*CauseDelta{}
-	for _, e := range a {
-		cd := totals[e.Cause]
-		if cd == nil {
-			cd = &CauseDelta{Cause: e.Cause}
-			totals[e.Cause] = cd
+	cause := func(name string) *CauseDelta {
+		if totals[name] == nil {
+			totals[name] = &CauseDelta{Cause: name}
 		}
+		return totals[name]
+	}
+	for _, e := range a {
+		cd := cause(e.Cause)
 		cd.LatA += e.LatNs
 		cd.EnergyA += e.Energy
 	}
 	for _, e := range b {
-		cd := totals[e.Cause]
-		if cd == nil {
-			cd = &CauseDelta{Cause: e.Cause}
-			totals[e.Cause] = cd
-		}
+		cd := cause(e.Cause)
 		cd.LatB += e.LatNs
 		cd.EnergyB += e.Energy
 	}
@@ -305,16 +261,8 @@ func diffCauses(a, b []LedgerEntry) []CauseDelta {
 	return out
 }
 
-// EnergyDelta is the relative energy-proxy change (B-A)/A.
-func (d *SummaryDiff) EnergyDelta() float64 {
-	if d.EnergyA == 0 {
-		if d.EnergyB == 0 {
-			return 0
-		}
-		return 1
-	}
-	return (d.EnergyB - d.EnergyA) / d.EnergyA
-}
+// EnergyDelta is the relative energy-proxy change (B-A)/A (see relShift).
+func (d *SummaryDiff) EnergyDelta() float64 { return relShift(d.EnergyA, d.EnergyB) }
 
 // WorstRankShare finds the largest absolute per-rank share drift for one
 // state; ok is false when no rank is shared between the summaries.
@@ -327,19 +275,12 @@ func (d *SummaryDiff) WorstRankShare(state string) (RankDiff, ShareDelta, bool) 
 			if sh.State != state {
 				continue
 			}
-			if !found || abs(sh.Delta()) > abs(worst.Delta()) {
+			if !found || math.Abs(sh.Delta()) > math.Abs(worst.Delta()) {
 				worstRank, worst, found = rd, sh, true
 			}
 		}
 	}
 	return worstRank, worst, found
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Check applies the tolerance bands and returns one human-readable string
@@ -352,13 +293,13 @@ func (d *SummaryDiff) Check(tol DiffTolerance) []string {
 	}
 	if tol.Share > 0 {
 		for _, sh := range d.Aggregate {
-			if abs(sh.Delta()) > tol.Share {
+			if math.Abs(sh.Delta()) > tol.Share {
 				bad = append(bad, fmt.Sprintf("aggregate %s share drift %+.3f exceeds ±%.3f",
 					sh.State, sh.Delta(), tol.Share))
 			}
 		}
 		for _, st := range d.States {
-			if rd, sh, ok := d.WorstRankShare(st); ok && abs(sh.Delta()) > tol.Share {
+			if rd, sh, ok := d.WorstRankShare(st); ok && math.Abs(sh.Delta()) > tol.Share {
 				bad = append(bad, fmt.Sprintf("rank %s %s share drift %+.3f exceeds ±%.3f",
 					rd.Label, st, sh.Delta(), tol.Share))
 			}
@@ -366,23 +307,23 @@ func (d *SummaryDiff) Check(tol DiffTolerance) []string {
 	}
 	if tol.LatFrac > 0 {
 		for _, p := range d.Percentiles {
-			if abs(p.Shift()) > tol.LatFrac {
+			if math.Abs(p.Shift()) > tol.LatFrac {
 				bad = append(bad, fmt.Sprintf("migration %s shift %+.1f%% exceeds ±%.1f%%",
 					p.Name, 100*p.Shift(), 100*tol.LatFrac))
 			}
 		}
 	}
-	if tol.EnergyFrac > 0 && abs(d.EnergyDelta()) > tol.EnergyFrac {
+	if tol.EnergyFrac > 0 && math.Abs(d.EnergyDelta()) > tol.EnergyFrac {
 		bad = append(bad, fmt.Sprintf("energy proxy drift %+.2f%% exceeds ±%.2f%%",
 			100*d.EnergyDelta(), 100*tol.EnergyFrac))
 	}
 	if tol.AttrFrac > 0 {
 		for _, cd := range d.Causes {
-			if abs(cd.LatShift()) > tol.AttrFrac {
+			if math.Abs(cd.LatShift()) > tol.AttrFrac {
 				bad = append(bad, fmt.Sprintf("attribution %s latency shift %+.1f%% exceeds ±%.1f%%",
 					cd.Cause, 100*cd.LatShift(), 100*tol.AttrFrac))
 			}
-			if abs(cd.EnergyShift()) > tol.AttrFrac {
+			if math.Abs(cd.EnergyShift()) > tol.AttrFrac {
 				bad = append(bad, fmt.Sprintf("attribution %s energy shift %+.1f%% exceeds ±%.1f%%",
 					cd.Cause, 100*cd.EnergyShift(), 100*tol.AttrFrac))
 			}

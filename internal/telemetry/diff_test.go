@@ -112,10 +112,10 @@ func TestDiffEnergyProxy(t *testing.T) {
 	// weight (0.068).
 	a := summaryFromSpec(map[int]map[string]float64{0: {"standby": 1000}}, nil)
 	b := summaryFromSpec(map[int]map[string]float64{0: {"mpsm": 1000}}, nil)
-	if got := a.EnergyProxy(nil); got != 1000 {
+	if got := a.EnergyProxy(); got != 1000 {
 		t.Fatalf("standby proxy = %v, want 1000", got)
 	}
-	if got := b.EnergyProxy(nil); got != 68 {
+	if got := b.EnergyProxy(); got != 68 {
 		t.Fatalf("mpsm proxy = %v, want 68", got)
 	}
 	d := DiffSummaries(a, b)
@@ -128,7 +128,7 @@ func TestDiffEnergyProxy(t *testing.T) {
 
 	// Unknown states weigh 1.0 — they cannot hide energy.
 	u := summaryFromSpec(map[int]map[string]float64{0: {"hyper-sleep": 500}}, nil)
-	if got := u.EnergyProxy(nil); got != 500 {
+	if got := u.EnergyProxy(); got != 500 {
 		t.Fatalf("unknown-state proxy = %v, want 500 (weight 1.0)", got)
 	}
 }
@@ -184,5 +184,38 @@ func TestPercentileShiftFromZero(t *testing.T) {
 	}
 	if z := (PercentileDelta{A: 0, B: 0}).Shift(); z != 0 {
 		t.Fatalf("zero/zero shift = %v", z)
+	}
+}
+
+// TestResidencyFoldsIgnoreMapOrder: every residency sum runs in one fixed
+// order. Summed in Go map order, a rank holding {0.1, 0.2, 0.3} us came to
+// 0.6 on some calls and 0.6000000000000001 on others, and so did the
+// energy proxy of states that all weigh 1.0.
+func TestResidencyFoldsIgnoreMapOrder(t *testing.T) {
+	s := newTraceSummary()
+	for rank := 0; rank < 2; rank++ {
+		s.addResidency(rank, "standby", 0.1)
+		s.addResidency(rank, "off", 0.2)
+		s.addResidency(rank, "retired", 0.3)
+	}
+	one := s.Fold(0)
+	all := s.Fold(0, 1)
+	energy := s.EnergyProxy()
+	for i := 0; i < 2000; i++ {
+		if got := s.Fold(0); got.Total != one.Total || got.Share("standby") != one.Share("standby") {
+			t.Fatalf("call %d: rank total %v share %v, first call %v %v",
+				i, got.Total, got.Share("standby"), one.Total, one.Share("standby"))
+		}
+		if got := s.Fold(0, 1); got.Total != all.Total || got.Us["off"] != all.Us["off"] {
+			t.Fatalf("call %d: device total %v, first call %v", i, got.Total, all.Total)
+		}
+		if got := s.EnergyProxy(); got != energy {
+			t.Fatalf("call %d: energy proxy %v, first call %v", i, got, energy)
+		}
+	}
+	// States by name: off, retired, standby.
+	off, retired, standby := 0.2, 0.3, 0.1
+	if want := (off + retired) + standby; one.Total != want {
+		t.Fatalf("rank total %v, want %v", one.Total, want)
 	}
 }

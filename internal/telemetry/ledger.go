@@ -232,23 +232,17 @@ func (l *Ledger) CauseTotals() [NumCauses]LedgerCell {
 }
 
 // ChargeResidency folds a tracer's power-state residency into the ledger as
-// background energy on (SystemVM, rank, baseline): weight(state) × span
-// duration in nanoseconds per closed span (nil weights selects
-// DefaultStateWeights, unknown states weigh 1.0). Call it after
-// Tracer.Finish so spans cover the full run; with it, the ledger accounts
-// the entire background energy proxy, not just the technique costs.
-func (l *Ledger) ChargeResidency(t *Tracer, weights map[string]float64) {
+// background energy on (SystemVM, rank, baseline): the state's Table 2
+// weight × span duration in nanoseconds per closed span (unknown states
+// weigh 1.0). Call it after Tracer.Finish so spans cover the full run;
+// with it, the ledger accounts the entire background energy proxy, not
+// just the technique costs.
+func (l *Ledger) ChargeResidency(t *Tracer) {
 	if l == nil || t == nil {
 		return
 	}
-	if weights == nil {
-		weights = DefaultStateWeights()
-	}
 	for _, s := range t.spans {
-		w, ok := weights[t.StateName(s.State)]
-		if !ok {
-			w = 1.0
-		}
+		w := stateWeight(t.StateName(s.State))
 		l.Charge(SystemVM, s.Rank, CauseBaseline, 0, w*float64(s.Duration()))
 	}
 }

@@ -71,7 +71,7 @@ func TestLedgerNilIsSafe(t *testing.T) {
 	var l *Ledger
 	l.Charge(1, 0, CauseBaseline, 10, 1)
 	l.End(l.Begin(1, 0, CauseBaseline, 5), 10, 0)
-	l.ChargeResidency(nil, nil)
+	l.ChargeResidency(nil)
 	l.EmitTo(nil, 0)
 	if got := l.Total(); got != (LedgerCell{}) {
 		t.Fatalf("nil ledger total = %+v", got)
@@ -220,9 +220,8 @@ func TestChargeResidencyFoldsPowerSpans(t *testing.T) {
 	tr.Finish(1000)
 
 	l := NewLedger(LedgerConfig{Ranks: 2})
-	l.ChargeResidency(tr, nil)
-	w := DefaultStateWeights()
-	want := 2*w["standby"]*1000 - w["standby"]*900 + w["self-refresh"]*900
+	l.ChargeResidency(tr)
+	want := 2*stateWeight("standby")*1000 - stateWeight("standby")*900 + stateWeight("self-refresh")*900
 	if got := l.Total().Energy; got != want {
 		t.Fatalf("residency energy = %g, want %g", got, want)
 	}

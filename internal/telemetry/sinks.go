@@ -266,14 +266,62 @@ func (s *TraceSummary) Ranks() []int {
 	return out
 }
 
-// RankDuration sums all state residencies of one rank (the traced run
-// duration, by the span-partition invariant).
-func (s *TraceSummary) RankDuration(rank int) float64 {
-	var total float64
-	for _, us := range s.Residency[rank] {
-		total += us
+// StateTime is rank-time split by power state, in microseconds: one rank's
+// residency, a rack expander's, or the whole device's.
+type StateTime struct {
+	Us    map[string]float64 // state name → microseconds
+	Total float64            // all states; a rank's is the traced run
+}
+
+// Share is state's fraction of the total, 0 when there is no rank time.
+func (t StateTime) Share(state string) float64 {
+	if t.Total <= 0 {
+		return 0
 	}
-	return total
+	return t.Us[state] / t.Total
+}
+
+// Shares maps each of states to its Share; it is empty when there is no
+// rank time.
+func (t StateTime) Shares(states []string) map[string]float64 {
+	out := make(map[string]float64, len(states))
+	if t.Total > 0 {
+		for _, st := range states {
+			out[st] = t.Share(st)
+		}
+	}
+	return out
+}
+
+// Fold sums the residency of ranks into one StateTime. Float addition is
+// not associative, so the order is fixed: ranks as given, each rank's
+// states by name, and the total as the sum of the per-rank totals. The
+// same summary therefore always folds to the same bits, which map order
+// would not give.
+func (s *TraceSummary) Fold(ranks ...int) StateTime {
+	t := StateTime{Us: map[string]float64{}}
+	for _, rank := range ranks {
+		var rankUs float64
+		s.eachState(rank, func(state string, us float64) {
+			t.Us[state] += us
+			rankUs += us
+		})
+		t.Total += rankUs
+	}
+	return t
+}
+
+// eachState calls fn for each state of rank's residency, in name order.
+func (s *TraceSummary) eachState(rank int, fn func(state string, us float64)) {
+	m := s.Residency[rank]
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fn(name, m[name])
+	}
 }
 
 // RankLabel prefers the recorded rank name ("ch0/rk3"); falls back to the

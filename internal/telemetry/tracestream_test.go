@@ -58,7 +58,7 @@ func converted(t *testing.T, jsonl []byte, format TraceFormat) []byte {
 func assertFixtureSummary(t *testing.T, s *TraceSummary) {
 	t.Helper()
 	for rank := 0; rank < 4; rank++ {
-		if got := s.RankDuration(rank); got != 1.0 {
+		if got := s.Fold(rank).Total; got != 1.0 {
 			t.Fatalf("rank %d duration = %v us, want 1", rank, got)
 		}
 	}
