@@ -39,11 +39,10 @@ type Config struct {
 	// ProfilingThreshold is the required idle time of the hypothetical
 	// victim rank before migration starts (50 ms default).
 	ProfilingThreshold sim.Time
-	// TSPTimeout bounds the CLOCK walk for a cold target segment (40 ns).
-	TSPTimeout sim.Time
-	// TSPTimeoutEntries converts the timeout into a maximum number of
-	// migration-table entries inspected per walk (SRAM reads at ~1.5 GHz:
-	// 40 ns ≈ 60 entries; we use a conservative 32).
+	// TSPTimeoutEntries bounds the CLOCK walk for a cold target segment:
+	// the 40 ns TSP timeout as a maximum number of migration-table
+	// entries inspected per walk (SRAM reads at ~1.5 GHz: 40 ns ≈ 60
+	// entries; we use a conservative 32).
 	TSPTimeoutEntries int
 	// MigrationRetryLimit is the abort-retry bound before a migration
 	// request is re-queued (3, §4.2).
@@ -81,7 +80,6 @@ func DefaultConfig(g dram.Geometry) Config {
 		L2SMCWays:             4,
 		ProfilingWindow:       500 * sim.Microsecond,
 		ProfilingThreshold:    50 * sim.Millisecond,
-		TSPTimeout:            40 * sim.Nanosecond,
 		TSPTimeoutEntries:     32,
 		MigrationRetryLimit:   3,
 		ReserveRankGroups:     1,

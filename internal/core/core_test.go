@@ -98,8 +98,8 @@ func TestPaperConfigParameters(t *testing.T) {
 	if cfg.ProfilingThreshold != 50*sim.Millisecond {
 		t.Errorf("profiling threshold = %v", cfg.ProfilingThreshold)
 	}
-	if cfg.TSPTimeout != 40*sim.Nanosecond {
-		t.Errorf("TSP timeout = %v", cfg.TSPTimeout)
+	if cfg.TSPTimeoutEntries != 32 {
+		t.Errorf("TSP walk budget = %d entries", cfg.TSPTimeoutEntries)
 	}
 	if cfg.MigrationRetryLimit != 3 {
 		t.Errorf("retry limit = %d", cfg.MigrationRetryLimit)

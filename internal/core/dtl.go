@@ -367,9 +367,6 @@ func fillDefaults(cfg *Config, def Config) {
 	if cfg.ProfilingThreshold == 0 {
 		cfg.ProfilingThreshold = def.ProfilingThreshold
 	}
-	if cfg.TSPTimeout == 0 {
-		cfg.TSPTimeout = def.TSPTimeout
-	}
 	if cfg.TSPTimeoutEntries == 0 {
 		cfg.TSPTimeoutEntries = def.TSPTimeoutEntries
 	}

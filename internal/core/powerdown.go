@@ -202,21 +202,15 @@ func (d *DTL) takeDrainTargetOn(ch, exclude int) (dram.DSN, int, bool) {
 }
 
 // drainTargetRank returns the global rank a drain on channel ch moves its
-// next segment to: the most-utilized active (non-MPSM, non-failed) rank
-// with free space other than exclude, ties to the lower index, or -1 when
-// none is eligible.
+// next segment to: the most-utilized rank with free space that may take a
+// drain (canTakeDrain), ties to the lower index, or -1 when none is
+// eligible.
 func (d *DTL) drainTargetRank(ch, exclude int) int {
 	best := -1
 	var bestAlloc int64 = -1
 	for rk := 0; rk < d.cfg.Geometry.RanksPerChannel; rk++ {
-		if rk == exclude {
-			continue
-		}
-		if d.dev.State(dram.RankID{Channel: ch, Rank: rk}) == dram.MPSM {
-			continue
-		}
 		gr := d.codec.GlobalRank(ch, rk)
-		if d.free[gr].len() == 0 || d.dev.FailedGlobal(gr) {
+		if !d.canTakeDrain(ch, rk, exclude) || d.free[gr].len() == 0 {
 			continue
 		}
 		if d.allocated[gr] > bestAlloc {
@@ -224,6 +218,18 @@ func (d *DTL) drainTargetRank(ch, exclude int) int {
 		}
 	}
 	return best
+}
+
+// canTakeDrain reports whether rank rk of channel ch may take segments
+// drained off rank exclude of the same channel: it is not exclude, not in
+// MPSM and not failed. Retired ranks need no test of their own, since
+// their free queues are empty (CheckInvariants). drainCapacityOn and
+// drainTargetRank both use it, so a drain never runs out of the room its
+// capacity check counted.
+func (d *DTL) canTakeDrain(ch, rk, exclude int) bool {
+	return rk != exclude &&
+		d.dev.State(dram.RankID{Channel: ch, Rank: rk}) != dram.MPSM &&
+		!d.dev.FailedGlobal(d.codec.GlobalRank(ch, rk))
 }
 
 // moveSegment relocates the live segment at src into the free slot dst:

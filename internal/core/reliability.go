@@ -103,24 +103,14 @@ func (d *DTL) retireRank(id dram.RankID, now sim.Time, cause string) error {
 	return nil
 }
 
-// drainCapacityOn sums the free segments of a channel's ranks that are
-// eligible drain targets: not the excluded rank, not retired, not failed,
-// not in MPSM. It must agree exactly with drainTargetRank's eligibility
-// rule, or draining panics mid-way.
+// drainCapacityOn sums the free segments of channel ch's ranks that may
+// take segments drained off rank exclude (canTakeDrain).
 func (d *DTL) drainCapacityOn(ch, exclude int) int64 {
 	var free int64
 	for rk := 0; rk < d.cfg.Geometry.RanksPerChannel; rk++ {
-		if rk == exclude {
-			continue
+		if d.canTakeDrain(ch, rk, exclude) {
+			free += int64(d.free[d.codec.GlobalRank(ch, rk)].len())
 		}
-		gr := d.codec.GlobalRank(ch, rk)
-		if d.retired[gr] || d.dev.FailedGlobal(gr) {
-			continue
-		}
-		if d.dev.State(dram.RankID{Channel: ch, Rank: rk}) == dram.MPSM {
-			continue
-		}
-		free += int64(d.free[gr].len())
 	}
 	return free
 }
