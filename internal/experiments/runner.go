@@ -25,18 +25,13 @@ import (
 // concurrently would interleave, whereas CSVDir stays enabled because every
 // experiment writes distinctly-named series files.
 func RunAll(runners []Runner, opts Options, parallel int) []Result {
-	results := make([]Result, len(runners))
 	opts.srRuns = &srMemo{runs: map[srKey]*srRun{}}
-	if parallel > len(runners) {
-		parallel = len(runners)
-	}
 	if parallel <= 1 || len(runners) <= 1 {
-		for i, r := range runners {
+		return sweepPoints(runners, 1, func(r Runner) Result {
 			o := opts
 			o.watchExperiment = r.ID
-			results[i] = runRunner(r, o)
-		}
-		return results
+			return runRunner(r, o)
+		})
 	}
 
 	// Watch joins the single-file sinks here: interleaved snapshots from
@@ -47,33 +42,23 @@ func RunAll(runners []Runner, opts Options, parallel int) []Result {
 	opts.LedgerPath = ""
 	opts.Watch = nil
 
-	bufs := make([]*bytes.Buffer, len(runners))
-	for i := range bufs {
-		bufs[i] = &bytes.Buffer{}
+	type run struct {
+		r   Runner
+		out *bytes.Buffer
 	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				o := opts
-				o.Out = bufs[i]
-				o.watchExperiment = runners[i].ID
-				results[i] = runRunner(runners[i], o)
-			}
-		}()
+	runs := make([]run, len(runners))
+	for i, r := range runners {
+		runs[i] = run{r, &bytes.Buffer{}}
 	}
-	for i := range runners {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
+	results := sweepPoints(runs, parallel, func(x run) Result {
+		o := opts
+		o.Out = x.out
+		o.watchExperiment = x.r.ID
+		return runRunner(x.r, o)
+	})
 	out := opts.out()
-	for _, b := range bufs {
-		out.Write(b.Bytes())
+	for _, x := range runs {
+		out.Write(x.out.Bytes())
 	}
 	return results
 }
