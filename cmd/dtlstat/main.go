@@ -247,6 +247,7 @@ type residency struct {
 	fold telemetry.StateTime
 }
 
+// newResidency keeps fold and its shares of states.
 func newResidency(fold telemetry.StateTime, states []string) residency {
 	return residency{TotalS: fold.Total / 1e6, Shares: fold.Shares(states), fold: fold}
 }
