@@ -51,3 +51,33 @@ func BenchmarkControllerAccess(b *testing.B) {
 		b.Fatal("no latency accumulated")
 	}
 }
+
+// BenchmarkMixedReplay measures one access of the raw replay loop as it
+// runs: trace.Mixed.Next, the rank-interleaved codec and Controller.Access
+// interleaved on the 4ch×8rk×32 GiB device, with the ten-profile CloudSuite
+// stream at 16 GiB each. Next's generation overlaps the codec and the
+// controller here, as it does in replayController and bench/'s replay pass.
+func BenchmarkMixedReplay(b *testing.B) {
+	g := dram.Default1TB()
+	dev := dram.MustDevice(g, dram.DefaultPowerModel(), dram.DefaultTiming())
+	codec := dev.Codec()
+	ps := trace.CloudSuite()
+	for i := range ps {
+		ps[i].FootprintBytes = 16 << 30
+	}
+	mix := trace.MustMixed(ps, 7)
+	c := New(dev)
+	var lat sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := mix.Next()
+		dsn := codec.RankInterleavedDSN(a.Addr / g.SegmentBytes)
+		arrive := sim.Time(float64(a.Instr) * 0.25)
+		res := c.Access(Request{Addr: codec.Compose(dsn, a.Addr%g.SegmentBytes), Write: a.Write, Arrive: arrive})
+		lat += res.Done - arrive
+	}
+	if lat <= 0 {
+		b.Fatal("no latency accumulated")
+	}
+}

@@ -2,8 +2,12 @@ package trace
 
 import "testing"
 
-// BenchmarkMixedNext measures one access of the raw replay workload's
-// stream: the ten CloudSuite profiles at 16 GiB each, merged by Mixed.
+// BenchmarkMixedNext measures the consumer side of one access of the raw
+// replay workload's stream: the ten CloudSuite profiles at 16 GiB each,
+// merged by Mixed. The loop does nothing else, so there is no work for the
+// next batch's generation to overlap, and each op costs about what
+// generating one access does. BenchmarkMixedReplay (internal/memctrl)
+// times Next in the replay loop's state.
 func BenchmarkMixedNext(b *testing.B) {
 	ps := CloudSuite()
 	for i := range ps {

@@ -21,7 +21,7 @@ out="${1:-BENCH_seed.json}"
 # below: an unanchored `-bench BenchmarkEngineStep` also matches
 # BenchmarkEngineStepDeep (go test matches substrings), which once let two
 # names share one set of averaged numbers in the seed baseline.
-pattern="${2:-BenchmarkAccessPath|BenchmarkAccessPathMigrating|BenchmarkAttributedAccessPath|BenchmarkAllocDealloc|BenchmarkVMChurnDrain|BenchmarkControllerAccess|BenchmarkEngineStep|BenchmarkEngineStepDeep|BenchmarkFabricAccessPath|BenchmarkMixedNext|BenchmarkSMCHit|BenchmarkSMCMissWalk|BenchmarkSwapMigration|BenchmarkTimelineRecord}"
+pattern="${2:-BenchmarkAccessPath|BenchmarkAccessPathMigrating|BenchmarkAttributedAccessPath|BenchmarkAllocDealloc|BenchmarkVMChurnDrain|BenchmarkControllerAccess|BenchmarkEngineStep|BenchmarkEngineStepDeep|BenchmarkFabricAccessPath|BenchmarkMixedNext|BenchmarkMixedReplay|BenchmarkSMCHit|BenchmarkSMCMissWalk|BenchmarkSwapMigration|BenchmarkTimelineRecord}"
 count="${3:-5}"
 
 tmp="$(mktemp)"
