@@ -37,6 +37,13 @@ func formatMetrics(res Result) map[string]string {
 // run. With -update it rewrites only res.ID's entry.
 func checkMetricsGolden(t *testing.T, res Result) {
 	t.Helper()
+	checkMetricsGoldenAs(t, res.ID, res)
+}
+
+// checkMetricsGoldenAs is checkMetricsGolden under the entry key rather
+// than res.ID, for a second configuration of the same experiment.
+func checkMetricsGoldenAs(t *testing.T, key string, res Result) {
+	t.Helper()
 	all := map[string]map[string]string{}
 	raw, err := os.ReadFile(metricsGolden)
 	switch {
@@ -51,7 +58,7 @@ func checkMetricsGolden(t *testing.T, res Result) {
 
 	got := formatMetrics(res)
 	if *update {
-		all[res.ID] = got
+		all[key] = got
 		b, err := json.MarshalIndent(all, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -65,9 +72,9 @@ func checkMetricsGolden(t *testing.T, res Result) {
 		return
 	}
 
-	want, ok := all[res.ID]
+	want, ok := all[key]
 	if !ok {
-		t.Fatalf("%s has no entry for %s (regenerate with -update)", metricsGolden, res.ID)
+		t.Fatalf("%s has no entry for %s (regenerate with -update)", metricsGolden, key)
 	}
 	var diffs []string
 	for k, w := range want {
@@ -84,6 +91,6 @@ func checkMetricsGolden(t *testing.T, res Result) {
 	}
 	if len(diffs) > 0 {
 		sort.Strings(diffs)
-		t.Fatalf("%s metrics drifted from %s:\n  %s", res.ID, metricsGolden, strings.Join(diffs, "\n  "))
+		t.Fatalf("%s metrics drifted from %s:\n  %s", key, metricsGolden, strings.Join(diffs, "\n  "))
 	}
 }

@@ -127,11 +127,14 @@ func TestRackArtifactsDeterministic(t *testing.T) {
 // TestRackUnderFaults aims an expander-scoped kill at the pack policy's
 // working set and requires the rack to absorb it with zero data loss: the
 // grammar's xN/ scope must land the fault on expander 0 only, and every
-// surviving VM must remain readable wherever the allocator put it.
+// surviving VM must remain readable wherever the allocator put it. Its
+// metrics are pinned as the rack-faults entry: the Faults entry covers only
+// the single-device fault path.
 func TestRackUnderFaults(t *testing.T) {
 	o := rackOpts()
 	o.FaultSpec = "seed=1;kill:x0/ch0/rk0:at=2h;storm:x1/ch1/rk2:at=90m,rate=2000,dur=60s"
 	res := Rack(o)
+	checkMetricsGoldenAs(t, "rack-faults", res)
 	if res.Metrics["probe_failures"] != 0 {
 		t.Fatalf("data loss: %g probe reads failed", res.Metrics["probe_failures"])
 	}
