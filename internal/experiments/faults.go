@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dtl/internal/fault"
 	"dtl/internal/metrics"
 )
 
@@ -33,9 +32,6 @@ func Faults(o Options) Result {
 		o.FaultSpec = defaultFaultSpec(o.Seed)
 	}
 	fmt.Fprintf(w, "fault spec: %s\n\n", o.FaultSpec)
-	if _, err := fault.Parse(o.FaultSpec); err != nil {
-		panic(err)
-	}
 
 	run := runPowerDownSchedule(o)
 
@@ -58,16 +54,14 @@ func Faults(o Options) Result {
 	tab.AddRowf("retirements abandoned\t%.0f", run.health["retires_abandoned"])
 	tab.AddRowf("ranks retired (total)\t%d", run.retiredRanks)
 	tab.AddRowf("VMs shed (graceful degradation)\t%d", run.shedVMs)
-	tab.AddRowf("migration verify failures\t%d", run.migStats.VerifyFailures)
-	tab.AddRowf("migration re-routes\t%d", run.migStats.Reroutes)
-	tab.AddRowf("migration verify give-ups\t%d", run.migStats.VerifyGiveups)
+	tab.AddRowf("migration verify failures\t%d", run.verifyFailures)
+	tab.AddRowf("migration re-routes\t%d", run.reroutes)
+	tab.AddRowf("migration verify give-ups\t%d", run.verifyGiveups)
 	tab.AddRowf("degraded-rank health probes\t%d", run.degradedProbes)
 	tab.AddRowf("read-probe failures (data loss)\t%d", run.probeFailures)
 	tab.Render(w)
 
-	baseTotal := run.baseBGEnergy + run.activeEnergy
-	techTotal := run.techBGEnergy + run.activeEnergy + run.migEnergy
-	saving := 1 - techTotal/baseTotal
+	saving := run.energySaving()
 	fmt.Fprintf(w, "\nenergy saving %s despite the failures; %d intervals saw migration activity\n",
 		pct(saving), run.migrationSpans)
 	if run.probeFailures == 0 {
@@ -80,10 +74,10 @@ func Faults(o Options) Result {
 	res.Metrics["ranks_auto_retired"] = run.health["auto_retires"]
 	res.Metrics["ranks_retired"] = float64(run.retiredRanks)
 	res.Metrics["vms_shed"] = float64(run.shedVMs)
-	res.Metrics["verify_reroutes"] = float64(run.migStats.Reroutes)
+	res.Metrics["verify_reroutes"] = float64(run.reroutes)
 	res.Metrics["probe_failures"] = float64(run.probeFailures)
 	res.Metrics["degraded_probes"] = float64(run.degradedProbes)
-	res.Metrics["probe_lat_ns"] = float64(run.probeLatNs)
+	res.Metrics["probe_lat_ns"] = float64(run.accessLatNs)
 	res.Metrics["bytes_migrated"] = float64(run.bytesMigrated)
 	res.Metrics["energy_saving"] = saving
 	res.footer(w)

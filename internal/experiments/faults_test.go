@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"dtl/internal/core"
+	"dtl/internal/fault"
 )
 
 // TestFaultsChaosSmoke is the seeded chaos run of the reliability loop: one
@@ -46,18 +50,52 @@ func TestFaultsDeterministic(t *testing.T) {
 	}
 }
 
-// TestFig12UnchangedWithoutFaultSpec: with no -faults spec, the schedule
-// experiment must not tick the fault machinery (shedding, probes, scrub),
-// keeping the baseline results and the access-path benchmark comparable to
-// the seed.
+// TestFig12UnchangedWithoutFaultSpec: with no -faults spec the schedule
+// runs without the fault machinery: no VM is shed, no degraded rank is
+// probed, no read fails, no rank retires and the health monitor sees no
+// fault event.
 func TestFig12UnchangedWithoutFaultSpec(t *testing.T) {
-	res := Fig12(quickOpts())
-	for _, k := range []string{"vms_shed", "probe_failures"} {
-		if v, ok := res.Metrics[k]; ok && v != 0 {
-			t.Fatalf("%s = %v on a fault-free run", k, v)
-		}
+	run := runPowerDownSchedule(quickOpts())
+	if run.shedVMs != 0 || run.degradedProbes != 0 || run.probeFailures != 0 || run.retiredRanks != 0 {
+		t.Fatalf("fault-free run: %d shed, %d degraded probes, %d probe failures, %d ranks retired",
+			run.shedVMs, run.degradedProbes, run.probeFailures, run.retiredRanks)
 	}
-	if res.Metrics["energy_saving_pct"] == 0 && res.Metrics["energy_saving"] == 0 {
-		t.Fatal("fig12 lost its energy-saving result")
+	if run.faultStats != (fault.Stats{}) || run.health["fault_events"] != 0 {
+		t.Fatalf("fault-free run saw faults: injected %+v, %g fault events",
+			run.faultStats, run.health["fault_events"])
+	}
+}
+
+// TestDeviceShedsOnlyUnderFaults: the schedule loop sheds what capacity
+// cannot hold, but the single device is sized for the schedule and only
+// injected faults shrink it. With ballast filling most of the device, a
+// fault-free run must fail loudly, while the same run with a fault spec
+// (here one that injects nothing) sheds and completes.
+func TestDeviceShedsOnlyUnderFaults(t *testing.T) {
+	ballasted := func() *deviceTarget {
+		d, err := core.New(core.DefaultConfig(pdGeometry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.AllocateVM(1<<30, 0, pdGeometry().TotalBytes()*7/8, 0); err != nil {
+			t.Fatal(err)
+		}
+		return &deviceTarget{d: d}
+	}
+
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, core.ErrOutOfCapacity) {
+				t.Fatalf("fault-free run out of capacity: recovered %v, want a panic with ErrOutOfCapacity", err)
+			}
+		}()
+		runSchedule(quickOpts(), ballasted())
+	}()
+
+	o := quickOpts()
+	o.FaultSpec = "seed=1"
+	if run := runSchedule(o, ballasted()); run.shedVMs == 0 {
+		t.Fatal("a run with a fault spec shed nothing on a ballasted device")
 	}
 }

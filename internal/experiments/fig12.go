@@ -1,19 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
 	"dtl/internal/core"
 	"dtl/internal/cxl"
 	"dtl/internal/dram"
-	"dtl/internal/fault"
 	"dtl/internal/metrics"
 	"dtl/internal/power"
 	"dtl/internal/sim"
-	"dtl/internal/trace"
-	"dtl/internal/vmtrace"
 )
 
 // pdGeometry is the power-down evaluation device: 384 GiB behind 4 channels
@@ -29,230 +24,16 @@ func pdGeometry() dram.Geometry {
 	}
 }
 
-// vmBandwidthGBs estimates a VM's memory bandwidth demand from its vCPU
-// count and workload MAPKI: vcpus x 2 GHz x IPC 1 x MAPKI/1000 x 64 B.
-func vmBandwidthGBs(vm vmtrace.VM) float64 {
-	mapki := 2.5 // mixed CloudSuite default
-	if vm.Workload != "" {
-		if p, err := trace.ProfileByName(vm.Workload); err == nil {
-			mapki = p.MAPKI
-		}
-	}
-	return float64(vm.VCPUs) * 2.0 * mapki / 1000.0 * 64.0
-}
-
-// pdRun is the shared 6-hour simulation behind Figures 12 and 13.
-type pdRun struct {
-	horizon sim.Time
-
-	baseBGEnergy float64 // baseline background energy (units x ns)
-	techBGEnergy float64
-	activeEnergy float64 // identical foreground active energy in both runs
-	migEnergy    float64 // extra migration energy (technique only)
-
-	meanActiveRanks float64
-	samples         []power.Sample // technique timeline
-	migrationSpans  int            // intervals with migration activity
-	bytesMigrated   int64
-	probeLatNs      int64 // summed latency of health-plane degraded probes
-	degradedProbes  int   // probes issued against failed-but-live ranks
-
-	// Reliability outcomes, populated when Options.FaultSpec is set.
-	faultStats    fault.Stats
-	shedVMs       int // allocations refused under degraded capacity
-	probeFailures int // end-of-run read probes that failed (must stay 0)
-	retiredRanks  int
-	migStats      core.MigStats
-	health        map[string]float64 // core.health.* counter snapshot
-}
-
-func runPowerDownSchedule(o Options) pdRun {
-	g := pdGeometry()
-	cfg := core.DefaultConfig(g)
+// runPowerDownSchedule is the 6-hour schedule behind Figures 12 and 13 and
+// the faults experiment: one pdGeometry device under the power policy.
+func runPowerDownSchedule(o Options) scheduleRun {
+	cfg := core.DefaultConfig(pdGeometry())
 	o.Policy.apply(&cfg)
 	d, err := core.New(cfg)
 	if err != nil {
 		panic(err)
 	}
-
-	workloads := make([]string, 0, 10)
-	for _, p := range trace.CloudSuite() {
-		workloads = append(workloads, p.Name)
-	}
-	genCfg := vmtrace.DefaultGenConfig()
-	genCfg.Seed = o.Seed
-	genCfg.NumVMs = o.scaled(400, 120)
-	genCfg.Workloads = workloads
-	vms := vmtrace.Generate(genCfg)
-	srv := vmtrace.Server{VCPUs: 48, MemBytes: g.TotalBytes()}
-	events, _, err := vmtrace.Schedule(vms, srv, genCfg.Horizon)
-	if err != nil {
-		panic(err)
-	}
-
-	run := pdRun{horizon: genCfg.Horizon}
-	rt := o.telemetryFor(d, vmtrace.Interval, genCfg.Horizon)
-
-	// With a fault spec, a seeded injector drives device faults on its own
-	// virtual-time engine, advanced in lockstep with the schedule clock; the
-	// health monitor (driven from d.Tick below) closes the loop by retiring
-	// degraded ranks. Allocation then degrades gracefully: requests the
-	// shrunken capacity cannot hold are shed, not fatal.
-	var inj *fault.Injector
-	var feng *sim.Engine
-	if o.FaultSpec != "" {
-		spec, err := fault.Parse(o.FaultSpec)
-		if err != nil {
-			panic(err)
-		}
-		feng = sim.NewEngine()
-		inj, err = fault.NewInjector(spec, d.Device(), feng)
-		if err != nil {
-			panic(err)
-		}
-		inj.Start(genCfg.Horizon)
-	}
-	shed := map[core.VMID]bool{}
-	// A patrol-scrub budget sized to cover the device roughly once per hour.
-	scrubPerInterval := int(g.TotalSegments() * int64(vmtrace.Interval) / int64(sim.Hour))
-
-	pm := d.Device().Power()
-	meter := power.NewMeter(pm)
-	live := map[core.VMID]vmtrace.VM{}
-	var liveIDs []core.VMID // reused scratch for deterministic iteration
-	ei := 0
-	var rankSum float64
-	var intervals int
-	var prevMigBytes int64
-
-	for t := sim.Time(0); t <= genCfg.Horizon; t += vmtrace.Interval {
-		o.checkCanceled()
-		if feng != nil {
-			feng.RunUntil(t)
-			// Health-plane probe: one read per failed rank still holding live
-			// data, BEFORE the event loop and Tick can drain and retire it (a
-			// departure's DeallocateVM already processes deferred retirements)
-			// — so the attribution ledger observes the degraded-read penalty
-			// the tenants are paying.
-			if n, lat := d.ProbeDegraded(t); n > 0 {
-				run.degradedProbes += n
-				run.probeLatNs += int64(lat)
-			}
-		}
-		for ei < len(events) && events[ei].At <= t {
-			ev := events[ei]
-			ei++
-			id := core.VMID(ev.VM.ID)
-			if ev.Depart {
-				if shed[id] {
-					delete(shed, id) // never admitted; nothing to release
-					continue
-				}
-				if err := d.DeallocateVM(id, t); err != nil {
-					panic(err)
-				}
-				delete(live, id)
-			} else {
-				if _, err := d.AllocateVM(id, core.HostID(ev.VM.ID%cfg.MaxHosts), ev.VM.MemBytes, t); err != nil {
-					if inj != nil && errors.Is(err, core.ErrOutOfCapacity) {
-						run.shedVMs++
-						shed[id] = true
-						continue
-					}
-					panic(err)
-				}
-				live[id] = ev.VM
-			}
-		}
-		if inj != nil {
-			d.Tick(t) // completes migrations and drives deferred retirements
-			if _, err := d.Scrubber().Run(t, scrubPerInterval); err != nil {
-				panic(fmt.Sprintf("experiments: scrub at %v: %v", t, err))
-			}
-		}
-
-		// Sum in VM-id order: float addition is not associative, so a map
-		// iteration here would let rounding differ between identical runs.
-		liveIDs = sortedLive(live, liveIDs)
-		var bw float64
-		for _, id := range liveIDs {
-			bw += vmBandwidthGBs(live[id])
-		}
-		bg := d.Device().BackgroundPowerNow()
-		migBytes := d.Stats().BytesMigrated
-		migrating := migBytes > prevMigBytes
-		if migrating {
-			run.migrationSpans++
-		}
-		prevMigBytes = migBytes
-		meter.Record(t, bg, pm.Active(bw), migrating)
-
-		rankSum += float64(d.ActiveRanksPerChannel())
-		intervals++
-		rt.tick(t)
-	}
-	if inj != nil {
-		// Zero-data-loss check: every surviving VM's memory must still be
-		// addressable and readable (retired ranks were drained; a failed rank
-		// not yet drained still serves reads in degraded mode).
-		// Probe in VM-id order: Access has model side effects (SMC fills,
-		// self-refresh wakes), so map order here would leak into the trace.
-		for _, id := range sortedLive(live, liveIDs) {
-			addrs, err := d.VMAddresses(id)
-			if err != nil {
-				panic(err)
-			}
-			for _, a := range addrs {
-				res, err := d.Access(a, false, genCfg.Horizon)
-				if err != nil {
-					run.probeFailures++
-					continue
-				}
-				run.probeLatNs += int64(res.TotalLat())
-			}
-		}
-		if err := d.CheckInvariants(); err != nil {
-			panic(fmt.Sprintf("experiments: invariants violated after fault run: %v", err))
-		}
-		run.faultStats = inj.Stats()
-		run.retiredRanks = len(d.RetiredRanks())
-		run.migStats = d.Migrator().Stats()
-		run.health = map[string]float64{}
-		for _, name := range []string{"storms", "auto_retires", "retires_deferred",
-			"retire_retries", "retires_abandoned", "fault_events"} {
-			v, _ := d.Registry().Value("core.health." + name)
-			run.health[name] = v
-		}
-	}
-	if err := rt.finish(genCfg.Horizon); err != nil {
-		panic(err)
-	}
-	meter.FinishAt(genCfg.Horizon)
-	d.Device().AccountUpTo(genCfg.Horizon)
-
-	st, sr, mp := d.Device().BackgroundEnergy()
-	run.techBGEnergy = st + sr + mp
-	run.baseBGEnergy = float64(g.TotalRanks()) * pm.StandbyPower * float64(genCfg.Horizon)
-	_, act, _ := meter.Energy()
-	run.activeEnergy = act
-	// Migration energy: moving B bytes at any bandwidth W costs
-	// slope*W power for B/W ns, i.e. slope*B units x ns regardless of W.
-	run.bytesMigrated = d.Stats().BytesMigrated
-	run.migEnergy = pm.ActivePowerPerGBs * float64(run.bytesMigrated)
-	run.meanActiveRanks = rankSum / float64(intervals)
-	run.samples = meter.Samples()
-	return run
-}
-
-// sortedLive refills ids with the ids of live in ascending order and
-// returns it.
-func sortedLive(live map[core.VMID]vmtrace.VM, ids []core.VMID) []core.VMID {
-	ids = ids[:0]
-	for id := range live {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return runSchedule(o, &deviceTarget{d: d})
 }
 
 // writePowerTimeline writes a power timeline as the CSV file name, one row
@@ -327,12 +108,9 @@ func Fig12(o Options) Result {
 	}
 	tab.Render(w)
 
-	baseTotal := run.baseBGEnergy + run.activeEnergy
-	techTotal := run.techBGEnergy + run.activeEnergy + run.migEnergy
-	saving := 1 - techTotal/baseTotal
-
+	saving := run.energySaving()
 	fmt.Fprintf(w, "\n(b) energy: baseline %.3g, technique %.3g units-s\n",
-		baseTotal/1e9, techTotal/1e9)
+		(run.baseBGEnergy+run.activeEnergy)/1e9, run.energyProxy()/1e9)
 	fmt.Fprintf(w, "energy saving %s (paper: 31.6%%), perf overhead %s (paper: 1.6%%)\n",
 		pct(saving), pct(perfOverhead))
 	fmt.Fprintf(w, "mean active ranks/channel %.2f of 8; %s migrated across %d intervals\n",

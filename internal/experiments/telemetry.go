@@ -72,50 +72,49 @@ type runTelemetry struct {
 // all runs). horizon is the run end if the experiment knows it up front (for
 // the watch ETA); 0 means unknown.
 func (o Options) telemetryFor(d *core.DTL, defaultPeriod, horizon sim.Time) *runTelemetry {
-	return o.telemetryForSource(d, func(now sim.Time, done bool) WatchSnapshot {
-		return snapshotDTL(d, o.watchExperiment, now, horizon, done)
-	}, defaultPeriod, horizon)
+	return o.telemetryForDTLs([]*core.DTL{d}, nil, defaultPeriod, horizon)
 }
 
-// telemetryForFabric is telemetryFor for rack runs: the trace, ledger, and
-// metrics sources are the fabric's rack-global ones, and watch snapshots
-// concatenate every expander's rank strip.
-func (o Options) telemetryForFabric(f *rack.Fabric, defaultPeriod, horizon sim.Time) *runTelemetry {
-	return o.telemetryForSource(f, func(now sim.Time, done bool) WatchSnapshot {
-		return snapshotFabric(f, o.watchExperiment, now, horizon, done)
-	}, defaultPeriod, horizon)
-}
-
-func (o Options) telemetryForSource(src attrSource, snapshot func(sim.Time, bool) WatchSnapshot, defaultPeriod, horizon sim.Time) *runTelemetry {
+// telemetryForDTLs is telemetryFor over ds, or, when f is non-nil, over the
+// rack f composes of them: the trace, ledger, and metrics sources are then
+// the fabric's rack-global ones, and watch snapshots concatenate every
+// expander's rank strip.
+func (o Options) telemetryForDTLs(ds []*core.DTL, f *rack.Fabric, defaultPeriod, horizon sim.Time) *runTelemetry {
 	if !o.observed() {
 		return nil
+	}
+	var src attrSource = ds[0]
+	if f != nil {
+		src = f
 	}
 	rt := &runTelemetry{
 		tracePath:   o.TracePath,
 		metricsPath: o.MetricsPath,
 		ledgerPath:  o.LedgerPath,
 		src:         src,
-		snapshot:    snapshot,
-		reg:         src.Registry(),
-		eng:         sim.NewEngine(),
-		horizon:     horizon,
-		watch:       o.Watch,
+		snapshot: func(now sim.Time, done bool) WatchSnapshot {
+			return snapshotDTLs(ds, f, o.watchExperiment, now, horizon, done)
+		},
+		reg:     src.Registry(),
+		eng:     sim.NewEngine(),
+		horizon: horizon,
+		watch:   o.Watch,
 	}
 	if o.TracePath != "" {
 		rt.tr = src.StartTrace(0)
 		rt.traceFormat = o.TraceFormat
-		var f *os.File
+		var file *os.File
 		var err error
 		if o.TraceFormat == telemetry.FormatJSONL {
-			f, err = os.Create(o.TracePath)
+			file, err = os.Create(o.TracePath)
 		} else {
-			f, err = os.CreateTemp(filepath.Dir(o.TracePath), filepath.Base(o.TracePath)+".*.jsonl")
+			file, err = os.CreateTemp(filepath.Dir(o.TracePath), filepath.Base(o.TracePath)+".*.jsonl")
 		}
 		if err != nil {
 			rt.traceErr = err
 		} else {
-			rt.traceFile = f
-			rt.traceBuf = bufio.NewWriterSize(f, 64<<10)
+			rt.traceFile = file
+			rt.traceBuf = bufio.NewWriterSize(file, 64<<10)
 			rt.traceStream = telemetry.NewTraceStream(rt.traceBuf)
 			rt.tr.AttachStream(rt.traceStream)
 		}

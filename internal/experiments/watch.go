@@ -52,70 +52,21 @@ type WatchAttr struct {
 	Energy float64
 }
 
-// snapshotDTL reads one WatchSnapshot off the live device. Counter reads go
-// through the registry (Counter is get-or-create, and all of these exist from
-// DTL construction), so the snapshot needs no hooks inside the model.
-func snapshotDTL(d *core.DTL, label string, now, horizon sim.Time, done bool) WatchSnapshot {
-	g := d.Config().Geometry
-	reg := d.Registry()
-
-	retired := map[dram.RankID]bool{}
-	for _, id := range d.RetiredRanks() {
-		retired[id] = true
-	}
-
+// snapshotDTLs reads one WatchSnapshot off live devices: a single DTL, or
+// the expanders of the rack f when f is non-nil. The rank strip runs in
+// global order (for a rack, expander channels side by side, so the strip
+// groups visually by expander), counters are summed across the devices,
+// and attribution totals merge every device's private ledger plus, for a
+// rack, the rack ledger (the fabric causes). Counter reads go through the
+// registry (Counter is get-or-create, and all of these exist from DTL
+// construction), so the snapshot needs no hooks inside the model.
+func snapshotDTLs(ds []*core.DTL, f *rack.Fabric, label string, now, horizon sim.Time, done bool) WatchSnapshot {
+	g := ds[0].Config().Geometry
 	snap := WatchSnapshot{
 		Experiment: label,
 		Now:        now,
 		Horizon:    horizon,
-		Ranks:      make([]WatchRank, 0, g.TotalRanks()),
-		Migrations: reg.Counter("core.migration.segments_migrated").Value(),
-		Wakes:      reg.Counter("core.selfrefresh.exits").Value(),
-		Faults:     reg.Counter("core.health.fault_events").Value(),
-		Retired:    len(retired),
-		Done:       done,
-	}
-	if led := d.Ledger(); led != nil {
-		totals := led.CauseTotals()
-		for c := telemetry.Cause(0); int(c) < telemetry.NumCauses; c++ {
-			cell := totals[c]
-			if cell.LatNs == 0 && cell.Energy == 0 {
-				continue
-			}
-			snap.Attr = append(snap.Attr, WatchAttr{
-				Cause: c.String(), LatNs: cell.LatNs, Energy: cell.Energy,
-			})
-		}
-	}
-	// Global-rank order matches the tracer: rank*Channels + channel.
-	for rk := 0; rk < g.RanksPerChannel; rk++ {
-		for ch := 0; ch < g.Channels; ch++ {
-			id := dram.RankID{Channel: ch, Rank: rk}
-			state := d.Device().State(id).String()
-			if retired[id] {
-				state = "retired"
-			}
-			snap.Ranks = append(snap.Ranks, WatchRank{
-				Rank:  rk*g.Channels + ch,
-				Name:  id.String(),
-				State: state,
-			})
-		}
-	}
-	return snap
-}
-
-// snapshotFabric reads one WatchSnapshot off a live rack: every expander's
-// rank strip concatenated in rack-global order (expander channels side by
-// side, so the strip groups visually by expander), counters summed across
-// expanders, and attribution totals merged from the rack ledger (fabric
-// causes) plus every expander's private ledger (everything else).
-func snapshotFabric(f *rack.Fabric, label string, now, horizon sim.Time, done bool) WatchSnapshot {
-	snap := WatchSnapshot{
-		Experiment: label,
-		Now:        now,
-		Horizon:    horizon,
-		Ranks:      make([]WatchRank, 0, f.TotalRanks()),
+		Ranks:      make([]WatchRank, 0, len(ds)*g.TotalRanks()),
 		Done:       done,
 	}
 	var totals [telemetry.NumCauses]telemetry.LedgerCell
@@ -129,15 +80,21 @@ func snapshotFabric(f *rack.Fabric, label string, now, horizon sim.Time, done bo
 			totals[c].Energy += ct[c].Energy
 		}
 	}
-	merge(f.Ledger())
-	for _, e := range f.Expanders() {
-		reg := e.DTL.Registry()
+	if f != nil {
+		merge(f.Ledger())
+	}
+	retired := map[dram.RankID]bool{} // keyed by global channel
+	for x, d := range ds {
+		reg := d.Registry()
 		snap.Migrations += reg.Counter("core.migration.segments_migrated").Value()
 		snap.Wakes += reg.Counter("core.selfrefresh.exits").Value()
 		snap.Faults += reg.Counter("core.health.fault_events").Value()
-		snap.Retired += len(e.DTL.RetiredRanks())
-		merge(e.DTL.Ledger())
+		for _, id := range d.RetiredRanks() {
+			retired[dram.RankID{Channel: x*g.Channels + id.Channel, Rank: id.Rank}] = true
+		}
+		merge(d.Ledger())
 	}
+	snap.Retired = len(retired)
 	for c := telemetry.Cause(0); int(c) < telemetry.NumCauses; c++ {
 		cell := totals[c]
 		if cell.LatNs == 0 && cell.Energy == 0 {
@@ -147,25 +104,22 @@ func snapshotFabric(f *rack.Fabric, label string, now, horizon sim.Time, done bo
 			Cause: c.String(), LatNs: cell.LatNs, Energy: cell.Energy,
 		})
 	}
-	g := f.Config().Expander.Geometry
-	totalCh := f.Config().Expanders * g.Channels
+	// Global-rank order matches the tracer: rank*channels + channel, the
+	// channels of every device counted together.
+	totalCh := len(ds) * g.Channels
 	for rk := 0; rk < g.RanksPerChannel; rk++ {
-		for _, e := range f.Expanders() {
-			retired := map[dram.RankID]bool{}
-			for _, id := range e.DTL.RetiredRanks() {
-				retired[id] = true
-			}
+		for x, d := range ds {
 			for ch := 0; ch < g.Channels; ch++ {
 				id := dram.RankID{Channel: ch, Rank: rk}
-				state := e.DTL.Device().State(id).String()
-				if retired[id] {
-					state = "retired"
+				r := WatchRank{Rank: rk*totalCh + x*g.Channels + ch, Name: id.String(),
+					State: d.Device().State(id).String()}
+				if f != nil {
+					r.Name = fmt.Sprintf("x%d/%s", x, id)
 				}
-				snap.Ranks = append(snap.Ranks, WatchRank{
-					Rank:  rk*totalCh + e.ID*g.Channels + ch,
-					Name:  fmt.Sprintf("x%d/%s", e.ID, id),
-					State: state,
-				})
+				if retired[dram.RankID{Channel: x*g.Channels + ch, Rank: rk}] {
+					r.State = "retired"
+				}
+				snap.Ranks = append(snap.Ranks, r)
 			}
 		}
 	}
