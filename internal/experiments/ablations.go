@@ -119,18 +119,12 @@ func AblationSMC(o Options) Result {
 	return res
 }
 
-// srPoint is one sweep point's outcome from ablSelfRefreshRun.
-type srPoint struct {
-	enters, swapped int64
-	duty            float64
-}
-
-// ablSelfRefreshRun exercises the hotness engine under one parameter set
-// and reports self-refresh entries, swaps and the SR duty achieved. When o
-// carries -trace/-metrics paths the run is instrumented; sweep callers pass
-// o.withoutTelemetry() for every point but the paper's, so the output files
-// describe a single well-defined configuration.
-func ablSelfRefreshRun(o Options, threshold sim.Time, tspEntries int, n int) (enters, swapped int64, duty float64) {
+// ablSelfRefreshRun replays n accesses of a data-caching mix with the
+// hotness engine under one parameter set. When o carries -trace/-metrics paths the
+// run is instrumented; sweep callers pass o.withoutTelemetry() for every
+// point but the paper's, so the output files describe a single
+// well-defined configuration.
+func ablSelfRefreshRun(o Options, threshold sim.Time, tspEntries int, n int) srRunResult {
 	geom := dram.Geometry{
 		Channels: 4, RanksPerChannel: 4, BanksPerRank: 16,
 		SegmentBytes: 2 * dram.MiB, RankBytes: 256 * dram.MiB,
@@ -140,43 +134,18 @@ func ablSelfRefreshRun(o Options, threshold sim.Time, tspEntries int, n int) (en
 	cfg.ProfilingWindow = 20_000
 	cfg.ProfilingThreshold = threshold
 	cfg.TSPTimeoutEntries = tspEntries
-	d, err := core.New(cfg)
-	if err != nil {
-		panic(err)
-	}
 	p, _ := trace.ProfileByName("data-caching")
 	p.FootprintBytes = 1792 << 20
 	p.HotBias = 0.99
 	p.UntouchedFraction = 0.5
-	// A one-profile mix is the generator's own stream at base 0 (component
-	// 0 is seeded with o.Seed); the loop reads only Addr and Write, so the
-	// mix's clock is unused and its generation runs a batch ahead.
-	g := trace.MustMixed([]trace.Profile{p}, o.Seed)
-	alloc, err := d.AllocateVM(1, 0, p.FootprintBytes, 0)
-	if err != nil {
-		panic(err)
-	}
-	d.Hotness().Enable(0)
-	rt := o.telemetryFor(d, 100*sim.Microsecond, 0)
-	now := sim.Time(0)
-	for i := 0; i < n; i++ {
-		a := g.Next()
-		if _, err := d.Access(alloc.AUBases[0]+dram.HPA(a.Addr), a.Write, now); err != nil {
-			panic(err)
-		}
-		now += 2
-		rt.tick(now)
-	}
-	d.Tick(now)
-	if err := rt.finish(now); err != nil {
-		panic(err)
-	}
-	dev := d.Device()
-	dev.AccountUpTo(now)
-	_, srE, _ := dev.BackgroundEnergy()
-	activeRanks := float64(d.ActiveRanksPerChannel() * geom.Channels)
-	duty = srE / 0.2 / float64(now) / activeRanks
-	return d.Stats().SelfRefreshEnters, d.Stats().SegmentsSwapped, duty
+	return srReplay{cfg: cfg, profiles: []trace.Profile{p}, allocBytes: p.FootprintBytes,
+		accesses: n, period: 100 * sim.Microsecond}.run(o)
+}
+
+// duty is the share of the active ranks' time spent in self-refresh
+// (self-refresh draws 0.2 of standby power).
+func (r srRunResult) duty() float64 {
+	return r.selfRefEnergy / 0.2 / float64(r.span) / float64(r.activeRanks)
 }
 
 // AblationProfilingThreshold sweeps the §3.4 idle threshold: lower
@@ -190,19 +159,18 @@ func AblationProfilingThreshold(o Options) Result {
 
 	n := o.scaled(1_500_000, 600_000)
 	thresholds := []sim.Time{50_000, 100_000, 400_000}
-	points := sweepPoints(thresholds, o.Parallel, func(thr sim.Time) srPoint {
+	points := sweepPoints(thresholds, o.Parallel, func(thr sim.Time) srRunResult {
 		po := o
 		if thr != 100_000 { // only the paper's threshold writes -trace/-metrics
 			po = o.withoutTelemetry()
 		}
-		enters, swapped, duty := ablSelfRefreshRun(po, thr, 32, n)
-		return srPoint{enters: enters, swapped: swapped, duty: duty}
+		return ablSelfRefreshRun(po, thr, 32, n)
 	})
 	tab := metrics.NewTable("threshold", "SR enters", "segments swapped", "SR duty")
 	for i, thr := range thresholds {
 		p := points[i]
-		tab.AddRowf("%v\t%d\t%d\t%s", thr, p.enters, p.swapped, pct(p.duty))
-		res.Metrics[fmt.Sprintf("sr_enters_%dus", int64(thr)/1000)] = float64(p.enters)
+		tab.AddRowf("%v\t%d\t%d\t%s", thr, p.srEnters, p.swapped, pct(p.duty()))
+		res.Metrics[fmt.Sprintf("sr_enters_%dus", int64(thr)/1000)] = float64(p.srEnters)
 		res.Metrics[fmt.Sprintf("swapped_%dus", int64(thr)/1000)] = float64(p.swapped)
 	}
 	tab.Render(w)
@@ -221,19 +189,18 @@ func AblationTSPTimeout(o Options) Result {
 
 	n := o.scaled(1_500_000, 600_000)
 	budgets := []int{4, 32, 256}
-	points := sweepPoints(budgets, o.Parallel, func(budget int) srPoint {
+	points := sweepPoints(budgets, o.Parallel, func(budget int) srRunResult {
 		po := o
 		if budget != 32 { // only the paper's budget writes -trace/-metrics
 			po = o.withoutTelemetry()
 		}
-		enters, _, duty := ablSelfRefreshRun(po, 100_000, budget, n)
-		return srPoint{enters: enters, duty: duty}
+		return ablSelfRefreshRun(po, 100_000, budget, n)
 	})
 	tab := metrics.NewTable("budget (entries)", "SR enters", "SR duty")
 	for i, budget := range budgets {
 		p := points[i]
-		tab.AddRowf("%d\t%d\t%s", budget, p.enters, pct(p.duty))
-		res.Metrics[fmt.Sprintf("sr_enters_b%d", budget)] = float64(p.enters)
+		tab.AddRowf("%d\t%d\t%s", budget, p.srEnters, pct(p.duty()))
+		res.Metrics[fmt.Sprintf("sr_enters_b%d", budget)] = float64(p.srEnters)
 	}
 	tab.Render(w)
 	res.footer(w)

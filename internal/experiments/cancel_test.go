@@ -48,16 +48,19 @@ func TestRunCanceledMidSchedule(t *testing.T) {
 	}
 }
 
-// TestRunTimeoutMidReplay: a deadline expiring inside fig14's replay loop is
-// honored at the polling cadence.
+// TestRunTimeoutMidReplay: a deadline expiring inside a self-refresh replay
+// is honored at the polling cadence, by fig14 and by the ablation sweeps
+// that share its replay driver.
 func TestRunTimeoutMidReplay(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	o := quickOpts()
-	o.Ctx = ctx
-	r, _ := ByID("fig14")
-	res := runRunner(r, o)
-	if !res.Canceled {
-		t.Fatalf("fig14 under a 10ms deadline completed: %+v", res)
+	for _, id := range []string{"fig14", "abl-threshold"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		o := quickOpts()
+		o.Ctx = ctx
+		r, _ := ByID(id)
+		res := runRunner(r, o)
+		cancel()
+		if !res.Canceled {
+			t.Fatalf("%s under a 10ms deadline completed: %+v", id, res)
+		}
 	}
 }

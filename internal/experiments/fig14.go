@@ -55,17 +55,18 @@ func srConfigs() []srConfig {
 	}
 }
 
-// srRunResult captures the energy split of one configuration's replay.
+// srRunResult captures the energy split of one self-refresh replay.
 type srRunResult struct {
-	cfg           srConfig
-	activeRanks   int // non-MPSM ranks after power-down
+	cfg           srConfig // the Fig. 14 configuration replayed, if any
+	activeRanks   int      // non-MPSM ranks after power-down
 	totalRanks    int
 	standbyEnergy float64 // over the measurement span, units x ns
 	selfRefEnergy float64
 	mpsmEnergy    float64
-	span          sim.Time
+	span          sim.Time // the replay after warm-up
 	srEnters      int64
 	srExits       int64
+	swapped       int64 // segments the hotness engine swapped
 }
 
 // additionalSaving is the Fig. 14 metric: background-energy reduction over
@@ -86,8 +87,94 @@ func (r srRunResult) totalSaving() float64 {
 	return 1 - (r.standbyEnergy+r.selfRefEnergy+r.mpsmEnergy)/baseline
 }
 
-// runSelfRefresh replays a mixed CloudSuite trace against a DTL with the
-// hotness engine enabled and measures background energy after warm-up.
+// srReplay is one self-refresh replay, the driver behind Fig. 14/15 and
+// the profiling-threshold and TSP-budget ablations: a DTL built from cfg,
+// one VM owning the profiles' mix in a contiguous AU space, the hotness
+// engine enabled, and the mix replayed at >30 GB/s of device bandwidth —
+// one 64 B access every srGapNs.
+type srReplay struct {
+	cfg        core.Config
+	profiles   []trace.Profile
+	allocBytes int64
+	accesses   int
+	warmup     sim.Time // background energy is measured from here on
+	period     sim.Time // telemetry's default sample period
+	// traceAlloc attaches telemetry before the VM is allocated, so the
+	// trace opens with the allocation's power-down at time zero.
+	traceAlloc bool
+}
+
+const srGapNs = 2
+
+func (r srReplay) run(o Options) srRunResult {
+	d, err := core.New(r.cfg)
+	if err != nil {
+		panic(err)
+	}
+	// Declared up front so telemetry can publish an ETA.
+	horizon := sim.Time(r.accesses) * srGapNs
+	var rt *runTelemetry
+	if r.traceAlloc {
+		rt = o.telemetryFor(d, r.period, horizon)
+	}
+	mix := trace.MustMixed(r.profiles, o.Seed)
+	alloc, err := d.AllocateVM(1, 0, r.allocBytes, 0)
+	if err != nil {
+		panic(err)
+	}
+	base := alloc.AUBases[0]
+	for i := 1; i < len(alloc.AUBases); i++ {
+		if alloc.AUBases[i] != alloc.AUBases[i-1]+dram.HPA(r.cfg.AUBytes) {
+			panic("experiments: AU space not contiguous")
+		}
+	}
+	activeRanks := d.ActiveRanksPerChannel() * r.cfg.Geometry.Channels
+	d.Hotness().Enable(0)
+	if !r.traceAlloc {
+		rt = o.telemetryFor(d, r.period, horizon)
+	}
+
+	dev := d.Device()
+	var wStandby, wSR, wMPSM float64
+	now := sim.Time(0)
+	for i := 0; i < r.accesses; i++ {
+		if i&0xffff == 0 {
+			o.checkCanceled()
+		}
+		a := mix.Next()
+		if _, err := d.Access(base+dram.HPA(a.Addr), a.Write, now); err != nil {
+			panic(err)
+		}
+		now += srGapNs
+		rt.tick(now)
+		if now == r.warmup {
+			dev.AccountUpTo(now)
+			wStandby, wSR, wMPSM = dev.BackgroundEnergy()
+		}
+	}
+	d.Tick(now)
+	if err := rt.finish(horizon); err != nil {
+		panic(err)
+	}
+	dev.AccountUpTo(horizon)
+	st, sr, mp := dev.BackgroundEnergy()
+	stats := d.Stats()
+	return srRunResult{
+		activeRanks:   activeRanks,
+		totalRanks:    r.cfg.Geometry.TotalRanks(),
+		standbyEnergy: st - wStandby,
+		selfRefEnergy: sr - wSR,
+		mpsmEnergy:    mp - wMPSM,
+		span:          horizon - r.warmup,
+		srEnters:      stats.SelfRefreshEnters,
+		srExits:       stats.SelfRefreshExits,
+		swapped:       stats.SegmentsSwapped,
+	}
+}
+
+// runSelfRefresh replays one Fig. 14 configuration: a six-workload
+// CloudSuite mix on srGeometry with the hotness engine's thresholds
+// time-dilated, measured over the second half of the replay.
 //
 // Time dilation: the paper's thresholds (0.5 ms window, 50 ms profiling
 // threshold) assume multi-minute runs; we scale thresholds and horizon
@@ -106,14 +193,6 @@ func runSelfRefresh(o Options, cfg srConfig) srRunResult {
 	// Hotness-policy overrides only: the reserve above IS this experiment's
 	// independent variable and must not be clobbered by an A/B knob.
 	o.Policy.applyHotness(&c)
-	d, err := core.New(c)
-	if err != nil {
-		panic(err)
-	}
-	// Replay horizon, declared up front so telemetry can publish an ETA;
-	// the bandwidth reasoning lives at the replay loop below.
-	horizon := sim.Time(o.scaled(24_000_000, 8_000_000)) // 24ms / 8ms
-	rt := o.telemetryFor(d, sim.Millisecond, horizon)
 
 	// Six-workload mix (as in the paper's trace mixing), footprints
 	// rounded to the 2 GiB AU and summing to the allocation target.
@@ -143,66 +222,14 @@ func runSelfRefresh(o Options, cfg srConfig) srRunResult {
 		profiles = append(profiles, p)
 		total += size
 	}
-	mix := trace.MustMixed(profiles, o.Seed)
 
-	// One VM owns the whole mix; its AU space is contiguous.
-	alloc, err := d.AllocateVM(1, 0, cfg.allocGiB<<30, 0)
-	if err != nil {
-		panic(err)
-	}
-	base := alloc.AUBases[0]
-	for i := 1; i < len(alloc.AUBases); i++ {
-		if alloc.AUBases[i] != alloc.AUBases[i-1]+dram.HPA(c.AUBytes) {
-			panic("experiments: AU space not contiguous")
-		}
-	}
-
-	activeRanks := d.ActiveRanksPerChannel() * g.Channels
-	d.Hotness().Enable(0)
-
-	// Replay at >30 GB/s device bandwidth: one 64 B access every ~2 ns.
-	// The warm-up half of the horizon covers the iterative cold-set
-	// enrichment the paper reports as its 10-60 s warm-up.
-	const gapNs = 2
-	warmup := horizon / 2
-	n := int(horizon / gapNs)
-
-	dev := d.Device()
-	var wStandby, wSR, wMPSM float64
-	now := sim.Time(0)
-	for i := 0; i < n; i++ {
-		if i&0xffff == 0 {
-			o.checkCanceled()
-		}
-		a := mix.Next()
-		if _, err := d.Access(base+dram.HPA(a.Addr), a.Write, now); err != nil {
-			panic(err)
-		}
-		now += gapNs
-		rt.tick(now)
-		if now == warmup {
-			dev.AccountUpTo(now)
-			wStandby, wSR, wMPSM = dev.BackgroundEnergy()
-		}
-	}
-	d.Tick(now)
-	if err := rt.finish(horizon); err != nil {
-		panic(err)
-	}
-	dev.AccountUpTo(horizon)
-	st, sr, mp := dev.BackgroundEnergy()
-
-	return srRunResult{
-		cfg:           cfg,
-		activeRanks:   activeRanks,
-		totalRanks:    g.TotalRanks(),
-		standbyEnergy: st - wStandby,
-		selfRefEnergy: sr - wSR,
-		mpsmEnergy:    mp - wMPSM,
-		span:          horizon - warmup,
-		srEnters:      d.Stats().SelfRefreshEnters,
-		srExits:       d.Stats().SelfRefreshExits,
-	}
+	// 24 ms (quick: 8 ms) of replay; the warm-up half covers the iterative
+	// cold-set enrichment the paper reports as its 10-60 s warm-up.
+	n := o.scaled(12_000_000, 4_000_000)
+	r := srReplay{cfg: c, profiles: profiles, allocBytes: cfg.allocGiB << 30, accesses: n,
+		warmup: sim.Time(n) * srGapNs / 2, period: sim.Millisecond, traceAlloc: true}.run(o)
+	r.cfg = cfg
+	return r
 }
 
 // srMemo holds the self-refresh replays of one RunAll call. Fig14 and Fig15
