@@ -28,7 +28,7 @@ func testConfig() Config {
 	return cfg
 }
 
-func newTestDTL(t *testing.T) *DTL {
+func newTestDTL(t testing.TB) *DTL {
 	t.Helper()
 	d, err := New(testConfig())
 	if err != nil {
@@ -37,7 +37,7 @@ func newTestDTL(t *testing.T) *DTL {
 	return d
 }
 
-func mustAlloc(t *testing.T, d *DTL, vm VMID, host HostID, bytes int64, now sim.Time) Allocation {
+func mustAlloc(t testing.TB, d *DTL, vm VMID, host HostID, bytes int64, now sim.Time) Allocation {
 	t.Helper()
 	a, err := d.AllocateVM(vm, host, bytes, now)
 	if err != nil {
@@ -49,7 +49,7 @@ func mustAlloc(t *testing.T, d *DTL, vm VMID, host HostID, bytes int64, now sim.
 	return a
 }
 
-func mustDealloc(t *testing.T, d *DTL, vm VMID, now sim.Time) {
+func mustDealloc(t testing.TB, d *DTL, vm VMID, now sim.Time) {
 	t.Helper()
 	if err := d.DeallocateVM(vm, now); err != nil {
 		t.Fatalf("DeallocateVM(%d): %v", vm, err)

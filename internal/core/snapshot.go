@@ -47,29 +47,9 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-type crcReader struct {
-	r   io.Reader
-	crc uint32
-}
-
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
 func put(w io.Writer, vs ...int64) error {
 	for _, v := range vs {
 		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func get(r io.Reader, vs ...*int64) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
 			return err
 		}
 	}
@@ -170,102 +150,153 @@ func (d *DTL) SaveMetadata(w io.Writer) error {
 	return bw.Flush()
 }
 
+// snapReader reads a snapshot's little-endian int64s and folds every byte
+// into the running CRC. The first error sticks: later reads return 0.
+type snapReader struct {
+	r   *bufio.Reader
+	crc uint32
+	err error
+}
+
+func (s *snapReader) int() int64 {
+	if s.err != nil {
+		return 0
+	}
+	var b [8]byte
+	if _, err := io.ReadFull(s.r, b[:]); err != nil {
+		s.err = err
+		return 0
+	}
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, b[:])
+	return int64(binary.LittleEndian.Uint64(b[:]))
+}
+
+// ints reads n records of width int64s each, refusing a count outside
+// [0, max] before allocating for it.
+func (s *snapReader) ints(what string, n, max int64, width int) []int64 {
+	if s.err == nil && (n < 0 || n > max) {
+		s.err = fmt.Errorf("%d %s records, want at most %d", n, what, max)
+	}
+	if s.err != nil {
+		return nil
+	}
+	out := make([]int64, n*int64(width))
+	for i := range out {
+		out[i] = s.int()
+	}
+	return out
+}
+
 // LoadMetadata reconstructs a DTL from a snapshot. The caller supplies the
 // same configuration the device was built with (thresholds and cache sizes
 // are configuration, not durable state); geometry and allocation-unit
-// parameters are cross-checked against the snapshot.
+// parameters are cross-checked against the snapshot. No record is acted on
+// before the whole body has been read and its CRC trailer checked, and
+// each is then range-checked against the configuration, so a corrupted
+// snapshot is an error, never a panic.
 func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
-	cr := &crcReader{r: bufio.NewReader(r)}
-
-	var magic, version int64
-	var chans, ranks, banks, segBytes, rankBytes, auBytes, maxHosts int64
-	if err := get(cr, &magic, &version, &chans, &ranks, &banks, &segBytes, &rankBytes, &auBytes, &maxHosts); err != nil {
-		return nil, fmt.Errorf("core: snapshot header: %w", err)
+	sr := &snapReader{r: bufio.NewReader(r)}
+	var hdr [9]int64
+	for i := range hdr {
+		hdr[i] = sr.int()
 	}
-	if magic != snapshotMagic {
-		return nil, fmt.Errorf("core: bad snapshot magic %#x", magic)
+	if sr.err != nil {
+		return nil, fmt.Errorf("core: snapshot header: %w", sr.err)
 	}
-	if version != snapshotVersion {
-		return nil, fmt.Errorf("core: unsupported snapshot version %d", version)
+	if hdr[0] != snapshotMagic {
+		return nil, fmt.Errorf("core: bad snapshot magic %#x", hdr[0])
 	}
-
+	if hdr[1] != snapshotVersion {
+		return nil, fmt.Errorf("core: unsupported snapshot version %d", hdr[1])
+	}
 	d, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	g := d.cfg.Geometry
-	if int(chans) != g.Channels || int(ranks) != g.RanksPerChannel ||
-		segBytes != g.SegmentBytes || rankBytes != g.RankBytes {
-		return nil, fmt.Errorf("core: snapshot geometry %dx%d/%d/%d does not match config %v",
-			chans, ranks, segBytes, rankBytes, g)
+	if want := [7]int64{int64(g.Channels), int64(g.RanksPerChannel), int64(g.BanksPerRank),
+		g.SegmentBytes, g.RankBytes, d.cfg.AUBytes, int64(d.cfg.MaxHosts)}; [7]int64(hdr[2:]) != want {
+		return nil, fmt.Errorf("core: snapshot geometry/AU/hosts %v do not match config %v", hdr[2:], want)
 	}
-	if auBytes != d.cfg.AUBytes || int(maxHosts) != d.cfg.MaxHosts {
-		return nil, fmt.Errorf("core: snapshot AU/hosts (%d/%d) do not match config (%d/%d)",
-			auBytes, maxHosts, d.cfg.AUBytes, d.cfg.MaxHosts)
+
+	// Read the whole body, bounding every count by the configuration.
+	ranks := sr.ints("rank", int64(g.TotalRanks()), int64(g.TotalRanks()), 2)
+	var groups [][]int64
+	nGroups := sr.int()
+	if sr.err == nil && (nGroups < 0 || nGroups > int64(g.RanksPerChannel)) {
+		return nil, fmt.Errorf("core: snapshot has %d powered-down groups", nGroups)
+	}
+	for i := int64(0); i < nGroups && sr.err == nil; i++ {
+		groups = append(groups, sr.ints("group member", sr.int(), int64(g.Channels), 2))
+	}
+	maps := sr.ints("segment mapping", sr.int(), g.TotalSegments(), 2)
+	type vmRecord struct {
+		id, host int64
+		aus      []int64
+	}
+	var vms []vmRecord
+	nVMs := sr.int()
+	if sr.err == nil && nVMs < 0 {
+		return nil, fmt.Errorf("core: snapshot has %d VMs", nVMs)
+	}
+	for i := int64(0); i < nVMs && sr.err == nil; i++ {
+		id, host := sr.int(), sr.int()
+		vms = append(vms, vmRecord{id, host, sr.ints("vm AU", sr.int(), d.totalAUs, 1)})
+	}
+	free := make([][]int64, d.cfg.MaxHosts)
+	for h := range free {
+		free[h] = sr.ints("free AU", sr.int(), d.totalAUs, 1)
+	}
+	if sr.err != nil {
+		return nil, fmt.Errorf("core: snapshot body: %w", sr.err)
+	}
+	var gotCRC uint32
+	if err := binary.Read(sr.r, binary.LittleEndian, &gotCRC); err != nil {
+		return nil, fmt.Errorf("core: snapshot CRC: %w", err)
+	}
+	if gotCRC != sr.crc {
+		return nil, fmt.Errorf("core: snapshot CRC mismatch: %#x != %#x", gotCRC, sr.crc)
 	}
 
 	// Rank records: restore power states and retirement. State transitions
 	// happen at time zero with no penalty accounting (the device restarts).
 	for gr := 0; gr < g.TotalRanks(); gr++ {
-		var state, retired int64
-		if err := get(cr, &state, &retired); err != nil {
-			return nil, fmt.Errorf("core: snapshot rank %d: %w", gr, err)
+		state, retired := ranks[2*gr], ranks[2*gr+1]
+		if state < 0 || state > int64(dram.MPSM) || retired < 0 || retired > 1 {
+			return nil, fmt.Errorf("core: snapshot rank %d has invalid state %d / retired %d", gr, state, retired)
 		}
 		ch, rk := d.codec.SplitGlobalRank(gr)
-		id := dram.RankID{Channel: ch, Rank: rk}
-		if state < 0 || state > int64(dram.MPSM) {
-			return nil, fmt.Errorf("core: snapshot rank %d has invalid state %d", gr, state)
-		}
-		d.dev.SetState(id, dram.PowerState(state), sim.Time(0))
+		d.dev.SetState(dram.RankID{Channel: ch, Rank: rk}, dram.PowerState(state), sim.Time(0))
 		if retired == 1 {
 			if d.retired == nil {
 				d.retired = make(map[int]bool)
 			}
 			d.retired[gr] = true
-			d.free[gr].reset()
 		}
 	}
-
-	var nGroups int64
-	if err := get(cr, &nGroups); err != nil {
-		return nil, err
-	}
-	if nGroups < 0 || nGroups > int64(g.RanksPerChannel) {
-		return nil, fmt.Errorf("core: snapshot has %d powered-down groups", nGroups)
-	}
-	for i := int64(0); i < nGroups; i++ {
-		var n int64
-		if err := get(cr, &n); err != nil {
-			return nil, err
-		}
-		if n < 0 || n > int64(g.Channels) {
-			return nil, fmt.Errorf("core: snapshot group %d has %d members", i, n)
-		}
-		group := make([]dram.RankID, n)
+	for i, members := range groups {
+		group := make([]dram.RankID, len(members)/2)
 		for j := range group {
-			var ch, rk int64
-			if err := get(cr, &ch, &rk); err != nil {
-				return nil, err
+			ch, rk := members[2*j], members[2*j+1]
+			if ch < 0 || ch >= int64(g.Channels) || rk < 0 || rk >= int64(g.RanksPerChannel) {
+				return nil, fmt.Errorf("core: snapshot group %d names rank ch%d/rk%d", i, ch, rk)
 			}
 			group[j] = dram.RankID{Channel: int(ch), Rank: int(rk)}
 		}
 		d.poweredDown = append(d.poweredDown, group)
 	}
 
-	// Segment mappings; rebuild revMap and allocation counters, then derive
-	// the free queues from what is not mapped.
-	var nMaps int64
-	if err := get(cr, &nMaps); err != nil {
-		return nil, err
-	}
-	if nMaps < 0 || nMaps > g.TotalSegments() {
-		return nil, fmt.Errorf("core: snapshot maps %d segments of %d", nMaps, g.TotalSegments())
-	}
-	for i := int64(0); i < nMaps; i++ {
-		var hsn, dsn int64
-		if err := get(cr, &hsn, &dsn); err != nil {
-			return nil, err
+	// Segment mappings, in the ascending HSN order SaveMetadata writes;
+	// rebuild revMap and allocation counters, then derive the free queues
+	// from what is not mapped.
+	maxHSN := int64(d.cfg.MaxHosts) * d.totalAUs * d.segsPerAU
+	prevHSN := int64(-1)
+	for i := 0; i < len(maps); i += 2 {
+		hsn, dsn := maps[i], maps[i+1]
+		if hsn <= prevHSN || hsn >= maxHSN {
+			return nil, fmt.Errorf("core: snapshot hsn %d out of order or outside [0, %d)", hsn, maxHSN)
 		}
+		prevHSN = hsn
 		if dsn < 0 || dsn >= g.TotalSegments() {
 			return nil, fmt.Errorf("core: snapshot dsn %d out of range", dsn)
 		}
@@ -295,74 +326,42 @@ func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
 		}
 	}
 
-	// VM records.
-	var nVMs int64
-	if err := get(cr, &nVMs); err != nil {
-		return nil, err
-	}
-	if nVMs < 0 {
-		return nil, fmt.Errorf("core: snapshot has %d VMs", nVMs)
-	}
-	for i := int64(0); i < nVMs; i++ {
-		var id, host, nAUs int64
-		if err := get(cr, &id, &host, &nAUs); err != nil {
-			return nil, err
+	// VM records, in the ascending id order SaveMetadata writes.
+	for i, vm := range vms {
+		if i > 0 && vm.id <= vms[i-1].id {
+			return nil, fmt.Errorf("core: snapshot vm %d out of order", vm.id)
 		}
-		if host < 0 || host >= int64(d.cfg.MaxHosts) || nAUs < 0 || nAUs > d.cfg.TotalAUs() {
-			return nil, fmt.Errorf("core: snapshot vm %d invalid (host %d, aus %d)", id, host, nAUs)
+		if vm.host < 0 || vm.host >= int64(d.cfg.MaxHosts) {
+			return nil, fmt.Errorf("core: snapshot vm %d has invalid host %d", vm.id, vm.host)
 		}
-		st := &vmState{host: HostID(host), aus: make([]int64, nAUs)}
-		if err := getSlice(cr, st.aus); err != nil {
-			return nil, err
-		}
+		st := &vmState{host: HostID(vm.host), aus: vm.aus}
 		for _, au := range st.aus {
+			if au < 0 || au >= d.totalAUs {
+				return nil, fmt.Errorf("core: snapshot vm %d names AU %d of %d", vm.id, au, d.totalAUs)
+			}
 			for off := int64(0); off < d.segsPerAU; off++ {
 				hsn := d.hsnOf(st.host, au, off)
 				if _, ok := d.segMap.get(hsn); !ok {
-					return nil, fmt.Errorf("core: snapshot vm %d missing mapping for hsn %d", id, hsn)
+					return nil, fmt.Errorf("core: snapshot vm %d missing mapping for hsn %d", vm.id, hsn)
 				}
 			}
 		}
-		d.vms[VMID(id)] = st
+		d.vms[VMID(vm.id)] = st
 	}
 
 	// Free AU queues.
-	for h := 0; h < d.cfg.MaxHosts; h++ {
-		var n int64
-		if err := get(cr, &n); err != nil {
-			return nil, err
-		}
-		if n < 0 || n > d.cfg.TotalAUs() {
-			return nil, fmt.Errorf("core: snapshot host %d has %d free AUs", h, n)
-		}
-		aus := make([]int64, n)
-		if err := getSlice(cr, aus); err != nil {
-			return nil, err
+	for h, aus := range free {
+		for _, au := range aus {
+			if au < 0 || au >= d.totalAUs {
+				return nil, fmt.Errorf("core: snapshot host %d frees AU %d of %d", h, au, d.totalAUs)
+			}
 		}
 		d.auFree[h].reset()
 		d.auFree[h].pushAll(aus)
-	}
-
-	wantCRC := cr.crc
-	var gotCRC uint32
-	if err := binary.Read(cr.r, binary.LittleEndian, &gotCRC); err != nil {
-		return nil, fmt.Errorf("core: snapshot CRC: %w", err)
-	}
-	if gotCRC != wantCRC {
-		return nil, fmt.Errorf("core: snapshot CRC mismatch: %#x != %#x", gotCRC, wantCRC)
 	}
 
 	if err := d.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("core: restored snapshot inconsistent: %w", err)
 	}
 	return d, nil
-}
-
-func getSlice(r io.Reader, out []int64) error {
-	for i := range out {
-		if err := binary.Read(r, binary.LittleEndian, &out[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,7 +15,7 @@ import (
 
 // buildPopulatedDTL creates a DTL with several VMs, a powered-down group
 // and a retired rank — a representative durable state.
-func buildPopulatedDTL(t *testing.T) *DTL {
+func buildPopulatedDTL(t testing.TB) *DTL {
 	t.Helper()
 	d := newTestDTL(t)
 	mustAlloc(t, d, 1, 0, 64*dram.MiB, 0)
@@ -314,4 +316,79 @@ func TestPropertySnapshotRoundTripRandomStates(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// snapshotBody returns d's snapshot without its CRC trailer.
+func snapshotBody(t testing.TB, d *DTL) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.SaveMetadata(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[:buf.Len()-4]
+}
+
+// withCRC appends the CRC trailer SaveMetadata would write after body.
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
+
+// TestSnapshotOutOfRangeHSN: a mapping whose hsn lies outside the hosts'
+// address space is refused with an error, never a panic — whether the CRC
+// trailer is stale (the CRC is checked before any record is used) or
+// recomputed over the corrupted body (the hsn is range-checked).
+func TestSnapshotOutOfRangeHSN(t *testing.T) {
+	d := buildPopulatedDTL(t)
+	body := snapshotBody(t, d)
+	// The first mapping's hsn follows the header, the rank records, the
+	// powered-down groups and the mapping count.
+	g := d.Config().Geometry
+	off := 9*8 + 16*g.TotalRanks() + 8
+	for _, group := range d.poweredDown {
+		off += 8 + 16*len(group)
+	}
+	off += 8
+	if d.segMap.len() == 0 {
+		t.Fatal("populated device has no mappings")
+	}
+	for _, hsn := range []int64{-1, 1 << 40} {
+		for _, crc := range []string{"stale", "recomputed"} {
+			corrupt := withCRC(body)
+			binary.LittleEndian.PutUint64(corrupt[off:], uint64(hsn))
+			if crc == "recomputed" {
+				corrupt = withCRC(corrupt[:len(corrupt)-4])
+			}
+			if _, err := LoadMetadata(bytes.NewReader(corrupt), testConfig()); err == nil {
+				t.Errorf("hsn %d with a %s CRC accepted", hsn, crc)
+			}
+		}
+	}
+}
+
+// FuzzLoadMetadata: whatever the body, with a valid CRC trailer over it,
+// LoadMetadata never panics; a snapshot it accepts passes CheckInvariants
+// and SaveMetadata re-emits it byte for byte.
+func FuzzLoadMetadata(f *testing.F) {
+	f.Add(snapshotBody(f, newTestDTL(f)))
+	populated := buildPopulatedDTL(f)
+	f.Add(snapshotBody(f, populated))
+	populated.PowerDownIdle(5000)
+	f.Add(snapshotBody(f, populated))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		in := withCRC(body)
+		d, err := LoadMetadata(bytes.NewReader(in), testConfig())
+		if err != nil {
+			return
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("accepted snapshot fails its invariants: %v", err)
+		}
+		var out bytes.Buffer
+		if err := d.SaveMetadata(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), in) {
+			t.Fatalf("accepted snapshot re-emitted differently:\n in %x\nout %x", in, out.Bytes())
+		}
+	})
 }
