@@ -303,7 +303,12 @@ func runSchedule(o Options, tgt scheduleTarget) scheduleRun {
 		st += dst
 		sr += dsr
 		mp += dmp
-		run.perDTL[x] = dtlSummary{rankSums[x] / float64(intervals), dst + dsr + dmp, d.AllocatedBytes(), d.LiveVMs()}
+		run.perDTL[x] = dtlSummary{
+			meanActiveRanks: rankSums[x] / float64(intervals),
+			bgEnergy:        dst + dsr + dmp,
+			endAllocBytes:   d.AllocatedBytes(),
+			endLiveVMs:      d.LiveVMs(),
+		}
 		rankSum += rankSums[x]
 		run.bytesMigrated += d.Stats().BytesMigrated
 	}

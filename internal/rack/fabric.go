@@ -411,53 +411,11 @@ func (f *Fabric) copyOver(vm core.VMID, src, dst int, bytes int64, now sim.Time)
 	return done
 }
 
-// Tick advances every expander's background machinery (migrations,
-// deferred retirements) in index order.
-func (f *Fabric) Tick(now sim.Time) {
-	for _, e := range f.exps {
-		e.DTL.Tick(now)
-	}
-}
-
-// ProbeDegraded issues the health-plane degraded-rank probes on every
-// expander in index order, summing probe counts and latency.
-func (f *Fabric) ProbeDegraded(now sim.Time) (int, sim.Time) {
-	var n int
-	var lat sim.Time
-	for _, e := range f.exps {
-		pn, plat := e.DTL.ProbeDegraded(now)
-		n += pn
-		lat += plat
-	}
-	return n, lat
-}
-
-// CheckInvariants verifies every expander's structural invariants.
-func (f *Fabric) CheckInvariants() error {
-	for _, e := range f.exps {
-		if err := e.DTL.CheckInvariants(); err != nil {
-			return fmt.Errorf("rack: expander %d: %w", e.ID, err)
-		}
-	}
-	return nil
-}
-
 // AccountUpTo settles every expander's background-energy accounting.
 func (f *Fabric) AccountUpTo(now sim.Time) {
 	for _, e := range f.exps {
 		e.DTL.Device().AccountUpTo(now)
 	}
-}
-
-// BackgroundEnergy sums the per-state background energy over the rack.
-func (f *Fabric) BackgroundEnergy() (standby, selfRefresh, mpsm float64) {
-	for _, e := range f.exps {
-		st, sr, mp := e.DTL.Device().BackgroundEnergy()
-		standby += st
-		selfRefresh += sr
-		mpsm += mp
-	}
-	return standby, selfRefresh, mpsm
 }
 
 // BytesMigrated sums intra-expander migration traffic over the rack
