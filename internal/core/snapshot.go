@@ -345,6 +345,7 @@ func LoadMetadata(r io.Reader, cfg Config) (*DTL, error) {
 					return nil, fmt.Errorf("core: snapshot vm %d missing mapping for hsn %d", vm.id, hsn)
 				}
 			}
+			d.auOwner[vm.host*d.totalAUs+au] = vm.id // the ledger's owner map
 		}
 		d.vms[VMID(vm.id)] = st
 	}

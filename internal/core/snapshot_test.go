@@ -70,6 +70,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("vm %d AU base %d: %v != %v", vm, i, got[i], want[i])
 			}
+			// The ledger charges the restored VM, not the system.
+			if owner := r.ownerOf(dram.HSN(int64(got[i]) >> r.codec.SegmentShift())); owner != int64(vm) {
+				t.Fatalf("vm %d AU base %d owned by %d after restore", vm, i, owner)
+			}
 		}
 	}
 	// Power states identical.
