@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"dtl/internal/dram"
 	"dtl/internal/sim"
+	"dtl/internal/telemetry"
 )
 
 // hotTestDTL builds a DTL with fast (scaled-down) hotness thresholds and a
@@ -178,6 +180,56 @@ func TestSelfRefreshWakeOnAccess(t *testing.T) {
 	}
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWakeWithZeroExitLatency wakes a self-refresh rank whose exit costs
+// nothing: the access must still count the exit, trace the wake and
+// restart the channel's profiling window, so the wake cannot be inferred
+// from a nonzero wake delay.
+func TestWakeWithZeroExitLatency(t *testing.T) {
+	cfg := testConfig()
+	cfg.ProfilingWindow = 10 * sim.Microsecond
+	cfg.ProfilingThreshold = 100 * sim.Microsecond
+	tim := dram.DefaultTiming()
+	tim.SelfRefreshExit = 0
+	d, err := NewWithDevice(cfg, dram.MustDevice(cfg.Geometry, dram.DefaultPowerModel(), tim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAlloc(t, d, 1, 0, 64*dram.MiB, 0)
+	a, _ := d.VMAddresses(1)
+	var stream bytes.Buffer
+	d.StartTrace(0).AttachStream(telemetry.NewTraceStream(&stream))
+	d.Hotness().Enable(0)
+
+	res, err := d.Access(a[0], false, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, rk := d.codec.RankOf(res.DPA)
+	id := dram.RankID{Channel: ch, Rank: rk}
+	d.Device().SetState(id, dram.SelfRefresh, 2000)
+
+	now := sim.Time(50 * sim.Microsecond) // past the profiling window begun at 0
+	res, err = d.Access(a[0], true, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.WokeSelfRefresh {
+		t.Fatal("access to a self-refresh rank did not report a wake")
+	}
+	if d.Device().State(id) != dram.Standby {
+		t.Fatalf("rank %v in %v after the wake, want standby", id, d.Device().State(id))
+	}
+	if got := d.Stats().SelfRefreshExits; got != 1 {
+		t.Fatalf("SelfRefreshExits = %d, want 1", got)
+	}
+	if got := bytes.Count(stream.Bytes(), []byte(`"type":"wake"`)); got != 1 {
+		t.Fatalf("trace holds %d wake events, want 1", got)
+	}
+	if cs := d.hot.ch[ch]; cs.phase != PhaseWindow || cs.windowStart != now {
+		t.Fatalf("channel %d in %v since %v, want a profiling window restarted at %v", ch, cs.phase, cs.windowStart, now)
 	}
 }
 
