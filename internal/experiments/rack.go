@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"dtl/internal/core"
 	"dtl/internal/dram"
@@ -16,10 +17,9 @@ import (
 // pdGeometry expanders (1.5 TiB pooled) behind one switch.
 const defaultRackExpanders = 4
 
-// runRackSchedule runs the 6-hour schedule over an n-expander rack under one
-// placement policy: the fabric is in the access path, and every VM arrival
-// goes through the rack's global allocator.
-func runRackSchedule(o Options, fcfg rack.FabricConfig, n int) scheduleRun {
+// newRackTarget builds an n-expander rack under o's policy overrides, every
+// VM arrival placed through the rack's global allocator under fcfg's policy.
+func newRackTarget(o Options, fcfg rack.FabricConfig, n int) *rackTarget {
 	ecfg := core.DefaultConfig(pdGeometry())
 	o.Policy.apply(&ecfg)
 	f, err := rack.New(rack.Config{Expanders: n, Expander: ecfg, Fabric: fcfg})
@@ -30,12 +30,18 @@ func runRackSchedule(o Options, fcfg rack.FabricConfig, n int) scheduleRun {
 	for _, e := range f.Expanders() {
 		tgt.ds = append(tgt.ds, e.DTL)
 	}
+	return tgt
+}
+
+// runRackSchedule runs the 6-hour schedule over the rack, with the fabric
+// in the access path, and collects the fabric's outcomes.
+func runRackSchedule(o Options, tgt *rackTarget) scheduleRun {
 	run := runSchedule(o, tgt)
 
-	run.policy = fcfg.Policy
+	run.policy = tgt.f.Config().Fabric.Policy
 	run.alloc = tgt.alloc.Stats()
 	run.accessLatNs += run.alloc.VerifyLatNs
-	reg := f.Registry()
+	reg := tgt.f.Registry()
 	run.crossAccesses = reg.Counter("rack.fabric.cross_accesses").Value()
 	run.fabricStallNs = reg.Counter("rack.fabric.stall_ns").Value()
 	run.fabricBytes = reg.Counter("rack.fabric.bytes_copied").Value()
@@ -144,8 +150,8 @@ func Rack(o Options) Result {
 	fmt.Fprintf(w, "rack: %d expanders x %s, fabric hop %v, link %.0f GB/s, headline policy %s\n\n",
 		n, dram.FormatBytes(pdGeometry().TotalBytes()), fcfg.HopLatency, fcfg.BandwidthGBs, fcfg.Policy)
 
-	head := runRackSchedule(o, fcfg, n)
-	alt := runRackSchedule(o.withoutTelemetry(), altCfg, n)
+	head := runRackSchedule(o, newRackTarget(o, fcfg, n))
+	alt := runRackSchedule(o.withoutTelemetry(), newRackTarget(o, altCfg, n))
 
 	writePowerTimeline(o, "rack_power_timeline", head.samples)
 
@@ -158,13 +164,7 @@ func Rack(o Options) Result {
 	tab.Render(w)
 
 	fmt.Fprintln(w, "\n(b) policy A/B on the identical arrival curve")
-	tab = metrics.NewTable("policy", "bg energy", "active", "migration", "fabric", "total (units-s)", "cross-access share", "shed")
-	for _, r := range []scheduleRun{head, alt} {
-		tab.AddRowf("%s\t%.3g\t%.3g\t%.3g\t%.3g\t%.3g\t%s\t%d",
-			r.policy, r.techBGEnergy/1e9, r.activeEnergy/1e9, r.migEnergy/1e9,
-			r.fabricEnergy/1e9, r.energyProxy()/1e9, pct(r.crossShare()), r.shedVMs+int(r.alloc.Shed))
-	}
-	tab.Render(w)
+	writePolicyAB(w, head, alt)
 
 	pack, spread := head, alt
 	if head.policy != rack.PolicyPack {
@@ -197,4 +197,17 @@ func Rack(o Options) Result {
 	res.Metrics["bytes_migrated"] = float64(head.bytesMigrated)
 	res.footer(w)
 	return res
+}
+
+// writePolicyAB renders the rack's policy A/B table, one row per run. The
+// shed column is the schedule's count of refused arrivals; the allocator's
+// Stats.Shed counts the same refusals.
+func writePolicyAB(w io.Writer, runs ...scheduleRun) {
+	tab := metrics.NewTable("policy", "bg energy", "active", "migration", "fabric", "total (units-s)", "cross-access share", "shed")
+	for _, r := range runs {
+		tab.AddRowf("%s\t%.3g\t%.3g\t%.3g\t%.3g\t%.3g\t%s\t%d",
+			r.policy, r.techBGEnergy/1e9, r.activeEnergy/1e9, r.migEnergy/1e9,
+			r.fabricEnergy/1e9, r.energyProxy()/1e9, pct(r.crossShare()), r.shedVMs)
+	}
+	tab.Render(w)
 }

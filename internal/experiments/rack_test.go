@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"dtl/internal/core"
+	"dtl/internal/rack"
 	"dtl/internal/telemetry"
 )
 
@@ -143,5 +147,37 @@ func TestRackUnderFaults(t *testing.T) {
 	}
 	if pack, spread := res.Metrics["energy_proxy_pack"], res.Metrics["energy_proxy_spread"]; pack > spread {
 		t.Errorf("pack energy proxy %g exceeds spread %g under faults", pack, spread)
+	}
+}
+
+// TestRackShedCountedOnce runs the schedule over a rack whose expanders are
+// each ballasted 7/8 full, so the allocator refuses arrivals. The policy
+// A/B table must print each refused VM once: its shed column must equal
+// the run's vms_shed count, which the allocator's own Stats.Shed repeats.
+func TestRackShedCountedOnce(t *testing.T) {
+	o := rackOpts()
+	fcfg, err := rack.ParseFabric(o.Fabric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := newRackTarget(o, fcfg, o.Rack)
+	for x, d := range tgt.ds {
+		if _, err := d.AllocateVM(core.VMID(1<<30+x), 0, pdGeometry().TotalBytes()*7/8, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := runRackSchedule(o, tgt)
+	if run.shedVMs == 0 {
+		t.Fatal("a ballasted rack shed nothing")
+	}
+	if run.alloc.Shed != int64(run.shedVMs) {
+		t.Fatalf("allocator shed %d, schedule shed %d: both count the same refusals", run.alloc.Shed, run.shedVMs)
+	}
+	var buf bytes.Buffer
+	writePolicyAB(&buf, run)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	row := strings.Fields(lines[len(lines)-1])
+	if got, want := row[len(row)-1], strconv.Itoa(run.shedVMs); got != want {
+		t.Fatalf("shed column prints %s, want vms_shed %s:\n%s", got, want, buf.String())
 	}
 }
