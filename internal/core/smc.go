@@ -117,7 +117,8 @@ func (c *smc) invalidateRange(lo dram.HSN, n int64) {
 // l1Cache is the fully-associative L1. The hardware matches every entry in
 // parallel; the model gets the same constant cost from three structures
 // over one slot array: an open-addressed hsn→slot index (linear probing,
-// at most half full, backward-shift deletion so it never needs tombstones),
+// at most a quarter full, backward-shift deletion so it never needs
+// tombstones),
 // an intrusive most-recently-used list whose tail is the LRU victim, and a
 // stack of free slots. Nothing allocates after newL1Cache.
 //
@@ -136,9 +137,16 @@ type l1Cache struct {
 
 const noSlot = -1
 
+// l1IndexFactor is the index's buckets per L1 entry, rounded up to a power
+// of two. At a quarter full, a lookup's probe run and a delete's backward
+// shift stay about one bucket long; at half full they ran long enough to
+// show in the hit path's profile. The default 64-entry L1 gets a 1 KiB
+// index.
+const l1IndexFactor = 4
+
 func newL1Cache(entries int) l1Cache {
 	buckets, bits := 2, uint(1)
-	for buckets < 2*entries {
+	for buckets < l1IndexFactor*entries {
 		buckets <<= 1
 		bits++
 	}
