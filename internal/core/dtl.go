@@ -488,19 +488,19 @@ func (d *DTL) Access(hpa dram.HPA, write bool, now sim.Time) (AccessResult, erro
 
 	dpa := d.codec.Compose(dsn, d.codec.OffsetOf(dram.DPA(hpa)))
 	loc := d.codec.DecodeDSN(dsn)
-	id := dram.RankID{Channel: loc.Channel, Rank: loc.Rank}
-	wasSR := d.dev.State(id) == dram.SelfRefresh
 
 	// The migration protocol may redirect or delay conflicting writes
-	// (§4.2); this also charges abort/retry bookkeeping.
+	// (§4.2); this also charges abort/retry bookkeeping. It changes no
+	// rank's power state, so the controller's Woke below reports the
+	// state the access found.
 	d.mig.onForegroundAccess(dsn, write, now)
 
 	res := d.ctrl.Access(memctrl.Request{Addr: dpa, Write: write, Arrive: now + tlat})
 
-	if wasSR {
+	if res.Woke {
 		d.st.selfRefreshExits.Inc()
 		d.tracer.Wake(d.codec.GlobalRank(loc.Channel, loc.Rank), now, res.WakeDelay)
-		d.hot.onSelfRefreshWake(id, now)
+		d.hot.onSelfRefreshWake(dram.RankID{Channel: loc.Channel, Rank: loc.Rank}, now)
 	}
 	d.hot.onAccess(dsn, loc, now)
 
@@ -532,7 +532,7 @@ func (d *DTL) Access(hpa dram.HPA, write bool, now sim.Time) (AccessResult, erro
 		TranslationLat:  tlat,
 		MemLat:          res.Done - (now + tlat),
 		SMCLevel:        lvl,
-		WokeSelfRefresh: wasSR,
+		WokeSelfRefresh: res.Woke,
 	}, nil
 }
 

@@ -102,11 +102,12 @@ func (d *Device) rank(id RankID) *rankStatus {
 // State reports the power state of a rank.
 func (d *Device) State(id RankID) PowerState { return d.rank(id).state }
 
-// StateAndReady reports a rank's power state and the earliest time it can
-// accept a command (covering any in-flight power transition) with one rank
-// lookup, for the controller's per-access path.
-func (d *Device) StateAndReady(id RankID) (PowerState, sim.Time) {
-	r := d.rank(id)
+// StateAndReadyGlobal reports the power state of global rank gr and the
+// earliest time it can accept a command (covering any in-flight power
+// transition). It is the controller's per-access read: gr comes from a
+// decoded address, so unlike State it does no range check.
+func (d *Device) StateAndReadyGlobal(gr int) (PowerState, sim.Time) {
+	r := &d.ranks[gr]
 	return r.state, r.readyAt
 }
 

@@ -38,6 +38,10 @@ type Result struct {
 	Start  sim.Time // when the command began issuing on the channel
 	Done   sim.Time // when the data burst completed
 	RowHit bool     // whether the access hit the open row
+	// Woke reports that the target rank was in self-refresh and the access
+	// brought it back to standby. WakeDelay cannot tell: a zero exit
+	// latency wakes the rank with no delay.
+	Woke bool
 	// WakeDelay is the extra delay charged because the target rank had to
 	// exit self-refresh (MPSM ranks hold no live data; an access to one is
 	// a model bug and panics).
@@ -61,6 +65,9 @@ type Controller struct {
 	dev   *dram.Device
 	codec *dram.AddressCodec
 	tim   dram.Timing
+	// busHold is one burst's bus occupancy, max(TCCD, TBL); missLat is a
+	// row miss's precharge-activate-CAS latency. Both are fixed by tim.
+	busHold, missLat sim.Time
 
 	busFree   []sim.Time // per channel: earliest next command slot
 	lastRank  []int      // per channel: last rank that used the bus
@@ -94,10 +101,13 @@ func New(dev *dram.Device) *Controller {
 	g := dev.Geometry()
 	nRanks := g.TotalRanks()
 	nBanks := nRanks * g.BanksPerRank
+	tim := dev.Timing()
 	c := &Controller{
 		dev:          dev,
 		codec:        dev.Codec(),
-		tim:          dev.Timing(),
+		tim:          tim,
+		busHold:      max(tim.TCCD, tim.TBL),
+		missLat:      tim.TRP + tim.TRCD + tim.TCL,
 		busFree:      make([]sim.Time, g.Channels),
 		lastRank:     make([]int, g.Channels),
 		lastWrite:    make([]bool, g.Channels),
@@ -123,17 +133,24 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 // Access services one request and returns its timing. Accessing a rank in
 // MPSM panics: MPSM does not retain data, so DTL must never route a live
 // access there.
+//
+// The rank's state and readiness are read once, by the global rank the
+// address decodes to. The timing terms that depend on the stream (rank
+// switch, bus turnaround, row hit, bank occupancy, write recovery) are
+// selects rather than branches: on a mixed stream each goes either way
+// about half the time, so a branch would mispredict as often as not.
 func (c *Controller) Access(req Request) Result {
 	ch, rk := c.codec.RankOf(req.Addr)
-	id := dram.RankID{Channel: ch, Rank: rk}
 	gr := c.codec.GlobalRank(ch, rk)
 
-	state, rankReady := c.dev.StateAndReady(id)
+	state, rankReady := c.dev.StateAndReadyGlobal(gr)
 	var wake sim.Time
-	switch state {
-	case dram.MPSM:
-		panic(fmt.Sprintf("memctrl: access to MPSM rank %v at dpa %d", id, req.Addr))
-	case dram.SelfRefresh:
+	woke := state == dram.SelfRefresh
+	if state != dram.Standby {
+		id := dram.RankID{Channel: ch, Rank: rk}
+		if state == dram.MPSM {
+			panic(fmt.Sprintf("memctrl: access to MPSM rank %v at dpa %d", id, req.Addr))
+		}
 		rankReady = c.dev.SetState(id, dram.Standby, req.Arrive)
 		wake = rankReady - req.Arrive
 		c.wakeups++
@@ -152,25 +169,24 @@ func (c *Controller) Access(req Request) Result {
 		start = c.afterRefresh(gr, start)
 	}
 
-	if c.lastRank[ch] >= 0 && c.lastRank[ch] != rk {
-		start += c.tim.TRTR
+	// Rank switch on the shared bus; lastRank is -1 before the channel's
+	// first access, which pays none.
+	last := c.lastRank[ch]
+	start += c.tim.TRTR * sim.Time(b2i(last != rk)&b2i(last >= 0))
+	// Data-bus turnaround between reads and writes (tWTR/tRTW). Each
+	// select's operands are loaded before it: the compiler keeps a branch
+	// around a load.
+	turn, trtw := c.tim.TWTR, c.tim.TRTW
+	if req.Write {
+		turn = trtw
 	}
-	// Data-bus turnaround between reads and writes (tWTR/tRTW).
-	if c.lastWrite[ch] != req.Write {
-		if req.Write {
-			start += c.tim.TRTW
-		} else {
-			start += c.tim.TWTR
-		}
-	}
+	start += turn * sim.Time(b2i(c.lastWrite[ch] != req.Write))
 
 	rowHit := c.openRow[bank] == row
-	var accessLat sim.Time
+	c.openRow[bank] = row
+	accessLat, hitLat := c.missLat, c.tim.TCL
 	if rowHit {
-		accessLat = c.tim.TCL
-	} else {
-		accessLat = c.tim.TRP + c.tim.TRCD + c.tim.TCL
-		c.openRow[bank] = row
+		accessLat = hitLat
 	}
 	// A failed rank still serves data but in degraded mode: every access
 	// pays the repair/retry penalty until the DTL evacuates the rank.
@@ -183,36 +199,32 @@ func (c *Controller) Access(req Request) Result {
 
 	done := start + accessLat + c.tim.TBL
 
-	busHold := c.tim.TCCD
-	if c.tim.TBL > busHold {
-		busHold = c.tim.TBL
-	}
-	c.busFree[ch] = busSlot + busHold
-	c.busyNs[ch] += busHold
+	c.busFree[ch] = busSlot + c.busHold
+	c.busyNs[ch] += c.busHold
 	c.lastRank[ch] = rk
 	c.lastWrite[ch] = req.Write
 	// Row hits stream CAS-to-CAS at TCCD; a row miss occupies the bank for
-	// the full activate cycle, with tRAS as the turnaround floor.
-	var bankBusyUntil sim.Time
+	// the full activate cycle, with tRAS as the turnaround floor. Writes
+	// hold the bank through the write-recovery window before the row can
+	// be precharged or re-CASed.
+	bankBusyUntil, hitBusy := max(done, start+c.tim.TRAS), start+c.tim.TCCD
 	if rowHit {
-		bankBusyUntil = start + c.tim.TCCD
-	} else {
-		bankBusyUntil = done
-		if min := start + c.tim.TRAS; min > bankBusyUntil {
-			bankBusyUntil = min
-		}
+		bankBusyUntil = hitBusy
 	}
-	// Writes hold the bank through the write-recovery window before the
-	// row can be precharged or re-CASed.
-	if req.Write {
-		bankBusyUntil += c.tim.TWR
-	}
-	c.bankFree[bank] = bankBusyUntil
+	c.bankFree[bank] = bankBusyUntil + c.tim.TWR*sim.Time(b2i(req.Write))
 
 	c.winAccesses[gr]++
 	c.lifeAccesses[gr]++
 
-	return Result{Start: start, Done: done, RowHit: rowHit, WakeDelay: wake, Degraded: degraded}
+	return Result{Start: start, Done: done, RowHit: rowHit, Woke: woke, WakeDelay: wake, Degraded: degraded}
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag set.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // EnableRefresh turns on periodic refresh stalls: each standby rank is
@@ -335,11 +347,7 @@ func (c *Controller) ChannelUtilization(ch int, now sim.Time) float64 {
 // PeakChannelBandwidthGBs reports the channel's peak deliverable bandwidth
 // implied by the timing model (one line per TCCD).
 func (c *Controller) PeakChannelBandwidthGBs() float64 {
-	hold := c.tim.TCCD
-	if c.tim.TBL > hold {
-		hold = c.tim.TBL
-	}
-	return float64(LineBytes) / float64(hold) // bytes per ns == GB/s
+	return float64(LineBytes) / float64(c.busHold) // bytes per ns == GB/s
 }
 
 // IdleBandwidthGBs estimates the bandwidth left for background migration on

@@ -13,8 +13,7 @@ import (
 // refController is the controller model written one branch per case: a
 // copy of Controller.Access with its state, timing and counters, kept as
 // the reference TestControllerMatchesReference checks the controller
-// against access by access. It reads the rank's state through the
-// range-checked Device.StateAndReady.
+// against access by access.
 type refController struct {
 	dev   *dram.Device
 	codec *dram.AddressCodec
@@ -70,7 +69,7 @@ func (c *refController) Access(req Request) Result {
 	id := dram.RankID{Channel: ch, Rank: rk}
 	gr := c.codec.GlobalRank(ch, rk)
 
-	state, rankReady := c.dev.StateAndReady(id)
+	state, rankReady := c.dev.StateAndReadyGlobal(gr)
 	var wake sim.Time
 	switch state {
 	case dram.MPSM:
@@ -174,7 +173,8 @@ func (c *refController) ResetWindow() {
 // refresh on, ranks put into self-refresh as the stream runs (one of them
 // with a wake fault), a failed rank paying the degraded penalty, and
 // profiling windows reset along the way. Every Result field and every
-// counter must agree after every access. The timing variants cover a zero
+// counter must agree after every access, and Woke must be set exactly when
+// the access found its rank in self-refresh. The timing variants cover a zero
 // self-refresh exit, a burst longer than tCCD, a tRAS floor above the
 // row-miss latency and refresh disabled by a zero tREFI.
 func TestControllerMatchesReference(t *testing.T) {
@@ -249,10 +249,13 @@ func checkAgainstReference(t *testing.T, tim dram.Timing) {
 		}
 		lastRank[ch], lastWrite[ch] = rk, req.Write
 
+		// The reference reports no wake flag; a wake is an access that
+		// finds its rank in self-refresh.
+		wantWoke := devB.State(dram.RankID{Channel: ch, Rank: rk}) == dram.SelfRefresh
 		got, want := c.Access(req), ref.Access(req)
 		if got.Start != want.Start || got.Done != want.Done || got.RowHit != want.RowHit ||
-			got.WakeDelay != want.WakeDelay || got.Degraded != want.Degraded {
-			t.Fatalf("access %d (%+v): got %+v, want %+v", i, req, got, want)
+			got.WakeDelay != want.WakeDelay || got.Degraded != want.Degraded || got.Woke != wantWoke {
+			t.Fatalf("access %d (%+v): got %+v, want %+v (woke %v)", i, req, got, want, wantWoke)
 		}
 		if got.RowHit {
 			rowHits++
