@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"dtl/internal/dram"
 	"dtl/internal/sim"
@@ -67,7 +68,10 @@ type migrator struct {
 	// minEnd is a per-channel lower bound on the earliest window end:
 	// completeUpTo skips a channel whose bound lies in the future, so the
 	// common case costs one comparison instead of a walk over every window.
+	// minAll bounds every minEnd from below, so while it lies in the future
+	// completeUpTo returns after one comparison for the whole device.
 	minEnd []sim.Time
+	minAll sim.Time
 	// named has one bit per DSN, set for every segment some window copies
 	// from or to (and possibly for segments whose windows have retired).
 	// Writes to a segment with a clear bit skip the channel's window scan:
@@ -97,18 +101,18 @@ func newMigrator(d *DTL) *migrator {
 	for ch := range m.minEnd {
 		m.minEnd[ch] = noWindow
 	}
+	m.minAll = noWindow
 	return m
 }
 
 // noWindow is the watermark of a channel with no windows in flight.
 const noWindow = sim.Time(math.MaxInt64)
 
-// lowerWatermark keeps minEnd[ch] a lower bound after a window on ch was
-// given a new end.
+// lowerWatermark keeps minEnd[ch] and minAll lower bounds after a window on
+// ch was given a new end.
 func (m *migrator) lowerWatermark(ch int, end sim.Time) {
-	if end < m.minEnd[ch] {
-		m.minEnd[ch] = end
-	}
+	m.minEnd[ch] = min(m.minEnd[ch], end)
+	m.minAll = min(m.minAll, end)
 }
 
 func (m *migrator) setNamed(dsn dram.DSN) { m.named[dsn>>6] |= 1 << (dsn & 63) }
@@ -199,6 +203,9 @@ func (m *migrator) enqueueSwap(ch, grA, grB int, a, b dram.DSN, now sim.Time, re
 // skipped; walking it would retire nothing, so retirement, verify and
 // re-route order are those of a walk over every channel.
 func (m *migrator) completeUpTo(now sim.Time) {
+	if m.minAll > now {
+		return
+	}
 	type reroute struct {
 		dst      dram.DSN
 		vretries int
@@ -257,6 +264,7 @@ func (m *migrator) completeUpTo(now sim.Time) {
 			m.stats.Reroutes++
 		}
 	}
+	m.minAll = slices.Min(m.minEnd)
 }
 
 // onForegroundAccess applies the §4.2 write protocol when a foreground

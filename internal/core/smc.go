@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"dtl/internal/dram"
 )
 
@@ -17,7 +19,7 @@ type smcEntry struct {
 type smc struct {
 	l1     l1Cache
 	l2     []smcEntry // sets x ways, row-major
-	l2Sets int
+	l2Mask int64      // sets - 1; the set count is a power of two
 	l2Ways int
 	stamp  uint64 // L2 recency clock
 
@@ -25,13 +27,24 @@ type smc struct {
 	l2Hits, l2Misses int64
 }
 
+// newSMC builds the cache. Config.Validate refuses an L2 set count that is
+// not a power of two, so the set index is a mask; newSMC panics on one.
 func newSMC(l1Entries, l2Entries, l2Ways int) *smc {
+	sets := l2Entries / l2Ways
+	if sets <= 0 || sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("core: L2 SMC set count %d is not a power of two", sets))
+	}
 	return &smc{
 		l1:     newL1Cache(l1Entries),
 		l2:     make([]smcEntry, l2Entries),
-		l2Sets: l2Entries / l2Ways,
+		l2Mask: int64(sets - 1),
 		l2Ways: l2Ways,
 	}
+}
+
+// setBase is the index of hsn's first L2 way.
+func (c *smc) setBase(hsn dram.HSN) int {
+	return int(int64(hsn)&c.l2Mask) * c.l2Ways
 }
 
 // lookup returns the cached DSN for hsn and which level hit:
@@ -43,8 +56,7 @@ func (c *smc) lookup(hsn dram.HSN) (dram.DSN, int) {
 		return c.l1.dsn[s], 1
 	}
 	c.l1Misses++
-	set := int(int64(hsn) % int64(c.l2Sets))
-	base := set * c.l2Ways
+	base := c.setBase(hsn)
 	for i := base; i < base+c.l2Ways; i++ {
 		e := &c.l2[i]
 		if e.valid && e.hsn == hsn {
@@ -67,8 +79,7 @@ func (c *smc) install(hsn dram.HSN, dsn dram.DSN) {
 }
 
 func (c *smc) installL2(hsn dram.HSN, dsn dram.DSN) {
-	set := int(int64(hsn) % int64(c.l2Sets))
-	base := set * c.l2Ways
+	base := c.setBase(hsn)
 	victim := base
 	for i := base; i < base+c.l2Ways; i++ {
 		if !c.l2[i].valid {
@@ -86,8 +97,7 @@ func (c *smc) installL2(hsn dram.HSN, dsn dram.DSN) {
 // "an invalidation of the corresponding entry in the segment mapping cache").
 func (c *smc) invalidate(hsn dram.HSN) {
 	c.l1.remove(hsn)
-	set := int(int64(hsn) % int64(c.l2Sets))
-	base := set * c.l2Ways
+	base := c.setBase(hsn)
 	for i := base; i < base+c.l2Ways; i++ {
 		if c.l2[i].valid && c.l2[i].hsn == hsn {
 			c.l2[i].valid = false

@@ -46,6 +46,17 @@ func TestSMCInvalidate(t *testing.T) {
 	}
 }
 
+// TestSMCRefusesNonPowerOfTwoSets: the L2 set index is a mask, so a set
+// count that is not a power of two must be refused rather than alias sets.
+func TestSMCRefusesNonPowerOfTwoSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newSMC accepted 3 L2 sets")
+		}
+	}()
+	newSMC(1, 12, 4)
+}
+
 func TestSMCLRUWithinSet(t *testing.T) {
 	// All HSNs congruent mod sets land in one 4-way set; the 5th insert
 	// evicts the least recently used.
@@ -355,7 +366,7 @@ func TestSMCMatchesLinearScan(t *testing.T) {
 				h := dram.HSN(rng.Intn(universe)) * stride
 				op := rng.Intn(10)
 				if op == 0 && rng.Intn(8) == 0 {
-					n := int64(1 + rng.Intn(2*c.l2Sets))
+					n := int64(1 + rng.Intn(2*ref.l2Sets))
 					lo := max(h-dram.HSN(rng.Int63n(n)), 0)
 					if rng.Intn(4) == 0 {
 						lo = dram.HSN(universe) * stride
