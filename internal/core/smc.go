@@ -128,9 +128,8 @@ func (c *smc) invalidateRange(lo dram.HSN, n int64) {
 // parallel; the model gets the same constant cost from three structures
 // over one slot array: an open-addressed hsn→slot index (linear probing,
 // at most a quarter full, backward-shift deletion so it never needs
-// tombstones),
-// an intrusive most-recently-used list whose tail is the LRU victim, and a
-// stack of free slots. Nothing allocates after newL1Cache.
+// tombstones), an intrusive most-recently-used list whose tail is the LRU
+// victim, and a stack of free slots. Nothing allocates after newL1Cache.
 //
 // An HSN occupies at most one slot, and every hit or fill moves its slot to
 // the list head, so the tail is always the strict LRU entry. Which free
@@ -148,10 +147,10 @@ type l1Cache struct {
 const noSlot = -1
 
 // l1IndexFactor is the index's buckets per L1 entry, rounded up to a power
-// of two. At a quarter full, a lookup's probe run and a delete's backward
-// shift stay about one bucket long; at half full they ran long enough to
-// show in the hit path's profile. The default 64-entry L1 gets a 1 KiB
-// index.
+// of two. Linear probing's runs lengthen quickly with load; at a quarter
+// full a lookup's probe run and a delete's backward shift stay about one
+// bucket long, and every L2 promotion or miss fill of a full L1 does both.
+// The default 64-entry L1 gets a 1 KiB index.
 const l1IndexFactor = 4
 
 func newL1Cache(entries int) l1Cache {

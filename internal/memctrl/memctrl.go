@@ -138,7 +138,7 @@ func (c *Controller) Device() *dram.Device { return c.dev }
 // address decodes to. The timing terms that depend on the stream (rank
 // switch, bus turnaround, row hit, bank occupancy, write recovery) are
 // selects rather than branches: on a mixed stream each goes either way
-// about half the time, so a branch would mispredict as often as not.
+// often, and a branch on it would mispredict.
 func (c *Controller) Access(req Request) Result {
 	ch, rk := c.codec.RankOf(req.Addr)
 	gr := c.codec.GlobalRank(ch, rk)
