@@ -220,7 +220,7 @@ func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
 	}
 	d.hot = newHotness(d)
 	d.mig = newMigrator(d)
-	d.health = newHealthMonitor(d, DefaultHealthConfig())
+	d.health = newHealthMonitor(d)
 	d.registerGauges()
 	return d, nil
 }

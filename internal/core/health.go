@@ -20,8 +20,7 @@ import (
 // retirement runs from process(), called on DTL.Tick and after deallocation
 // (when freed capacity may unblock a deferred retirement).
 type HealthMonitor struct {
-	d   *DTL
-	cfg HealthConfig
+	d *DTL
 
 	// bucket is the leaky-bucket fill level per global rank; lastLeak is the
 	// last time the bucket was drained (lazy leak, applied on arrival).
@@ -50,43 +49,31 @@ type retireRequest struct {
 	nextTry  sim.Time
 }
 
-// HealthConfig tunes the storm detector and retry policy.
-type HealthConfig struct {
-	// StormThreshold is the leaky-bucket level (correctable errors) at which
+// Storm detector and retirement retry policy: a rank must burst well past
+// the background DDR4 correctable-error rate to storm, and deferred
+// retirements retry from 10 ms up to 5 s.
+const (
+	// stormThreshold is the leaky-bucket level (correctable errors) at which
 	// a rank is declared storming and queued for retirement.
-	StormThreshold float64
-	// LeakPerSecond is the bucket drain rate: sustained error rates below it
+	stormThreshold float64 = 64
+	// leakPerSecond is the bucket drain rate: sustained error rates below it
 	// never trip the detector.
-	LeakPerSecond float64
-	// WakeFaultThreshold is how many abnormal self-refresh exits a rank may
+	leakPerSecond float64 = 16
+	// wakeFaultThreshold is how many abnormal self-refresh exits a rank may
 	// take before being queued for retirement.
-	WakeFaultThreshold int64
-	// RetryBackoff is the initial delay before re-attempting a retirement
+	wakeFaultThreshold int64 = 4
+	// retryBackoff is the initial delay before re-attempting a retirement
 	// that failed for lack of capacity; it doubles per attempt up to
-	// RetryBackoffMax.
-	RetryBackoff    sim.Time
-	RetryBackoffMax sim.Time
-}
-
-// DefaultHealthConfig returns production-shaped defaults: a rank must burst
-// well past the background DDR4 correctable-error rate to storm, and
-// deferred retirements retry from 10 ms up to 5 s.
-func DefaultHealthConfig() HealthConfig {
-	return HealthConfig{
-		StormThreshold:     64,
-		LeakPerSecond:      16,
-		WakeFaultThreshold: 4,
-		RetryBackoff:       10 * sim.Millisecond,
-		RetryBackoffMax:    5 * sim.Second,
-	}
-}
+	// retryBackoffMax.
+	retryBackoff    = 10 * sim.Millisecond
+	retryBackoffMax = 5 * sim.Second
+)
 
 // newHealthMonitor wires the monitor into the device's fault hook.
-func newHealthMonitor(d *DTL, cfg HealthConfig) *HealthMonitor {
+func newHealthMonitor(d *DTL) *HealthMonitor {
 	n := d.cfg.Geometry.TotalRanks()
 	h := &HealthMonitor{
 		d:           d,
-		cfg:         cfg,
 		bucket:      make([]float64, n),
 		lastLeak:    make([]sim.Time, n),
 		wakeFaults:  make([]int64, n),
@@ -108,9 +95,6 @@ func newHealthMonitor(d *DTL, cfg HealthConfig) *HealthMonitor {
 // Health returns the DTL's health monitor.
 func (d *DTL) Health() *HealthMonitor { return d.health }
 
-// Config returns the monitor's effective configuration.
-func (h *HealthMonitor) Config() HealthConfig { return h.cfg }
-
 // BucketLevel reports the storm detector's current fill for a rank, after
 // applying the leak up to now.
 func (h *HealthMonitor) BucketLevel(id dram.RankID, now sim.Time) float64 {
@@ -127,7 +111,7 @@ func (h *HealthMonitor) leak(gr int, now sim.Time) {
 	if now <= h.lastLeak[gr] {
 		return
 	}
-	drain := h.cfg.LeakPerSecond * float64(now-h.lastLeak[gr]) / float64(sim.Second)
+	drain := leakPerSecond * float64(now-h.lastLeak[gr]) / float64(sim.Second)
 	h.bucket[gr] -= drain
 	if h.bucket[gr] < 0 {
 		h.bucket[gr] = 0
@@ -150,7 +134,7 @@ func (h *HealthMonitor) onFault(ev dram.FaultEvent) {
 	case dram.FaultCorrectable:
 		h.leak(gr, ev.At)
 		h.bucket[gr] += float64(ev.Count)
-		if h.bucket[gr] >= h.cfg.StormThreshold {
+		if h.bucket[gr] >= stormThreshold {
 			h.storms.Inc()
 			h.d.tracer.Storm(gr, int64(h.bucket[gr]), ev.At)
 			h.enqueue(gr, "ecc-storm", ev.At)
@@ -159,7 +143,7 @@ func (h *HealthMonitor) onFault(ev dram.FaultEvent) {
 		h.enqueue(gr, "uncorrectable", ev.At)
 	case dram.FaultWake:
 		h.wakeFaults[gr]++
-		if h.wakeFaults[gr] >= h.cfg.WakeFaultThreshold {
+		if h.wakeFaults[gr] >= wakeFaultThreshold {
 			h.enqueue(gr, "wake-fault", ev.At)
 		}
 	case dram.FaultRankFailure:
@@ -170,7 +154,7 @@ func (h *HealthMonitor) onFault(ev dram.FaultEvent) {
 func (h *HealthMonitor) enqueue(gr int, cause string, now sim.Time) {
 	h.queued[gr] = true
 	h.queue = append(h.queue, retireRequest{
-		gr: gr, cause: cause, backoff: h.cfg.RetryBackoff, nextTry: now,
+		gr: gr, cause: cause, backoff: retryBackoff, nextTry: now,
 	})
 }
 
@@ -215,10 +199,10 @@ func (h *HealthMonitor) process(now sim.Time) {
 			h.d.chargeSpan(telemetry.SystemVM, req.gr, telemetry.CauseFaultRetry,
 				now, now+req.backoff, 0)
 			req.nextTry = now + req.backoff
-			if req.backoff < h.cfg.RetryBackoffMax {
+			if req.backoff < retryBackoffMax {
 				req.backoff *= 2
-				if req.backoff > h.cfg.RetryBackoffMax {
-					req.backoff = h.cfg.RetryBackoffMax
+				if req.backoff > retryBackoffMax {
+					req.backoff = retryBackoffMax
 				}
 			}
 			h.queue = append(h.queue, req)

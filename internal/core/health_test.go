@@ -43,7 +43,7 @@ func TestStormTriggersAutoRetire(t *testing.T) {
 
 	// One burst at the leaky-bucket threshold declares a storm and queues
 	// the retirement; the hook itself must not mutate mapping state.
-	thr := int(d.Health().Config().StormThreshold)
+	thr := int(stormThreshold)
 	if err := d.Device().RaiseCorrectable(dsnOn(d, victim, 0), thr, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestBucketLeakOverTime(t *testing.T) {
 	if lvl := d.Health().BucketLevel(id, 0); lvl != 32 {
 		t.Fatalf("bucket at t=0: %v, want 32", lvl)
 	}
-	// LeakPerSecond is 16: half drains after 1s, empty by 2s.
+	// leakPerSecond is 16: half drains after 1s, empty by 2s.
 	if lvl := d.Health().BucketLevel(id, sim.Second); lvl != 16 {
 		t.Fatalf("bucket at t=1s: %v, want 16", lvl)
 	}
@@ -208,7 +208,7 @@ func TestWakeFaultThresholdRetires(t *testing.T) {
 
 	// Cycle the rank through self-refresh; every abnormal exit raises a
 	// wake fault. Transitions are spaced beyond the charged penalties.
-	thr := d.Health().Config().WakeFaultThreshold
+	thr := wakeFaultThreshold
 	now := sim.Millisecond
 	for i := int64(0); i < thr; i++ {
 		d.Device().SetState(id, dram.SelfRefresh, now)

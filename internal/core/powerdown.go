@@ -61,15 +61,8 @@ func (d *DTL) parkOne(now sim.Time) bool {
 		if d.allocated[d.codec.GlobalRank(id.Channel, id.Rank)] != 0 {
 			panic("core: parkOne found live segments on an idle device")
 		}
-		if d.dev.State(id) == dram.SelfRefresh {
-			d.hot.onSelfRefreshWake(id, now)
-			d.st.selfRefreshExits.Inc()
-		}
-		d.dev.SetState(id, dram.MPSM, now)
-		d.hot.onRankPoweredDown(id, now)
 	}
-	d.poweredDown = append(d.poweredDown, victims)
-	d.st.powerDownEvents.Inc()
+	d.powerDownGroup(victims, now)
 	return true
 }
 
@@ -112,7 +105,13 @@ func (d *DTL) tryPowerDownOne(now sim.Time) bool {
 		d.drainRank(victims[ch], now, "powerdown-drain")
 	}
 
-	// Power the virtual rank group down.
+	d.powerDownGroup(victims, now)
+	return true
+}
+
+// powerDownGroup puts a drained virtual rank group into MPSM and pushes it
+// on the reactivation stack.
+func (d *DTL) powerDownGroup(victims []dram.RankID, now sim.Time) {
 	for _, id := range victims {
 		// A victim in self-refresh must be treated as reactivated first;
 		// MPSM entry below accounts the transition either way.
@@ -125,7 +124,6 @@ func (d *DTL) tryPowerDownOne(now sim.Time) bool {
 	}
 	d.poweredDown = append(d.poweredDown, victims)
 	d.st.powerDownEvents.Inc()
-	return true
 }
 
 // activeRanks reports a channel's lowest non-MPSM rank index (-1 when

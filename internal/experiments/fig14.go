@@ -99,9 +99,6 @@ type srReplay struct {
 	accesses   int
 	warmup     sim.Time // background energy is measured from here on
 	period     sim.Time // telemetry's default sample period
-	// traceAlloc attaches telemetry before the VM is allocated, so the
-	// trace opens with the allocation's power-down at time zero.
-	traceAlloc bool
 }
 
 const srGapNs = 2
@@ -111,12 +108,11 @@ func (r srReplay) run(o Options) srRunResult {
 	if err != nil {
 		panic(err)
 	}
-	// Declared up front so telemetry can publish an ETA.
+	// Declared up front so telemetry can publish an ETA. Telemetry attaches
+	// before the VM is allocated, so the trace opens with the allocation's
+	// power-down at time zero.
 	horizon := sim.Time(r.accesses) * srGapNs
-	var rt *runTelemetry
-	if r.traceAlloc {
-		rt = o.telemetryFor(d, r.period, horizon)
-	}
+	rt := o.telemetryFor(d, r.period, horizon)
 	mix := trace.MustMixed(r.profiles, o.Seed)
 	alloc, err := d.AllocateVM(1, 0, r.allocBytes, 0)
 	if err != nil {
@@ -130,9 +126,6 @@ func (r srReplay) run(o Options) srRunResult {
 	}
 	activeRanks := d.ActiveRanksPerChannel() * r.cfg.Geometry.Channels
 	d.Hotness().Enable(0)
-	if !r.traceAlloc {
-		rt = o.telemetryFor(d, r.period, horizon)
-	}
 
 	dev := d.Device()
 	var wStandby, wSR, wMPSM float64
@@ -227,7 +220,7 @@ func runSelfRefresh(o Options, cfg srConfig) srRunResult {
 	// cold-set enrichment the paper reports as its 10-60 s warm-up.
 	n := o.scaled(12_000_000, 4_000_000)
 	r := srReplay{cfg: c, profiles: profiles, allocBytes: cfg.allocGiB << 30, accesses: n,
-		warmup: sim.Time(n) * srGapNs / 2, period: sim.Millisecond, traceAlloc: true}.run(o)
+		warmup: sim.Time(n) * srGapNs / 2, period: sim.Millisecond}.run(o)
 	r.cfg = cfg
 	return r
 }

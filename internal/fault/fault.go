@@ -109,8 +109,8 @@ func (k Kind) String() string {
 const (
 	// DefaultCERate is the background correctable-error rate (events/s).
 	DefaultCERate = 2.0
-	// DefaultStormRate trips a DefaultHealthConfig leaky bucket within a
-	// fraction of a second.
+	// DefaultStormRate trips the core health monitor's leaky bucket within
+	// a fraction of a second.
 	DefaultStormRate = 2000.0
 	// DefaultWakeExtra is the abnormal self-refresh-exit latency.
 	DefaultWakeExtra = 50 * sim.Microsecond

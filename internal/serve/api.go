@@ -207,6 +207,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.writeMetrics(w, v)
 }
 
+// retryAfter is the backoff hint, in seconds, sent with a 429.
+const retryAfter = "1"
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
 	dec := json.NewDecoder(r.Body)
@@ -218,7 +221,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds()+0.5)))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrCrashed):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)

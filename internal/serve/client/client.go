@@ -18,13 +18,11 @@ import (
 	"dtl/internal/serve"
 )
 
-// Client talks to one dtlserved instance. By default every call is a single
-// attempt; WithRetry arms backoff, Retry-After honoring, and a circuit
-// breaker (see RetryPolicy).
+// Client talks to one dtlserved instance. Every call is a single attempt;
+// a non-2xx response comes back as an *APIError.
 type Client struct {
-	base  string
-	http  *http.Client
-	retry *retrier // nil: single-attempt transport
+	base string
+	http *http.Client
 }
 
 // New builds a client for a daemon at base (e.g. "http://127.0.0.1:8080").
@@ -52,34 +50,19 @@ func (e *APIError) Error() string {
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
-	var payload []byte
+	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
 			return err
 		}
-		payload = b
-	}
-	if c.retry == nil {
-		return c.doOnce(ctx, method, path, payload, out)
-	}
-	return c.retry.run(ctx, func() error {
-		return c.doOnce(ctx, method, path, payload, out)
-	})
-}
-
-// doOnce is one attempt; the payload is pre-marshaled so retries replay the
-// exact same bytes from a fresh reader.
-func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte, out any) error {
-	var rd io.Reader
-	if payload != nil {
-		rd = bytes.NewReader(payload)
+		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return err
 	}
-	if payload != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
@@ -94,30 +77,6 @@ func (c *Client) doOnce(ctx context.Context, method, path string, payload []byte
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// breakerAllow gates the single-attempt endpoints (Stream, Artifact) on the
-// shared circuit breaker; a nil retrier always allows. Transitions reach
-// OnEvent here too, so a half-open probe admitted through Stream is
-// observable like one admitted through the retry loop.
-func (c *Client) breakerAllow() error {
-	if c.retry == nil {
-		return nil
-	}
-	ok, tr := c.retry.breaker.allow()
-	c.retry.emit(tr, 0, 0, nil)
-	if !ok {
-		return ErrBreakerOpen
-	}
-	return nil
-}
-
-// breakerRecord feeds a single-attempt endpoint's outcome to the breaker.
-func (c *Client) breakerRecord(err error) {
-	if c.retry != nil {
-		tr := c.retry.breaker.record(!countsAsBreakerFailure(err))
-		c.retry.emit(tr, 0, 0, err)
-	}
 }
 
 func apiErr(resp *http.Response) error {
@@ -198,15 +157,11 @@ func (c *Client) Wait(ctx context.Context, id string) (serve.JobStatus, error) {
 // and returns the final status once the job finishes. A nil onSnapshot just
 // waits for the terminal status over the stream.
 func (c *Client) Stream(ctx context.Context, id string, onSnapshot func(experiments.WatchSnapshot)) (serve.JobStatus, error) {
-	if err := c.breakerAllow(); err != nil {
-		return serve.JobStatus{}, err
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/stream", nil)
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
 	resp, err := c.http.Do(req)
-	c.breakerRecord(err)
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
@@ -244,16 +199,12 @@ func (c *Client) Stream(ctx context.Context, id string, onSnapshot func(experime
 
 // Artifact fetches one artifact's bytes.
 func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) {
-	if err := c.breakerAllow(); err != nil {
-		return nil, err
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/jobs/"+id+"/artifacts/"+name, nil)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := c.http.Do(req)
-	c.breakerRecord(err)
 	if err != nil {
 		return nil, err
 	}

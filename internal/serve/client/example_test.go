@@ -38,15 +38,7 @@ func Example() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	// The hardened client: jittered backoff on 5xx and transport errors,
-	// Retry-After honored on 429/503, a circuit breaker on a dead daemon.
-	// OnEvent logs every retry and breaker transition to stderr; against
-	// the in-process daemon it stays silent.
-	c := client.New(hs.URL).WithRetry(client.RetryPolicy{
-		OnEvent: func(ev client.RetryEvent) {
-			log.Printf("transport: %s after attempt %d: %v", ev.Kind, ev.Attempt, ev.Err)
-		},
-	})
+	c := client.New(hs.URL)
 
 	// The A/B pair: same experiment, same seed, one policy knob apart.
 	baseline := must(c.Submit(ctx, serve.JobSpec{Experiment: "fig12", Quick: true}))

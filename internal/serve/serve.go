@@ -56,8 +56,6 @@ type Config struct {
 	// JobTimeout is the default per-job run bound (a job spec may override
 	// it); 0 means no default timeout.
 	JobTimeout time.Duration
-	// RetryAfter is the backoff hint sent with 429 responses; 0 selects 1s.
-	RetryAfter time.Duration
 	// Chaos, when non-nil, injects faults into workers, the artifact store,
 	// and the journal. Nil (the default) is the provably zero-overhead
 	// disabled case.
@@ -134,9 +132,6 @@ var ErrJournal = errors.New("serve: journal write failed")
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.StoreDir == "" {
 		dir, err := os.MkdirTemp("", "dtlserved-store-")

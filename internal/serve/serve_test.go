@@ -161,7 +161,7 @@ func TestSubmitRejectsRetiredSpecField(t *testing.T) {
 
 func TestQueueBackpressure(t *testing.T) {
 	// No workers: nothing drains the queue, so depth 2 fills deterministically.
-	_, c := newServer(t, serve.Config{Workers: 0, QueueDepth: 2, RetryAfter: 7 * time.Second})
+	_, c := newServer(t, serve.Config{Workers: 0, QueueDepth: 2})
 	ctx := ctxT(t)
 
 	// Distinct seeds: identical specs would coalesce onto the first job
@@ -176,8 +176,8 @@ func TestQueueBackpressure(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full-queue submit: %v, want 429", err)
 	}
-	if apiErr.RetryAfter != "7" {
-		t.Fatalf("Retry-After = %q, want \"7\"", apiErr.RetryAfter)
+	if apiErr.RetryAfter != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", apiErr.RetryAfter)
 	}
 }
 
