@@ -319,23 +319,50 @@ func TestAMATShape(t *testing.T) {
 	}
 }
 
+// TestCSVExport pins every -csv series of a quick seed-1 run byte for byte
+// against testdata/csv (go test ./internal/experiments -update rewrites
+// them). Fig14 reads its replays from the shared memo, so the pin costs no
+// replay of its own.
 func TestCSVExport(t *testing.T) {
 	dir := t.TempDir()
 	opts := quickOpts()
 	opts.CSVDir = dir
 	Fig1(opts)
 	Fig9(opts)
-	for _, name := range []string{"fig1_timeline.csv", "fig9_strides.csv"} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	Fig12(opts)
+	Rack(opts)
+	if !testing.Short() {
+		f14 := opts
+		f14.srRuns = sharedSelfRefresh().memo
+		Fig14(f14)
+	}
+	names := []string{"fig1_timeline.csv", "fig9_strides.csv", "fig12_power_timeline.csv",
+		"rack_power_timeline.csv", "fig14_savings.csv"}
+	if testing.Short() {
+		names = names[:4]
+	}
+	golden := filepath.Join("testdata", "csv")
+	for _, name := range names {
+		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-		if len(lines) < 3 {
-			t.Fatalf("%s: only %d lines", name, len(lines))
+		path := filepath.Join(golden, name)
+		if *update {
+			if err := os.MkdirAll(golden, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
 		}
-		if !strings.Contains(lines[0], ",") {
-			t.Fatalf("%s: header %q not CSV", name, lines[0])
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with go test ./internal/experiments -update)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from %s:\ngot:\n%s\nwant:\n%s", name, path, got, want)
 		}
 	}
 }

@@ -234,8 +234,8 @@ type srMemo struct {
 }
 
 // srKey names a replay: every Options field that could change a result
-// (the telemetry sinks, report writer, context and memo cleared), plus the
-// configuration.
+// (the telemetry sinks, report writer, CSV directory, context and memo
+// cleared), plus the configuration.
 type srKey struct {
 	opts Options
 	cfg  srConfig
@@ -257,7 +257,7 @@ func (o Options) selfRefresh(cfg srConfig) srRunResult {
 		return runSelfRefresh(o, cfg)
 	}
 	fp := o.withoutTelemetry()
-	fp.Out, fp.Ctx, fp.watchExperiment, fp.srRuns = nil, nil, "", nil
+	fp.Out, fp.Ctx, fp.watchExperiment, fp.srRuns, fp.CSVDir = nil, nil, "", nil, ""
 	key := srKey{fp, cfg}
 	m.mu.Lock()
 	r := m.runs[key]
