@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // so the golden output exercises every row `dtlstat top` can render.
 func fixtureLedger(t *testing.T) string {
 	t.Helper()
-	l := telemetry.NewLedger(telemetry.LedgerConfig{Ranks: 8})
+	l := telemetry.NewLedger(8)
 	l.Charge(telemetry.SystemVM, 0, telemetry.CauseBaseline, 0, 9000.5)
 	l.Charge(1, 0, telemetry.CauseBaseline, 5000, 0)
 	l.Charge(1, 1, telemetry.CauseSMCMissWalk, 900, 0)

@@ -21,16 +21,16 @@ type AMATModel struct {
 	Penalty   sim.Time
 }
 
-// AMATFromConfig builds the model from a configuration, the target link
-// latency, and measured SMC miss ratios.
-func AMATFromConfig(cfg Config, cxlLat sim.Time, stats SMCStats) AMATModel {
+// AMATFromConfig builds the model from the controller's fixed SMC timing,
+// the target link latency, and measured SMC miss ratios.
+func AMATFromConfig(cxlLat sim.Time, stats SMCStats) AMATModel {
 	return AMATModel{
 		CXLMemLat: cxlLat,
-		L1Hit:     cfg.L1SMCHit,
-		L2Hit:     cfg.L2SMCHit,
+		L1Hit:     l1SMCHit,
+		L2Hit:     l2SMCHit,
 		L1Miss:    stats.L1MissRatio(),
 		L2Miss:    stats.L2MissRatio(),
-		Penalty:   2*cfg.SRAMTableHit + cfg.DRAMTableMiss,
+		Penalty:   2*sramTableHit + dramTableMiss,
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 	"dtl/internal/sim"
 )
 
-// Config collects DTL parameters. Zero-value fields are filled from
-// DefaultConfig by New.
+// Config collects DTL parameters. Start from DefaultConfig: New validates
+// the config as given and fills nothing in.
 type Config struct {
 	// Geometry of the underlying device.
 	Geometry dram.Geometry
@@ -28,10 +28,8 @@ type Config struct {
 	// L1SMCEntries is the fully-associative first-level segment mapping
 	// cache size (64).
 	L1SMCEntries int
-	// L2SMCEntries and L2SMCWays configure the second-level cache
-	// (1024 entries, 4-way).
+	// L2SMCEntries sizes the l2SMCWays-way second-level cache (1024).
 	L2SMCEntries int
-	L2SMCWays    int
 
 	// ProfilingWindow is the per-rank access-count window used to select
 	// the victim rank (0.5 ms, §3.4).
@@ -44,9 +42,6 @@ type Config struct {
 	// entries inspected per walk (SRAM reads at ~1.5 GHz: 40 ns ≈ 60
 	// entries; we use a conservative 32).
 	TSPTimeoutEntries int
-	// MigrationRetryLimit is the abort-retry bound before a migration
-	// request is re-queued (3, §4.2).
-	MigrationRetryLimit int
 	// ReserveRankGroups is how many rank groups' worth of unallocated
 	// capacity must remain active before power-down is considered: the
 	// default 1 implements §3.3's "exceeds the size of a single
@@ -61,13 +56,25 @@ type Config struct {
 	// values make entry more conservative, and values at or above
 	// RanksPerChannel disable self-refresh entry altogether.
 	SelfRefreshMinStandby int
-
-	// SMC timing (Eq. 2): hit latencies and the miss-path DRAM access.
-	L1SMCHit      sim.Time
-	L2SMCHit      sim.Time
-	SRAMTableHit  sim.Time // host base address table / AU table, each
-	DRAMTableMiss sim.Time // segment mapping table access in DRAM
 }
+
+// Fixed parameters of the paper's controller, which no configuration varies.
+const (
+	// l2SMCWays is the second-level SMC's associativity (4-way).
+	l2SMCWays = 4
+	// migrationRetryLimit is the abort-retry bound before a migration
+	// request is re-queued (3, §4.2).
+	migrationRetryLimit = 3
+
+	// SMC timing (Eq. 2) at a 1.5 GHz controller clock: L1 hit 1 cycle ≈
+	// 0.67 ns, L2 hit 7 cycles ≈ 4.67 ns (§6.1), rounded at nanosecond
+	// resolution; the miss path reads two SRAM tables (host base address
+	// table, AU table) and the segment mapping table in DRAM.
+	l1SMCHit      = 1 * sim.Nanosecond
+	l2SMCHit      = 5 * sim.Nanosecond
+	sramTableHit  = 1 * sim.Nanosecond
+	dramTableMiss = 121 * sim.Nanosecond
+)
 
 // DefaultConfig returns the paper's parameters for the given geometry.
 func DefaultConfig(g dram.Geometry) Config {
@@ -77,19 +84,11 @@ func DefaultConfig(g dram.Geometry) Config {
 		MaxHosts:              16,
 		L1SMCEntries:          64,
 		L2SMCEntries:          1024,
-		L2SMCWays:             4,
 		ProfilingWindow:       500 * sim.Microsecond,
 		ProfilingThreshold:    50 * sim.Millisecond,
 		TSPTimeoutEntries:     32,
-		MigrationRetryLimit:   3,
 		ReserveRankGroups:     1,
 		SelfRefreshMinStandby: 1,
-		// 1.5 GHz controller clock: L1 hit 1 cycle ≈ 0.67 ns, L2 hit
-		// 7 cycles ≈ 4.67 ns (§6.1); we round at nanosecond resolution.
-		L1SMCHit:      1 * sim.Nanosecond,
-		L2SMCHit:      5 * sim.Nanosecond,
-		SRAMTableHit:  1 * sim.Nanosecond,
-		DRAMTableMiss: 121 * sim.Nanosecond,
 	}
 }
 
@@ -110,13 +109,13 @@ func (c Config) Validate() error {
 	if c.MaxHosts <= 0 {
 		return fmt.Errorf("core: max hosts must be positive")
 	}
-	if c.L1SMCEntries <= 0 || c.L2SMCEntries <= 0 || c.L2SMCWays <= 0 {
+	if c.L1SMCEntries <= 0 || c.L2SMCEntries <= 0 {
 		return fmt.Errorf("core: SMC sizes must be positive")
 	}
-	if c.L2SMCEntries%c.L2SMCWays != 0 {
-		return fmt.Errorf("core: L2 SMC entries %d not divisible by ways %d", c.L2SMCEntries, c.L2SMCWays)
+	if c.L2SMCEntries%l2SMCWays != 0 {
+		return fmt.Errorf("core: L2 SMC entries %d not divisible by ways %d", c.L2SMCEntries, l2SMCWays)
 	}
-	sets := c.L2SMCEntries / c.L2SMCWays
+	sets := c.L2SMCEntries / l2SMCWays
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("core: L2 SMC set count %d must be a power of two", sets)
 	}
@@ -125,9 +124,6 @@ func (c Config) Validate() error {
 	}
 	if c.TSPTimeoutEntries <= 0 {
 		return fmt.Errorf("core: TSP timeout entries must be positive")
-	}
-	if c.MigrationRetryLimit < 0 {
-		return fmt.Errorf("core: migration retry limit must be non-negative")
 	}
 	if c.ReserveRankGroups < 1 {
 		return fmt.Errorf("core: reserve rank groups must be at least 1")

@@ -89,8 +89,8 @@ func TestPaperConfigParameters(t *testing.T) {
 	if cfg.AUBytes != 2<<30 {
 		t.Errorf("AU = %d, want 2GB", cfg.AUBytes)
 	}
-	if cfg.L1SMCEntries != 64 || cfg.L2SMCEntries != 1024 || cfg.L2SMCWays != 4 {
-		t.Errorf("SMC config = %d/%d/%d", cfg.L1SMCEntries, cfg.L2SMCEntries, cfg.L2SMCWays)
+	if cfg.L1SMCEntries != 64 || cfg.L2SMCEntries != 1024 || l2SMCWays != 4 {
+		t.Errorf("SMC config = %d/%d/%d", cfg.L1SMCEntries, cfg.L2SMCEntries, l2SMCWays)
 	}
 	if cfg.ProfilingWindow != 500*sim.Microsecond {
 		t.Errorf("profiling window = %v", cfg.ProfilingWindow)
@@ -101,8 +101,8 @@ func TestPaperConfigParameters(t *testing.T) {
 	if cfg.TSPTimeoutEntries != 32 {
 		t.Errorf("TSP walk budget = %d entries", cfg.TSPTimeoutEntries)
 	}
-	if cfg.MigrationRetryLimit != 3 {
-		t.Errorf("retry limit = %d", cfg.MigrationRetryLimit)
+	if migrationRetryLimit != 3 {
+		t.Errorf("retry limit = %d", migrationRetryLimit)
 	}
 	if cfg.SegmentsPerAU() != 1024 {
 		t.Errorf("segments per AU = %d, want 1024", cfg.SegmentsPerAU())
@@ -162,7 +162,6 @@ func TestAllocateAccessRoundTrip(t *testing.T) {
 
 func TestTranslationLatencyLevels(t *testing.T) {
 	d := newTestDTL(t)
-	cfg := d.Config()
 	a := mustAlloc(t, d, 1, 0, 16*dram.MiB, 0)
 	base := a.AUBases[0]
 
@@ -174,7 +173,7 @@ func TestTranslationLatencyLevels(t *testing.T) {
 	if r1.SMCLevel != 0 {
 		t.Fatalf("first access SMC level = %d, want 0 (miss)", r1.SMCLevel)
 	}
-	wantMiss := cfg.L1SMCHit + cfg.L2SMCHit + 2*cfg.SRAMTableHit + cfg.DRAMTableMiss
+	wantMiss := l1SMCHit + l2SMCHit + 2*sramTableHit + dramTableMiss
 	if r1.TranslationLat != wantMiss {
 		t.Fatalf("miss translation = %v, want %v", r1.TranslationLat, wantMiss)
 	}
@@ -184,7 +183,7 @@ func TestTranslationLatencyLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.SMCLevel != 1 || r2.TranslationLat != cfg.L1SMCHit {
+	if r2.SMCLevel != 1 || r2.TranslationLat != l1SMCHit {
 		t.Fatalf("second access level=%d lat=%v", r2.SMCLevel, r2.TranslationLat)
 	}
 }

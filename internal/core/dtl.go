@@ -147,8 +147,6 @@ type Stats struct {
 
 // New builds a DTL over a fresh device and controller.
 func New(cfg Config) (*DTL, error) {
-	def := DefaultConfig(cfg.Geometry)
-	fillDefaults(&cfg, def)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -162,8 +160,6 @@ func New(cfg Config) (*DTL, error) {
 // NewWithDevice builds a DTL over an existing device (for tests and
 // experiments that need custom power/timing models).
 func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
-	def := DefaultConfig(cfg.Geometry)
-	fillDefaults(&cfg, def)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -176,7 +172,7 @@ func NewWithDevice(cfg Config, dev *dram.Device) (*DTL, error) {
 		dev:          dev,
 		ctrl:         memctrl.New(dev),
 		codec:        dev.Codec(),
-		smc:          newSMC(cfg.L1SMCEntries, cfg.L2SMCEntries, cfg.L2SMCWays),
+		smc:          newSMC(cfg.L1SMCEntries, cfg.L2SMCEntries, l2SMCWays),
 		segMap:       newSegTable(maxHSN),
 		revMap:       make([]dram.HSN, g.TotalSegments()),
 		free:         make([]fifo[dram.DSN], g.TotalRanks()),
@@ -268,7 +264,7 @@ func (d *DTL) AttachTracer(tr *telemetry.Tracer) {
 		return
 	}
 	d.dev.OnTransition(func(id dram.RankID, from, to dram.PowerState, at, ready sim.Time) {
-		tr.PowerTransition(d.codec.GlobalRank(id.Channel, id.Rank), int(to), at)
+		tr.PowerTransition(d.codec.GlobalRank(id.Channel, id.Rank), to, at)
 	})
 }
 
@@ -280,18 +276,14 @@ func (d *DTL) StartTrace(now sim.Time) *telemetry.Tracer {
 	tr := telemetry.NewTracer(telemetry.TracerConfig{
 		Ranks:    g.TotalRanks(),
 		Channels: g.Channels,
-		StateNames: []string{
-			dram.Standby.String(), dram.SelfRefresh.String(), dram.MPSM.String(),
-		},
-		InitialState: int(dram.Standby),
-		Start:        now,
+		Start:    now,
 	})
 	// Ranks already away from standby (e.g. tracing started mid-run) seed
 	// their timelines with a transition at the trace origin.
 	for ch := 0; ch < g.Channels; ch++ {
 		for rk := 0; rk < g.RanksPerChannel; rk++ {
 			if st := d.dev.State(dram.RankID{Channel: ch, Rank: rk}); st != dram.Standby {
-				tr.PowerTransition(d.codec.GlobalRank(ch, rk), int(st), now)
+				tr.PowerTransition(d.codec.GlobalRank(ch, rk), st, now)
 			}
 		}
 	}
@@ -312,7 +304,7 @@ func (d *DTL) Ledger() *telemetry.Ledger { return d.ledger }
 // StartLedger builds a ledger sized for this device, attaches it, and
 // returns it.
 func (d *DTL) StartLedger() *telemetry.Ledger {
-	l := telemetry.NewLedger(telemetry.LedgerConfig{Ranks: d.cfg.Geometry.TotalRanks()})
+	l := telemetry.NewLedger(d.cfg.Geometry.TotalRanks())
 	d.AttachLedger(l)
 	return l
 }
@@ -340,57 +332,8 @@ func (d *DTL) chargeSpan(vm int64, rank int, cause telemetry.Cause, start, end s
 	if d.ledger == nil {
 		return
 	}
-	d.ledger.End(d.ledger.Begin(vm, rank, cause, start), end, energy)
+	d.ledger.Span(vm, rank, cause, start, end, energy)
 	d.tracer.AttrSpan(vm, rank, cause.String(), start, end, energy)
-}
-
-// fillDefaults copies default values into zero-valued cfg fields.
-func fillDefaults(cfg *Config, def Config) {
-	if cfg.AUBytes == 0 {
-		cfg.AUBytes = def.AUBytes
-	}
-	if cfg.MaxHosts == 0 {
-		cfg.MaxHosts = def.MaxHosts
-	}
-	if cfg.L1SMCEntries == 0 {
-		cfg.L1SMCEntries = def.L1SMCEntries
-	}
-	if cfg.L2SMCEntries == 0 {
-		cfg.L2SMCEntries = def.L2SMCEntries
-	}
-	if cfg.L2SMCWays == 0 {
-		cfg.L2SMCWays = def.L2SMCWays
-	}
-	if cfg.ProfilingWindow == 0 {
-		cfg.ProfilingWindow = def.ProfilingWindow
-	}
-	if cfg.ProfilingThreshold == 0 {
-		cfg.ProfilingThreshold = def.ProfilingThreshold
-	}
-	if cfg.TSPTimeoutEntries == 0 {
-		cfg.TSPTimeoutEntries = def.TSPTimeoutEntries
-	}
-	if cfg.MigrationRetryLimit == 0 {
-		cfg.MigrationRetryLimit = def.MigrationRetryLimit
-	}
-	if cfg.ReserveRankGroups == 0 {
-		cfg.ReserveRankGroups = def.ReserveRankGroups
-	}
-	if cfg.SelfRefreshMinStandby == 0 {
-		cfg.SelfRefreshMinStandby = def.SelfRefreshMinStandby
-	}
-	if cfg.L1SMCHit == 0 {
-		cfg.L1SMCHit = def.L1SMCHit
-	}
-	if cfg.L2SMCHit == 0 {
-		cfg.L2SMCHit = def.L2SMCHit
-	}
-	if cfg.SRAMTableHit == 0 {
-		cfg.SRAMTableHit = def.SRAMTableHit
-	}
-	if cfg.DRAMTableMiss == 0 {
-		cfg.DRAMTableMiss = def.DRAMTableMiss
-	}
 }
 
 // Config returns the DTL's effective configuration.
@@ -462,9 +405,9 @@ func (d *DTL) Access(hpa dram.HPA, write bool, now sim.Time) (AccessResult, erro
 	var tlat sim.Time
 	switch lvl {
 	case 1:
-		tlat = d.cfg.L1SMCHit
+		tlat = l1SMCHit
 	case 2:
-		tlat = d.cfg.L1SMCHit + d.cfg.L2SMCHit
+		tlat = l1SMCHit + l2SMCHit
 	default:
 		// Miss path: host base address table + AU base address table in
 		// SRAM, then the segment mapping table in DRAM (Fig. 4).
@@ -473,7 +416,7 @@ func (d *DTL) Access(hpa dram.HPA, write bool, now sim.Time) (AccessResult, erro
 			return AccessResult{}, fmt.Errorf("core: access to unallocated hsn %d (hpa %#x)", hsn, int64(hpa))
 		}
 		dsn = mapped
-		tlat = d.cfg.L1SMCHit + d.cfg.L2SMCHit + 2*d.cfg.SRAMTableHit + d.cfg.DRAMTableMiss
+		tlat = l1SMCHit + l2SMCHit + 2*sramTableHit + dramTableMiss
 		d.smc.install(hsn, dsn)
 		d.st.missPathWalks.Inc()
 		d.tracer.SMCMiss(now)
@@ -514,9 +457,9 @@ func (d *DTL) Access(hpa dram.HPA, write bool, now sim.Time) (AccessResult, erro
 		// The four terms sum to TotalLat exactly (conservation).
 		gr := d.codec.GlobalRank(loc.Channel, loc.Rank)
 		vm := d.auOwner[int64(hsn)/d.segsPerAU]
-		base := d.cfg.L1SMCHit + (res.Done - (now + tlat)) - res.WakeDelay - res.Degraded
+		base := l1SMCHit + (res.Done - (now + tlat)) - res.WakeDelay - res.Degraded
 		d.ledger.Charge(vm, gr, telemetry.CauseBaseline, int64(base), 0)
-		if walk := tlat - d.cfg.L1SMCHit; walk > 0 {
+		if walk := tlat - l1SMCHit; walk > 0 {
 			d.ledger.Charge(vm, gr, telemetry.CauseSMCMissWalk, int64(walk), 0)
 		}
 		if res.WakeDelay > 0 {

@@ -20,7 +20,7 @@ type inflight struct {
 	dur      sim.Time
 	retries  int
 	// vretries counts verify-after-copy re-routes this segment has taken
-	// (destination rank faulted mid-copy), bounded by MigrationRetryLimit.
+	// (destination rank faulted mid-copy), bounded by migrationRetryLimit.
 	vretries int
 }
 
@@ -197,7 +197,7 @@ func (m *migrator) enqueueSwap(ch, grA, grB int, a, b dram.DSN, now sim.Time, re
 // completeUpTo retires windows that finished by now, verifying each copy
 // against its destination rank: a copy that completed onto a rank that
 // failed mid-flight is re-routed to a fresh destination (bounded by
-// MigrationRetryLimit), so data never strands on degrading media.
+// migrationRetryLimit), so data never strands on degrading media.
 //
 // A channel whose watermark lies after now has no window due and is
 // skipped; walking it would retire nothing, so retirement, verify and
@@ -245,7 +245,7 @@ func (m *migrator) completeUpTo(now sim.Time) {
 			if m.d.revMap[r.dst] == dsnFree {
 				continue // already moved off or freed; nothing to save
 			}
-			if r.vretries >= m.d.cfg.MigrationRetryLimit {
+			if r.vretries >= migrationRetryLimit {
 				m.stats.VerifyGiveups++
 				continue
 			}
@@ -276,7 +276,7 @@ func (m *migrator) completeUpTo(now sim.Time) {
 //     is routed to the new DSN;
 //   - a write to a line not yet copied proceeds at the old DSN;
 //   - a write to an already-copied line aborts the migration, which
-//     restarts; after MigrationRetryLimit aborts the request is moved to
+//     restarts; after migrationRetryLimit aborts the request is moved to
 //     the tail of the channel's migration queue.
 //
 // A write to a segment whose filter bit is clear has no window to find and
@@ -316,7 +316,7 @@ func (m *migrator) onForegroundAccess(dsn dram.DSN, write bool, now sim.Time) {
 		// Line already migrated: abort and restart the copy.
 		m.stats.Aborts++
 		w.retries++
-		if w.retries > m.d.cfg.MigrationRetryLimit {
+		if w.retries > migrationRetryLimit {
 			// Re-queue at the tail of the channel's migration queue.
 			m.stats.Requeues++
 			w.retries = 0

@@ -78,7 +78,7 @@ func TestAbortAndRequeue(t *testing.T) {
 		t.Fatal("no aborts despite sustained write conflicts")
 	}
 	if st.Requeues == 0 {
-		t.Fatalf("no requeues after %d aborts (limit %d)", st.Aborts, d.Config().MigrationRetryLimit)
+		t.Fatalf("no requeues after %d aborts (limit %d)", st.Aborts, migrationRetryLimit)
 	}
 }
 

@@ -165,7 +165,7 @@ func TestMigrationVerifyGivesUpAtRetryLimit(t *testing.T) {
 	moveDecoded(d, src, dst, start, "test")
 	// Pretend this segment already exhausted its verify retries.
 	w := d.mig.windows[0][len(d.mig.windows[0])-1]
-	w.vretries = d.cfg.MigrationRetryLimit
+	w.vretries = migrationRetryLimit
 
 	dstLoc := d.codec.DecodeDSN(dst)
 	d.Device().FailRank(dram.RankID{Channel: dstLoc.Channel, Rank: dstLoc.Rank}, start+10)

@@ -159,7 +159,6 @@ func TestTable6ControllerEstimate(t *testing.T) {
 }
 
 func TestAMATModel(t *testing.T) {
-	cfg := DefaultConfig(dram.Default1TB())
 	// Paper §6.1 numbers: L1 miss 14.7%, L2 miss 15.4%, CXL 210ns,
 	// AMAT 214.2ns (+4.2ns translation).
 	m := AMATModel{
@@ -168,7 +167,7 @@ func TestAMATModel(t *testing.T) {
 		L2Hit:     5,
 		L1Miss:    0.147,
 		L2Miss:    0.154,
-		Penalty:   2*cfg.SRAMTableHit + cfg.DRAMTableMiss,
+		Penalty:   2*sramTableHit + dramTableMiss,
 	}
 	tr := m.Translation()
 	if tr < 2.0 || tr > 7.0 {
@@ -187,13 +186,12 @@ func TestAMATModel(t *testing.T) {
 }
 
 func TestAMATFromConfig(t *testing.T) {
-	cfg := DefaultConfig(dram.Default1TB())
 	st := SMCStats{L1Hits: 853, L1Misses: 147, L2Hits: 124, L2Misses: 23}
-	m := AMATFromConfig(cfg, 210, st)
+	m := AMATFromConfig(210, st)
 	if m.L1Miss != st.L1MissRatio() || m.L2Miss != st.L2MissRatio() {
 		t.Fatal("ratios not propagated")
 	}
-	if m.Penalty != 2*cfg.SRAMTableHit+cfg.DRAMTableMiss {
+	if m.Penalty != 2*sramTableHit+dramTableMiss {
 		t.Fatalf("penalty = %v", m.Penalty)
 	}
 }

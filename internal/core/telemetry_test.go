@@ -51,7 +51,7 @@ func TestStartTraceRecordsPowerDownTimeline(t *testing.T) {
 	var sawMPSM bool
 	for _, s := range tr.PowerSpans() {
 		perRank[s.Rank] += int64(s.Duration())
-		if s.State == int(dram.MPSM) {
+		if s.State == dram.MPSM {
 			sawMPSM = true
 		}
 	}
@@ -88,7 +88,7 @@ func TestStartTraceSeedsMidRunStates(t *testing.T) {
 	tr := d.StartTrace(5000)
 	tr.Finish(6000)
 	res := tr.Residency(d.codec.GlobalRank(down[0].Channel, down[0].Rank))
-	if res[int(dram.MPSM)] != 1000 {
+	if res[dram.MPSM] != 1000 {
 		t.Fatalf("mid-run MPSM rank residency = %v, want full 1000 in MPSM", res)
 	}
 }

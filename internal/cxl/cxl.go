@@ -73,5 +73,5 @@ func (p *Port) Accesses() int64 { return p.accesses }
 // AMAT evaluates the §6.1 analytic model against the port's DTL using its
 // measured segment-mapping-cache miss ratios.
 func (p *Port) AMAT() core.AMATModel {
-	return core.AMATFromConfig(p.dtl.Config(), p.linkLat, p.dtl.SMCStats())
+	return core.AMATFromConfig(p.linkLat, p.dtl.SMCStats())
 }

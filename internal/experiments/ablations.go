@@ -108,7 +108,7 @@ func AblationSMC(o Options) Result {
 			panic(err)
 		}
 		st := d.SMCStats()
-		m := core.AMATFromConfig(cfg, cxl.CXLMemoryLatency, st)
+		m := core.AMATFromConfig(cxl.CXLMemoryLatency, st)
 		tab.AddRowf("%s\t%s\t%s\t%s", sc.name,
 			pct(st.L1MissRatio()), pct(st.L2MissRatio()), nsT(m.Translation()))
 		key := fmt.Sprintf("translation_ns_%dx%d", sc.l1, sc.l2)
@@ -142,10 +142,11 @@ func ablSelfRefreshRun(o Options, threshold sim.Time, tspEntries int, n int) srR
 		accesses: n, period: 100 * sim.Microsecond}.run(o)
 }
 
-// duty is the share of the active ranks' time spent in self-refresh
-// (self-refresh draws 0.2 of standby power).
+// duty is the share of the active ranks' time spent in self-refresh: their
+// self-refresh energy over the state's Table 2 power.
 func (r srRunResult) duty() float64 {
-	return r.selfRefEnergy / 0.2 / float64(r.span) / float64(r.activeRanks)
+	pm := dram.DefaultPowerModel()
+	return r.selfRefEnergy / pm.SelfRefreshPower / float64(r.span) / float64(r.activeRanks)
 }
 
 // AblationProfilingThreshold sweeps the §3.4 idle threshold: lower

@@ -7,7 +7,6 @@ import (
 	"dtl/internal/cxl"
 	"dtl/internal/dram"
 	"dtl/internal/metrics"
-	"dtl/internal/power"
 	"dtl/internal/sim"
 )
 
@@ -38,7 +37,7 @@ func runPowerDownSchedule(o Options) scheduleRun {
 
 // writePowerTimeline writes a power timeline as the CSV file name, one row
 // per sample interval, when o asks for CSVs.
-func writePowerTimeline(o Options, name string, samples []power.Sample) {
+func writePowerTimeline(o Options, name string, samples []powerSample) {
 	f := o.csvFile(name)
 	if f == nil {
 		return
@@ -46,11 +45,11 @@ func writePowerTimeline(o Options, name string, samples []power.Sample) {
 	fmt.Fprintln(f, "minute,background,active,total,migrating")
 	for _, s := range samples {
 		mig := 0
-		if s.Migrating {
+		if s.migrating {
 			mig = 1
 		}
 		fmt.Fprintf(f, "%d,%.3f,%.3f,%.3f,%d\n",
-			int64(s.At/sim.Minute), s.Background, s.Active, s.Total(), mig)
+			int64(s.at/sim.Minute), s.background, s.active, s.background+s.active, mig)
 	}
 	f.Close()
 }
@@ -100,11 +99,11 @@ func Fig12(o Options) Result {
 			continue
 		}
 		mig := ""
-		if s.Migrating {
+		if s.migrating {
 			mig = "yes"
 		}
 		tab.AddRowf("%dmin\t%.1f\t%.1f\t%.1f\t%s",
-			int64(s.At/sim.Minute), s.Background, s.Active, s.Total(), mig)
+			int64(s.at/sim.Minute), s.background, s.active, s.background+s.active, mig)
 	}
 	tab.Render(w)
 
@@ -132,25 +131,21 @@ func Fig13(o Options) Result {
 	res.header(w)
 
 	run := runPowerDownSchedule(o)
-	b := power.Breakdown{
-		BaselineBackground: run.baseBGEnergy,
-		BaselineActive:     run.activeEnergy,
-		TechBackground:     run.techBGEnergy,
-		TechActive:         run.activeEnergy + run.migEnergy,
-	}
+	baseBG, baseActive := run.baseBGEnergy, run.activeEnergy
+	techBG, techActive := run.techBGEnergy, run.activeEnergy+run.migEnergy
+	bgSaving := 1 - techBG/baseBG
+	totalSaving := 1 - (techBG+techActive)/(baseBG+baseActive)
 
 	tab := metrics.NewTable("component", "baseline (units-s)", "power-down (units-s)", "reduction")
-	tab.AddRowf("background\t%.3g\t%.3g\t%s",
-		b.BaselineBackground/1e9, b.TechBackground/1e9, pct(b.BackgroundSaving()))
+	tab.AddRowf("background\t%.3g\t%.3g\t%s", baseBG/1e9, techBG/1e9, pct(bgSaving))
 	tab.AddRowf("active\t%.3g\t%.3g\t%s",
-		b.BaselineActive/1e9, b.TechActive/1e9, pct(1-b.TechActive/b.BaselineActive))
+		baseActive/1e9, techActive/1e9, pct(1-techActive/baseActive))
 	tab.AddRowf("total\t%.3g\t%.3g\t%s",
-		(b.BaselineBackground+b.BaselineActive)/1e9,
-		(b.TechBackground+b.TechActive)/1e9, pct(b.TotalSaving()))
+		(baseBG+baseActive)/1e9, (techBG+techActive)/1e9, pct(totalSaving))
 	tab.Render(w)
 
-	res.Metrics["background_saving"] = b.BackgroundSaving()
-	res.Metrics["total_saving"] = b.TotalSaving()
+	res.Metrics["background_saving"] = bgSaving
+	res.Metrics["total_saving"] = totalSaving
 	res.footer(w)
 	return res
 }

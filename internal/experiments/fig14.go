@@ -322,13 +322,14 @@ func Fig15(o Options) Result {
 	w := o.out()
 	res.header(w)
 
+	pm := dram.DefaultPowerModel()
 	tab := metrics.NewTable("config", "power-down only", "with self-refresh", "paper")
 	for _, cfg := range srConfigs() {
 		r := o.withoutTelemetry().selfRefresh(cfg)
 		// Power-down-only saving for the same configuration: idle groups
 		// in MPSM, active groups fully standby.
 		idle := float64(r.totalRanks - r.activeRanks)
-		pdOnly := 1 - (float64(r.activeRanks)+idle*0.068)/float64(r.totalRanks)
+		pdOnly := 1 - (float64(r.activeRanks)+idle*pm.MPSMPower)/float64(r.totalRanks)
 		tab.AddRowf("%s\t%s\t%s\t%s", cfg.label, pct(pdOnly), pct(r.totalSaving()), cfg.paperNote)
 		res.Metrics["total_"+cfg.label] = r.totalSaving()
 		res.Metrics["pdonly_"+cfg.label] = pdOnly

@@ -206,3 +206,32 @@ func TestLedgerEnergyConservationAcrossRunners(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceResidencyMatchesBackgroundEnergy ties the trace to the figures:
+// the JSONL power spans' residency × Table 2 weight (EnergyProxy, in
+// weight-microseconds) must equal the technique background energy the
+// schedule reports from dram.Device.BackgroundEnergy (units × ns).
+func TestTraceResidencyMatchesBackgroundEnergy(t *testing.T) {
+	for _, tc := range []struct {
+		id     string
+		faults bool
+	}{
+		{"fig12", false},
+		{"faults", true},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			o := quickOpts()
+			o.TracePath = filepath.Join(t.TempDir(), "t.jsonl")
+			o.TraceFormat = telemetry.FormatJSONL
+			if tc.faults {
+				o.FaultSpec = defaultFaultSpec(o.Seed)
+			}
+			run := runPowerDownSchedule(o)
+			proxy := 1000 * summarizeTraceFile(t, o.TracePath).EnergyProxy()
+			if !relClose(proxy, run.techBGEnergy, 1e-9) {
+				t.Fatalf("trace residency energy %.17g != schedule background energy %.17g",
+					proxy, run.techBGEnergy)
+			}
+		})
+	}
+}

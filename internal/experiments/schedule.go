@@ -8,7 +8,6 @@ import (
 	"dtl/internal/core"
 	"dtl/internal/dram"
 	"dtl/internal/fault"
-	"dtl/internal/power"
 	"dtl/internal/rack"
 	"dtl/internal/sim"
 	"dtl/internal/trace"
@@ -44,6 +43,14 @@ type dtlSummary struct {
 	endLiveVMs      int
 }
 
+// powerSample is one interval's point on the technique's runtime power
+// timeline (Fig. 12a), in normalized units.
+type powerSample struct {
+	at                 sim.Time
+	background, active float64
+	migrating          bool // segment migration was in flight
+}
+
 // scheduleRun is the outcome of one schedule run on either target.
 type scheduleRun struct {
 	horizon sim.Time
@@ -56,9 +63,9 @@ type scheduleRun struct {
 
 	meanActiveRanks float64 // mean active ranks per channel over every DTL
 	perDTL          []dtlSummary
-	samples         []power.Sample // technique timeline
-	migrationSpans  int            // intervals with migration activity
-	bytesMigrated   int64          // intra-device
+	samples         []powerSample // technique timeline, one per interval
+	migrationSpans  int           // intervals with migration activity
+	bytesMigrated   int64         // intra-device
 
 	// accessLatNs sums the latency of every read the run issued: degraded
 	// probes, foreground probes, the zero-data-loss probe and (rack)
@@ -161,7 +168,10 @@ func runSchedule(o Options, tgt scheduleTarget) scheduleRun {
 	scrubPerInterval := int(g.TotalSegments() * int64(vmtrace.Interval) / int64(sim.Hour))
 
 	pm := ds[0].Device().Power()
-	meter := power.NewMeter(pm)
+	// Active energy is a left Riemann sum: each interval's active power
+	// holds until the next sample (the paper's 5-minute recomputation).
+	var lastAt sim.Time
+	var lastActive float64
 	live := map[core.VMID]vmtrace.VM{}
 	var liveIDs []core.VMID // reused scratch for deterministic iteration
 	ei := 0
@@ -240,7 +250,10 @@ func runSchedule(o Options, tgt scheduleTarget) scheduleRun {
 			run.migrationSpans++
 		}
 		prevMigBytes = migBytes
-		meter.Record(t, bg, pm.Active(bw), migrating)
+		active := pm.Active(bw)
+		run.activeEnergy += lastActive * float64(t-lastAt)
+		lastAt, lastActive = t, active
+		run.samples = append(run.samples, powerSample{at: t, background: bg, active: active, migrating: migrating})
 		intervals++
 		rt.tick(t)
 	}
@@ -278,7 +291,7 @@ func runSchedule(o Options, tgt scheduleTarget) scheduleRun {
 	if err := rt.finish(horizon); err != nil {
 		panic(err)
 	}
-	meter.FinishAt(horizon)
+	run.activeEnergy += lastActive * float64(horizon-lastAt)
 
 	run.health = map[string]float64{}
 	var st, sr, mp, rankSum float64
@@ -314,13 +327,10 @@ func runSchedule(o Options, tgt scheduleTarget) scheduleRun {
 	}
 	run.techBGEnergy = st + sr + mp
 	run.baseBGEnergy = float64(n) * float64(g.TotalRanks()) * pm.StandbyPower * float64(horizon)
-	_, act, _ := meter.Energy()
-	run.activeEnergy = act
 	// Migration energy: moving B bytes at any bandwidth W costs
 	// slope*W power for B/W ns, i.e. slope*B units x ns regardless of W.
 	run.migEnergy = pm.ActivePowerPerGBs * float64(run.bytesMigrated)
 	run.meanActiveRanks = rankSum / float64(intervals*n)
-	run.samples = meter.Samples()
 	return run
 }
 

@@ -179,7 +179,7 @@ func (rt *runTelemetry) startWatch(o Options, defaultPeriod sim.Time) {
 		return
 	}
 	rt.eng.Every(o.period(defaultPeriod), func(now sim.Time) {
-		sendWatch(rt.watch, rt.snapshot(now, false))
+		SendWatch(rt.watch, rt.snapshot(now, false))
 	})
 }
 
@@ -246,7 +246,7 @@ func (rt *runTelemetry) finish(horizon sim.Time) error {
 		}
 	}
 	if rt.watch != nil && rt.snapshot != nil {
-		sendWatch(rt.watch, rt.snapshot(horizon, true))
+		SendWatch(rt.watch, rt.snapshot(horizon, true))
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 // Live progress snapshots for `dtlsim -watch`. The sim goroutine publishes a
 // WatchSnapshot on the Options.Watch channel at every sampling tick; the
 // renderer (cmd/dtlsim) owns the terminal. Publishing never blocks the sim —
-// sendWatch coalesces by replacing a stale undelivered snapshot with the
+// SendWatch coalesces by replacing a stale undelivered snapshot with the
 // fresh one — so runs are byte-identical with and without a watcher, and a
 // slow terminal can never stall virtual time.
 
@@ -126,10 +126,11 @@ func snapshotDTLs(ds []*core.DTL, f *rack.Fabric, label string, now, horizon sim
 	return snap
 }
 
-// sendWatch delivers snap without ever blocking: if the channel is full the
+// SendWatch delivers snap without ever blocking: if the channel is full the
 // stale queued snapshot is dropped in favor of the fresh one. With the cap-1
-// channel dtlsim creates, the renderer always reads the newest state.
-func sendWatch(ch chan WatchSnapshot, snap WatchSnapshot) {
+// channels dtlsim and dtlserved create, the reader always gets the newest
+// state.
+func SendWatch(ch chan WatchSnapshot, snap WatchSnapshot) {
 	for {
 		select {
 		case ch <- snap:

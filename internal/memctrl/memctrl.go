@@ -1,8 +1,7 @@
 // Package memctrl models the per-channel DRAM memory controllers inside the
 // CXL device. It services cache-line requests against a bank/bus timing
-// model (DDR4-like), charges rank power-state exit penalties, keeps per-rank
-// access counters for DTL's hotness profiling, and accounts bandwidth for
-// the active-power model.
+// model (DDR4-like), charges rank power-state exit penalties, and keeps
+// per-rank access counters that account the bandwidth it delivered.
 //
 // The model is a service-time calculator rather than a cycle-accurate
 // pipeline: requests are submitted in nondecreasing arrival-time order per
@@ -54,7 +53,7 @@ type Result struct {
 // Latency reports the request's total latency.
 func (r Result) Latency(arrive sim.Time) sim.Time { return r.Done - arrive }
 
-// RankStats accumulates per-rank counters over a profiling window.
+// RankStats is one rank's access counters.
 type RankStats struct {
 	Accesses int64
 	Bytes    int64
@@ -77,13 +76,9 @@ type Controller struct {
 	bankFree []sim.Time // earliest time the bank accepts a command
 	openRow  []int64    // row held open in the bank, -1 when precharged
 
-	// Per-global-rank profiling counters, struct-of-arrays: DTL's hotness
-	// profiler sweeps every rank's window count each profiling window, and
-	// a dense []int64 walk touches half the cache lines the old
-	// []RankStats layout did. Bytes are derived (accesses × LineBytes), so
-	// only the access counts are kept hot.
-	winAccesses  []int64    // per global rank, since last ResetWindow
-	lifeAccesses []int64    // per global rank, total
+	// lifeAccesses counts every access per global rank; bytes are derived
+	// (accesses × LineBytes).
+	lifeAccesses []int64
 	busyNs       []sim.Time // per channel: accumulated bus occupancy
 
 	wakeups  int64 // accesses that found their rank in self-refresh
@@ -114,7 +109,6 @@ func New(dev *dram.Device) *Controller {
 		banks:        g.BanksPerRank,
 		bankFree:     make([]sim.Time, nBanks),
 		openRow:      make([]int64, nBanks),
-		winAccesses:  make([]int64, nRanks),
 		lifeAccesses: make([]int64, nRanks),
 		busyNs:       make([]sim.Time, g.Channels),
 	}
@@ -213,7 +207,6 @@ func (c *Controller) Access(req Request) Result {
 	}
 	c.bankFree[bank] = bankBusyUntil + c.tim.TWR*sim.Time(b2i(req.Write))
 
-	c.winAccesses[gr]++
 	c.lifeAccesses[gr]++
 
 	return Result{Start: start, Done: done, RowHit: rowHit, Woke: woke, WakeDelay: wake, Degraded: degraded}
@@ -264,7 +257,7 @@ func (c *Controller) afterRefresh(gr int, t sim.Time) sim.Time {
 	if trefi <= 0 || trfc <= 0 {
 		return t
 	}
-	phase := trefi * sim.Time(gr) / sim.Time(len(c.winAccesses))
+	phase := trefi * sim.Time(gr) / sim.Time(len(c.lifeAccesses))
 	offset := (t - phase) % trefi
 	if offset < 0 {
 		offset += trefi
@@ -274,28 +267,6 @@ func (c *Controller) afterRefresh(gr int, t sim.Time) sim.Time {
 		return t + (trfc - offset)
 	}
 	return t
-}
-
-// WindowStats returns the per-rank counters accumulated since the last
-// ResetWindow, indexed by global rank id.
-func (c *Controller) WindowStats() []RankStats {
-	out := make([]RankStats, len(c.winAccesses))
-	for i, n := range c.winAccesses {
-		out[i] = RankStats{Accesses: n, Bytes: n * LineBytes}
-	}
-	return out
-}
-
-// WindowAccesses reports the access count of a single rank this window.
-func (c *Controller) WindowAccesses(id dram.RankID) int64 {
-	return c.winAccesses[c.codec.GlobalRank(id.Channel, id.Rank)]
-}
-
-// ResetWindow clears the per-window counters (start of a profiling window).
-func (c *Controller) ResetWindow() {
-	for i := range c.winAccesses {
-		c.winAccesses[i] = 0
-	}
 }
 
 // LifetimeStats returns total per-rank counters, indexed by global rank id.

@@ -91,6 +91,7 @@ func TestMPSMAccessPanics(t *testing.T) {
 	c.Access(Request{Addr: 0, Arrive: 100})
 }
 
+// TestWindowCounters checks the per-rank access counters.
 func TestWindowCounters(t *testing.T) {
 	c := newCtrl()
 	codec := c.Device().Codec()
@@ -101,21 +102,12 @@ func TestWindowCounters(t *testing.T) {
 	chan1Seg := codec.DSNToDPA(codec.EncodeDSN(dram.Loc{Rank: 0, Channel: 1, Index: 0}))
 	c.Access(Request{Addr: chan1Seg, Arrive: 300})
 
-	if got := c.WindowAccesses(dram.RankID{Channel: 0, Rank: 0}); got != 3 {
-		t.Fatalf("ch0/rk0 window accesses = %d, want 3", got)
-	}
-	if got := c.WindowAccesses(dram.RankID{Channel: 1, Rank: 0}); got != 1 {
-		t.Fatalf("ch1/rk0 window accesses = %d, want 1", got)
-	}
-	c.ResetWindow()
-	if got := c.WindowAccesses(dram.RankID{Channel: 0, Rank: 0}); got != 0 {
-		t.Fatalf("after reset, window accesses = %d", got)
-	}
-	// Lifetime survives the reset.
 	life := c.LifetimeStats()
-	gr := codec.GlobalRank(0, 0)
-	if life[gr].Accesses != 3 || life[gr].Bytes != 3*LineBytes {
-		t.Fatalf("lifetime = %+v", life[gr])
+	if gr := codec.GlobalRank(0, 0); life[gr].Accesses != 3 || life[gr].Bytes != 3*LineBytes {
+		t.Fatalf("ch0/rk0 lifetime = %+v, want 3 accesses", life[gr])
+	}
+	if gr := codec.GlobalRank(1, 0); life[gr].Accesses != 1 {
+		t.Fatalf("ch1/rk0 lifetime = %+v, want 1 access", life[gr])
 	}
 	if c.TotalBytes() != 4*LineBytes {
 		t.Fatalf("total bytes = %d", c.TotalBytes())
@@ -229,47 +221,5 @@ func TestBusTurnaroundPenalty(t *testing.T) {
 	rBack := c.Access(Request{Addr: 3 * 4096, Write: false, Arrive: 30_000})
 	if rBack.Start != 30_000+tm.TWTR {
 		t.Fatalf("write->read start %v, want %v", rBack.Start, 30_000+tm.TWTR)
-	}
-}
-
-// TestResetWindowLifetimeNoDrift checks the invariant the profiling loop
-// depends on: summing every window between resets reproduces the lifetime
-// counters exactly, for both accesses and bytes.
-func TestResetWindowLifetimeNoDrift(t *testing.T) {
-	c := newCtrl()
-	nRanks := len(c.LifetimeStats())
-	windowSum := make([]RankStats, nRanks)
-
-	now := sim.Time(0)
-	addr := int64(0)
-	for epoch := 0; epoch < 5; epoch++ {
-		for i := 0; i < 10*(epoch+1); i++ {
-			c.Access(Request{Addr: dram.DPA(addr), Arrive: now})
-			addr += 4 << 20 // wander across segments (and thus ranks/channels)
-			now += 1000
-		}
-		for gr, ws := range c.WindowStats() {
-			windowSum[gr].Accesses += ws.Accesses
-			windowSum[gr].Bytes += ws.Bytes
-		}
-		c.ResetWindow()
-		for _, ws := range c.WindowStats() {
-			if ws.Accesses != 0 || ws.Bytes != 0 {
-				t.Fatalf("epoch %d: window not cleared: %+v", epoch, ws)
-			}
-		}
-	}
-
-	life := c.LifetimeStats()
-	var lifeTotal int64
-	for gr := range life {
-		if windowSum[gr] != life[gr] {
-			t.Fatalf("rank %d: window sum %+v drifted from lifetime %+v",
-				gr, windowSum[gr], life[gr])
-		}
-		lifeTotal += life[gr].Bytes
-	}
-	if lifeTotal != c.TotalBytes() {
-		t.Fatalf("TotalBytes %d != summed lifetime %d", c.TotalBytes(), lifeTotal)
 	}
 }

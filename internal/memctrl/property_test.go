@@ -49,7 +49,7 @@ func TestPropertyCausality(t *testing.T) {
 	}
 }
 
-// TestPropertyCountersConserved: window + lifetime counters agree with the
+// TestPropertyCountersConserved: the lifetime counters agree with the
 // number of requests issued, regardless of the address pattern.
 func TestPropertyCountersConserved(t *testing.T) {
 	f := func(seed int64) bool {
@@ -61,15 +61,12 @@ func TestPropertyCountersConserved(t *testing.T) {
 			addr := dram.DPA(rng.Int63n(g.TotalBytes())) &^ 63
 			c.Access(Request{Addr: addr, Arrive: sim.Time(i * 10)})
 		}
-		var winTotal, lifeTotal int64
-		for _, s := range c.WindowStats() {
-			winTotal += s.Accesses
-		}
+		var lifeTotal int64
 		for _, s := range c.LifetimeStats() {
 			lifeTotal += s.Accesses
 		}
-		if winTotal != n || lifeTotal != n {
-			t.Logf("seed %d: window %d lifetime %d want %d", seed, winTotal, lifeTotal, n)
+		if lifeTotal != n {
+			t.Logf("seed %d: lifetime %d want %d", seed, lifeTotal, n)
 			return false
 		}
 		return c.TotalBytes() == int64(n)*LineBytes

@@ -26,7 +26,6 @@ type refController struct {
 	bankFree  []sim.Time
 	openRow   []int64
 
-	winAccesses  []int64
 	lifeAccesses []int64
 	busyNs       []sim.Time
 
@@ -51,7 +50,6 @@ func newRefController(dev *dram.Device) *refController {
 		banks:        g.BanksPerRank,
 		bankFree:     make([]sim.Time, nBanks),
 		openRow:      make([]int64, nBanks),
-		winAccesses:  make([]int64, nRanks),
 		lifeAccesses: make([]int64, nRanks),
 		busyNs:       make([]sim.Time, g.Channels),
 	}
@@ -139,7 +137,6 @@ func (c *refController) Access(req Request) Result {
 	}
 	c.bankFree[bank] = bankBusyUntil
 
-	c.winAccesses[gr]++
 	c.lifeAccesses[gr]++
 
 	return Result{Start: start, Done: done, RowHit: rowHit, WakeDelay: wake, Degraded: degraded}
@@ -150,7 +147,7 @@ func (c *refController) afterRefresh(gr int, t sim.Time) sim.Time {
 	if trefi <= 0 || trfc <= 0 {
 		return t
 	}
-	phase := trefi * sim.Time(gr) / sim.Time(len(c.winAccesses))
+	phase := trefi * sim.Time(gr) / sim.Time(len(c.lifeAccesses))
 	offset := (t - phase) % trefi
 	if offset < 0 {
 		offset += trefi
@@ -162,18 +159,11 @@ func (c *refController) afterRefresh(gr int, t sim.Time) sim.Time {
 	return t
 }
 
-func (c *refController) ResetWindow() {
-	for i := range c.winAccesses {
-		c.winAccesses[i] = 0
-	}
-}
-
 // TestControllerMatchesReference replays the rank-interleaved CloudSuite
 // stream through the controller and refController on twin devices, with
 // refresh on, ranks put into self-refresh as the stream runs (one of them
-// with a wake fault), a failed rank paying the degraded penalty, and
-// profiling windows reset along the way. Every Result field and every
-// counter must agree after every access, and Woke must be set exactly when
+// with a wake fault) and a failed rank paying the degraded penalty. Every
+// Result field and every counter must agree after every access, and Woke must be set exactly when
 // the access found its rank in self-refresh. The timing variants cover a zero
 // self-refresh exit, a burst longer than tCCD, a tRAS floor above the
 // row-miss latency and refresh disabled by a zero tREFI.
@@ -235,10 +225,6 @@ func checkAgainstReference(t *testing.T, tim dram.Timing) {
 			devA.SetState(id, dram.SelfRefresh, req.Arrive)
 			devB.SetState(id, dram.SelfRefresh, req.Arrive)
 		}
-		if i%4096 == 4095 {
-			c.ResetWindow()
-			ref.ResetWindow()
-		}
 
 		ch, rk := codec.RankOf(req.Addr)
 		if lastRank[ch] >= 0 && lastRank[ch] != rk {
@@ -264,10 +250,10 @@ func checkAgainstReference(t *testing.T, tim dram.Timing) {
 			t.Fatalf("access %d: wakeups/stalls/degraded %d/%d/%d, want %d/%d/%d",
 				i, c.wakeups, c.stalls, c.degraded, ref.wakeups, ref.stalls, ref.degraded)
 		}
-		for gr := range ref.winAccesses {
-			if c.winAccesses[gr] != ref.winAccesses[gr] || c.lifeAccesses[gr] != ref.lifeAccesses[gr] {
-				t.Fatalf("access %d: rank %d window/lifetime %d/%d, want %d/%d", i, gr,
-					c.winAccesses[gr], c.lifeAccesses[gr], ref.winAccesses[gr], ref.lifeAccesses[gr])
+		for gr := range ref.lifeAccesses {
+			if c.lifeAccesses[gr] != ref.lifeAccesses[gr] {
+				t.Fatalf("access %d: rank %d accesses %d, want %d", i, gr,
+					c.lifeAccesses[gr], ref.lifeAccesses[gr])
 			}
 		}
 		for ch := range ref.busyNs {

@@ -380,7 +380,7 @@ func (f *Fabric) Access(vm core.VMID, x int, hpa dram.HPA, write bool, now sim.T
 	f.stallNs.Add(int64(flat))
 	if f.ledger != nil {
 		start := now + res.TotalLat()
-		f.ledger.End(f.ledger.Begin(int64(vm), -1, telemetry.CauseFabricStall, start), start+flat, 0)
+		f.ledger.Span(int64(vm), -1, telemetry.CauseFabricStall, start, start+flat, 0)
 		f.tracer.AttrSpan(int64(vm), -1, telemetry.CauseFabricStall.String(), start, start+flat, 0)
 	}
 	return res, flat, nil
@@ -404,7 +404,7 @@ func (f *Fabric) copyOver(vm core.VMID, src, dst int, bytes int64, now sim.Time)
 	f.copyNs.Add(int64(done - now))
 	energy := f.slope * float64(bytes)
 	if f.ledger != nil {
-		f.ledger.End(f.ledger.Begin(int64(vm), -1, telemetry.CauseFabricCopy, now), done, energy)
+		f.ledger.Span(int64(vm), -1, telemetry.CauseFabricCopy, now, done, energy)
 		f.tracer.AttrSpan(int64(vm), -1, telemetry.CauseFabricCopy.String(), now, done, energy)
 	}
 	f.tracer.Migration(-1, int64(src), int64(dst), "fabric", now, done)
@@ -461,17 +461,13 @@ func (f *Fabric) StartTrace(now sim.Time) *telemetry.Tracer {
 	tr := telemetry.NewTracer(telemetry.TracerConfig{
 		Ranks:    f.TotalRanks(),
 		Channels: f.cfg.Expanders * g.Channels,
-		StateNames: []string{
-			dram.Standby.String(), dram.SelfRefresh.String(), dram.MPSM.String(),
-		},
-		InitialState: int(dram.Standby),
-		Start:        now,
+		Start:    now,
 	})
 	for _, e := range f.exps {
 		for ch := 0; ch < g.Channels; ch++ {
 			for rk := 0; rk < g.RanksPerChannel; rk++ {
 				if st := e.DTL.Device().State(dram.RankID{Channel: ch, Rank: rk}); st != dram.Standby {
-					tr.PowerTransition(f.rackRank(e.ID, rk*g.Channels+ch), int(st), now)
+					tr.PowerTransition(f.rackRank(e.ID, rk*g.Channels+ch), st, now)
 				}
 			}
 		}
@@ -495,7 +491,7 @@ func (f *Fabric) AttachTracer(tr *telemetry.Tracer) {
 		x := e.ID
 		chPer := f.cfg.Expander.Geometry.Channels
 		e.DTL.Device().OnTransition(func(id dram.RankID, from, to dram.PowerState, at, ready sim.Time) {
-			tr.PowerTransition(f.rackRank(x, id.Rank*chPer+id.Channel), int(to), at)
+			tr.PowerTransition(f.rackRank(x, id.Rank*chPer+id.Channel), to, at)
 		})
 	}
 }
@@ -508,7 +504,7 @@ func (f *Fabric) Tracer() *telemetry.Tracer { return f.tracer }
 // use local rank ids; FinishAttribution folds them into rack numbering),
 // and returns the rack ledger.
 func (f *Fabric) StartLedger() *telemetry.Ledger {
-	f.ledger = telemetry.NewLedger(telemetry.LedgerConfig{Ranks: f.TotalRanks()})
+	f.ledger = telemetry.NewLedger(f.TotalRanks())
 	for _, e := range f.exps {
 		e.DTL.StartLedger()
 	}

@@ -284,23 +284,7 @@ func (j *job) publish(snap experiments.WatchSnapshot) {
 	j.snapshots++
 	j.last = &snap
 	for ch := range j.subs {
-		coalesce(ch, snap)
-	}
-}
-
-// coalesce delivers snap on a cap-1 channel, evicting a stale queued
-// snapshot rather than blocking.
-func coalesce(ch chan experiments.WatchSnapshot, snap experiments.WatchSnapshot) {
-	for {
-		select {
-		case ch <- snap:
-			return
-		default:
-		}
-		select {
-		case <-ch:
-		default:
-		}
+		experiments.SendWatch(ch, snap)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"dtl/internal/dram"
 	"dtl/internal/metrics"
 )
 
@@ -14,14 +15,16 @@ import (
 // a residency-weighted background-energy proxy — with tolerance bands so a
 // policy change can be reviewed (or CI-gated) in one command.
 
-// stateWeights is the Table 2 normalized background power per state
-// (mirroring dram.DefaultPowerModel), the weights of EnergyProxy and
-// Ledger.ChargeResidency.
-var stateWeights = map[string]float64{
-	"standby":      1.0,
-	"self-refresh": 0.2,
-	"mpsm":         0.068,
-}
+// stateWeights is dram.DefaultPowerModel's Table 2 background power per
+// state name, the weights of EnergyProxy and Ledger.ChargeResidency.
+var stateWeights = func() map[string]float64 {
+	pm := dram.DefaultPowerModel()
+	w := map[string]float64{}
+	for s := dram.Standby; s <= dram.MPSM; s++ {
+		w[s.String()] = pm.Background(s)
+	}
+	return w
+}()
 
 // stateWeight is state's Table 2 weight. A state absent from the table
 // weighs 1.0 (standby-equivalent), so an unknown state can only make the

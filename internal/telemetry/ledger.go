@@ -109,22 +109,6 @@ type LedgerCell struct {
 // zero reports whether the cell carries no cost.
 func (c LedgerCell) zero() bool { return c.LatNs == 0 && c.Energy == 0 }
 
-// SpanToken is the value Begin hands out and End consumes; being a plain
-// value, opening a span never touches the heap.
-type SpanToken struct {
-	VM    int64
-	Rank  int
-	Cause Cause
-	Start sim.Time
-}
-
-// LedgerConfig sizes a Ledger for a device.
-type LedgerConfig struct {
-	// Ranks is the number of global ranks; each VM gets one cell row per
-	// rank it is charged on, plus one row for rank -1 (not rank-scoped).
-	Ranks int
-}
-
 // Ledger is the cost ledger of the attribution plane: it charges latency
 // and energy-proxy costs to (vm, rank, cause) triples. All methods are
 // nil-receiver-safe no-ops, and Charge on an already-charged (vm, rank) is
@@ -134,7 +118,9 @@ type LedgerConfig struct {
 // The ledger is pure accounting: it never mutates model state, so attaching
 // one cannot perturb byte-determinism of a run.
 type Ledger struct {
-	cfg LedgerConfig
+	// ranks is the number of global ranks; each VM gets one cell row per
+	// rank it is charged on, plus one row for rank -1 (not rank-scoped).
+	ranks int
 
 	// cells maps VM id → one row pointer per rank+1 (slot 0 is rank -1).
 	// The pointer slice is allocated on the VM's first charge and a row on
@@ -151,19 +137,16 @@ type Ledger struct {
 	total   LedgerCell
 }
 
-// NewLedger builds an empty ledger sized for cfg.Ranks global ranks.
-func NewLedger(cfg LedgerConfig) *Ledger {
-	if cfg.Ranks <= 0 {
-		panic(fmt.Sprintf("telemetry: ledger needs at least one rank, got %d", cfg.Ranks))
+// NewLedger builds an empty ledger sized for ranks global ranks.
+func NewLedger(ranks int) *Ledger {
+	if ranks <= 0 {
+		panic(fmt.Sprintf("telemetry: ledger needs at least one rank, got %d", ranks))
 	}
 	return &Ledger{
-		cfg:   cfg,
+		ranks: ranks,
 		cells: make(map[int64][]*[NumCauses]LedgerCell),
 	}
 }
-
-// Config returns the ledger's configuration.
-func (l *Ledger) Config() LedgerConfig { return l.cfg }
 
 // Charge adds latNs nanoseconds and energy units to (vm, rank, cause).
 // rank -1 means not rank-scoped; vm SystemVM means not tenant-scoped.
@@ -171,13 +154,13 @@ func (l *Ledger) Charge(vm int64, rank int, cause Cause, latNs int64, energy flo
 	if l == nil {
 		return
 	}
-	if rank < -1 || rank >= l.cfg.Ranks {
-		panic(fmt.Sprintf("telemetry: ledger charge on rank %d of %d", rank, l.cfg.Ranks))
+	if rank < -1 || rank >= l.ranks {
+		panic(fmt.Sprintf("telemetry: ledger charge on rank %d of %d", rank, l.ranks))
 	}
 	rows := l.lastRows
 	if vm != l.lastVM || rows == nil {
 		if rows = l.cells[vm]; rows == nil {
-			rows = make([]*[NumCauses]LedgerCell, l.cfg.Ranks+1)
+			rows = make([]*[NumCauses]LedgerCell, l.ranks+1)
 			l.cells[vm] = rows
 		}
 		l.lastVM, l.lastRows = vm, rows
@@ -196,23 +179,17 @@ func (l *Ledger) Charge(vm int64, rank int, cause Cause, latNs int64, energy flo
 	l.total.Energy += energy
 }
 
-// Begin opens a virtual-time attribution span. It is pure value
-// construction; nothing is recorded until End.
-func (l *Ledger) Begin(vm int64, rank int, cause Cause, start sim.Time) SpanToken {
-	return SpanToken{VM: vm, Rank: rank, Cause: cause, Start: start}
-}
-
-// End closes a span: (end - start) nanoseconds of latency and the given
-// energy are charged to the token's triple. The ledger keeps no span; a
-// traced run records each one through Tracer.AttrSpan.
-func (l *Ledger) End(tok SpanToken, end sim.Time, energy float64) {
+// Span charges the virtual-time span [start, end] to (vm, rank, cause):
+// end - start nanoseconds of latency and the given energy. The ledger
+// keeps no span; a traced run records each one through Tracer.AttrSpan.
+func (l *Ledger) Span(vm int64, rank int, cause Cause, start, end sim.Time, energy float64) {
 	if l == nil {
 		return
 	}
-	if end < tok.Start {
-		panic(fmt.Sprintf("telemetry: attribution span ends at %v before start %v", end, tok.Start))
+	if end < start {
+		panic(fmt.Sprintf("telemetry: attribution span ends at %v before start %v", end, start))
 	}
-	l.Charge(tok.VM, tok.Rank, tok.Cause, int64(end-tok.Start), energy)
+	l.Charge(vm, rank, cause, int64(end-start), energy)
 }
 
 // Total returns the grand-total cell (sum of every charge ever made).

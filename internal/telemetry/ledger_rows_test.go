@@ -119,7 +119,7 @@ func TestLedgerRowsMatchDenseLayout(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ranks := 1 + rng.Intn(64)
-		sparse, dense := NewLedger(LedgerConfig{Ranks: ranks}), newDenseLedger(ranks)
+		sparse, dense := NewLedger(ranks), newDenseLedger(ranks)
 		randomCharges(rng, rng.Intn(400), ranks, sparse, dense)
 		if got, want := sparse.Snapshot(), dense.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: snapshot\n got %+v\nwant %+v", seed, got, want)
@@ -143,11 +143,11 @@ func TestLedgerRowsMatchDenseThroughRackFold(t *testing.T) {
 		return rk*(expanders*channels) + x*channels + ch
 	}
 	rng := rand.New(rand.NewSource(7))
-	rackSparse := NewLedger(LedgerConfig{Ranks: expanders * local})
+	rackSparse := NewLedger(expanders * local)
 	rackDense := newDenseLedger(expanders * local)
 	randomCharges(rng, 200, expanders*local, rackSparse, rackDense)
 	for x := 0; x < expanders; x++ {
-		sub := NewLedger(LedgerConfig{Ranks: local})
+		sub := NewLedger(local)
 		randomCharges(rng, 300, local, sub)
 		for _, e := range sub.Snapshot().Entries {
 			cause, ok := ParseCause(e.Cause)
@@ -181,7 +181,7 @@ func TestLedgerChargeAllocatesOneRow(t *testing.T) {
 	best := ^uint64(0)
 	var bestMallocs uint64
 	for try := 0; try < 5; try++ {
-		l := NewLedger(LedgerConfig{Ranks: ranks})
+		l := NewLedger(ranks)
 		l.Charge(0, 3, CauseBaseline, 1, 1) // the map's first insert sizes it
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -211,7 +211,7 @@ func TestLedgerRowMemoFollowsVMChanges(t *testing.T) {
 		rank  int
 		cause Cause
 	}
-	l := NewLedger(LedgerConfig{Ranks: ranks})
+	l := NewLedger(ranks)
 	ref := map[key]LedgerCell{}
 	rng := rand.New(rand.NewSource(3))
 	for step, vm := range []int64{0, SystemVM, 0, 7, 42} {

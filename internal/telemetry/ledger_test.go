@@ -30,7 +30,7 @@ func TestCauseStringRoundTrip(t *testing.T) {
 }
 
 func TestLedgerChargeAccumulates(t *testing.T) {
-	l := NewLedger(LedgerConfig{Ranks: 4})
+	l := NewLedger(4)
 	l.Charge(7, 2, CauseBaseline, 100, 1.5)
 	l.Charge(7, 2, CauseBaseline, 50, 0.5)
 	l.Charge(7, -1, CauseSMCMissWalk, 30, 0)
@@ -70,7 +70,7 @@ func TestLedgerChargeAccumulates(t *testing.T) {
 func TestLedgerNilIsSafe(t *testing.T) {
 	var l *Ledger
 	l.Charge(1, 0, CauseBaseline, 10, 1)
-	l.End(l.Begin(1, 0, CauseBaseline, 5), 10, 0)
+	l.Span(1, 0, CauseBaseline, 5, 10, 0)
 	l.ChargeResidency(nil)
 	l.EmitTo(nil, 0)
 	if got := l.Total(); got != (LedgerCell{}) {
@@ -81,20 +81,30 @@ func TestLedgerNilIsSafe(t *testing.T) {
 	}
 }
 
-// TestLedgerEndDoesNotAllocate: closing a span on an already-charged cell
+// TestLedgerEndDoesNotAllocate: charging a span to an already-charged cell
 // only adds to it; the ledger keeps no copy of the span.
 func TestLedgerEndDoesNotAllocate(t *testing.T) {
-	l := NewLedger(LedgerConfig{Ranks: 2})
-	end := func() { l.End(l.Begin(5, 1, CauseMigrationCopy, 100), 400, 2.5) }
+	l := NewLedger(2)
+	end := func() { l.Span(5, 1, CauseMigrationCopy, 100, 400, 2.5) }
 	end() // first charge allocates the VM's row
 	if allocs := testing.AllocsPerRun(1000, end); allocs != 0 {
-		t.Fatalf("Ledger.End allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("Ledger.Span allocates %.1f objects/op, want 0", allocs)
 	}
+}
+
+func TestLedgerSpanEndingBeforeStartPanics(t *testing.T) {
+	l := NewLedger(2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a span ending before its start was charged")
+		}
+	}()
+	l.Span(5, 1, CauseMigrationCopy, 400, 100, 0)
 }
 
 func TestLedgerWriteJSONDeterministicAndParses(t *testing.T) {
 	build := func() *Ledger {
-		l := NewLedger(LedgerConfig{Ranks: 3})
+		l := NewLedger(3)
 		// Charge in scrambled vm order; snapshot must still sort canonically.
 		l.Charge(9, 1, CauseSelfRefreshWake, 40, 0)
 		l.Charge(SystemVM, 2, CauseBaseline, 0, 123.456)
@@ -130,11 +140,11 @@ func TestLedgerRoundTripThroughTraceSinks(t *testing.T) {
 	var want []LedgerEntry
 	drive := func(tr *Tracer) {
 		tr.PowerTransition(0, 1, 100)
-		l := NewLedger(LedgerConfig{Ranks: 4})
+		l := NewLedger(4)
 		l.Charge(5, 2, CauseBaseline, 1234, 0.125)
 		l.Charge(5, 2, CauseSelfRefreshWake, 17, 0)
 		l.Charge(SystemVM, -1, CauseFaultRetry, 500, 0)
-		l.End(l.Begin(5, 1, CauseMigrationCopy, 100), 400, 2.5)
+		l.Span(5, 1, CauseMigrationCopy, 100, 400, 2.5)
 		tr.AttrSpan(5, 1, CauseMigrationCopy.String(), 100, 400, 2.5)
 		tr.Finish(1000)
 		l.EmitTo(tr, 1000)
@@ -219,7 +229,7 @@ func TestChargeResidencyFoldsPowerSpans(t *testing.T) {
 	tr.PowerTransition(0, 1, 100) // rank 0: standby 0..100, self-refresh 100..1000
 	tr.Finish(1000)
 
-	l := NewLedger(LedgerConfig{Ranks: 2})
+	l := NewLedger(2)
 	l.ChargeResidency(tr)
 	want := 2*stateWeight("standby")*1000 - stateWeight("standby")*900 + stateWeight("self-refresh")*900
 	if got := l.Total().Energy; got != want {

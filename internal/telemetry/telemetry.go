@@ -5,9 +5,11 @@
 // export sinks — JSONL, CSV, and Chrome trace_event JSON that opens directly
 // in Perfetto or chrome://tracing.
 //
-// The package sits below the model packages: it depends only on the sim
-// clock and the metrics statistics helpers, so dram, memctrl and core can
-// all emit into it without import cycles.
+// The package sits below the model packages that emit into it: it depends
+// only on the sim clock, the metrics statistics helpers and dram (which
+// imports only sim) for the power states it names and the Table 2 weights
+// it charges, so memctrl, core and rack can emit into it without import
+// cycles.
 //
 // Tracing is opt-in and zero-cost when disabled: every Tracer emit method is
 // nil-receiver-safe and returns immediately on a nil *Tracer, so model code

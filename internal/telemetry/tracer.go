@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 
+	"dtl/internal/dram"
 	"dtl/internal/sim"
 )
 
@@ -95,7 +96,7 @@ type Event struct {
 // durations always sum to the traced run duration.
 type PowerSpan struct {
 	Rank  int // global rank
-	State int // power-state code, named by TracerConfig.StateNames
+	State dram.PowerState
 	Start sim.Time
 	End   sim.Time
 }
@@ -110,10 +111,6 @@ type TracerConfig struct {
 	// Channels lets sinks render a global rank id as "chX/rkY" (global rank
 	// = rank*Channels + channel, matching the device codec).
 	Channels int
-	// StateNames names power-state codes; index i names state code i.
-	StateNames []string
-	// InitialState is every rank's state at Start.
-	InitialState int
 	// Start is the trace origin (usually 0).
 	Start sim.Time
 }
@@ -129,8 +126,8 @@ type Tracer struct {
 
 	rankNames []string // RankName per global rank, rendered once
 
-	state []int      // current power state per rank
-	since []sim.Time // when the rank entered it
+	state []dram.PowerState // current power state per rank
+	since []sim.Time        // when the rank entered it
 	spans []PowerSpan
 
 	// stream, when attached, receives every event and closed power span as
@@ -141,7 +138,7 @@ type Tracer struct {
 	end      sim.Time
 }
 
-// NewTracer builds a tracer with every rank in cfg.InitialState at cfg.Start.
+// NewTracer builds a tracer with every rank in standby at cfg.Start.
 func NewTracer(cfg TracerConfig) *Tracer {
 	if cfg.Ranks <= 0 {
 		panic(fmt.Sprintf("telemetry: tracer needs at least one rank, got %d", cfg.Ranks))
@@ -149,12 +146,11 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	t := &Tracer{
 		cfg:       cfg,
 		rankNames: make([]string, cfg.Ranks),
-		state:     make([]int, cfg.Ranks),
+		state:     make([]dram.PowerState, cfg.Ranks),
 		since:     make([]sim.Time, cfg.Ranks),
 	}
 	for i := range t.state {
 		t.rankNames[i] = formatRankName(i, cfg.Channels)
-		t.state[i] = cfg.InitialState
 		t.since[i] = cfg.Start
 	}
 	return t
@@ -163,12 +159,12 @@ func NewTracer(cfg TracerConfig) *Tracer {
 // Config returns the tracer's configuration.
 func (t *Tracer) Config() TracerConfig { return t.cfg }
 
-// StateName names a power-state code.
-func (t *Tracer) StateName(code int) string {
-	if code >= 0 && code < len(t.cfg.StateNames) {
-		return t.cfg.StateNames[code]
+// StateName names a power state the way trace records spell it.
+func (t *Tracer) StateName(s dram.PowerState) string {
+	if s >= dram.Standby && s <= dram.MPSM {
+		return s.String()
 	}
-	return fmt.Sprintf("state%d", code)
+	return fmt.Sprintf("state%d", int(s))
 }
 
 // RankName renders a global rank as "chX/rkY" (or "rkN" without channels).
@@ -188,7 +184,7 @@ func formatRankName(rank, channels int) string {
 
 // PowerTransition records rank entering power state to at time at. Same-state
 // transitions are ignored.
-func (t *Tracer) PowerTransition(rank, to int, at sim.Time) {
+func (t *Tracer) PowerTransition(rank int, to dram.PowerState, at sim.Time) {
 	if t == nil {
 		return
 	}
@@ -357,16 +353,12 @@ func (t *Tracer) PowerSpans() []PowerSpan {
 // Residency sums the time rank spent in each power state across closed
 // spans, indexed by state code. Call after Finish for full-run totals.
 func (t *Tracer) Residency(rank int) []sim.Time {
-	n := len(t.cfg.StateNames)
-	if n == 0 {
-		n = 1
-	}
-	out := make([]sim.Time, n)
+	out := make([]sim.Time, dram.MPSM+1)
 	for _, s := range t.spans {
 		if s.Rank != rank {
 			continue
 		}
-		for s.State >= len(out) {
+		for int(s.State) >= len(out) {
 			out = append(out, 0)
 		}
 		out[s.State] += s.Duration()

@@ -10,11 +10,7 @@ import (
 )
 
 func testTracer(ranks int) *Tracer {
-	return NewTracer(TracerConfig{
-		Ranks: ranks, Channels: 2,
-		StateNames:   []string{"standby", "self-refresh", "mpsm"},
-		InitialState: 0,
-	})
+	return NewTracer(TracerConfig{Ranks: ranks, Channels: 2})
 }
 
 // streamRecords decodes a JSONL stream into one generic map per record.
