@@ -331,15 +331,13 @@ func TestCSVExport(t *testing.T) {
 	Fig9(opts)
 	Fig12(opts)
 	Rack(opts)
+	names := []string{"fig1_timeline.csv", "fig9_strides.csv", "fig12_power_timeline.csv",
+		"rack_power_timeline.csv"}
 	if !testing.Short() {
 		f14 := opts
 		f14.srRuns = sharedSelfRefresh().memo
 		Fig14(f14)
-	}
-	names := []string{"fig1_timeline.csv", "fig9_strides.csv", "fig12_power_timeline.csv",
-		"rack_power_timeline.csv", "fig14_savings.csv"}
-	if testing.Short() {
-		names = names[:4]
+		names = append(names, "fig14_savings.csv")
 	}
 	golden := filepath.Join("testdata", "csv")
 	for _, name := range names {

@@ -11,9 +11,9 @@ import (
 	"dtl/internal/trace"
 )
 
-// power.DefaultPower().ActivePowerPerGBs, the slope the migration-energy
-// charges use (see DTL.migEnergyPerSeg).
-const activePowerPerGBs = 0.55
+// activePowerPerGBs is the slope the migration-energy charges use (see
+// DTL.migEnergyPerSeg).
+var activePowerPerGBs = dram.DefaultPowerModel().ActivePowerPerGBs
 
 func parseLedgerFile(t *testing.T, path string) *telemetry.LedgerSnapshot {
 	t.Helper()

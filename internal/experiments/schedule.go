@@ -176,7 +176,6 @@ func runSchedule(o Options, tgt scheduleTarget) scheduleRun {
 	var liveIDs []core.VMID // reused scratch for deterministic iteration
 	ei := 0
 	rankSums := make([]float64, n)
-	var intervals int
 	var prevMigBytes int64
 
 	for t := sim.Time(0); t <= horizon; t += vmtrace.Interval {
@@ -254,7 +253,6 @@ func runSchedule(o Options, tgt scheduleTarget) scheduleRun {
 		run.activeEnergy += lastActive * float64(t-lastAt)
 		lastAt, lastActive = t, active
 		run.samples = append(run.samples, powerSample{at: t, background: bg, active: active, migrating: migrating})
-		intervals++
 		rt.tick(t)
 	}
 	if faults {
@@ -293,6 +291,7 @@ func runSchedule(o Options, tgt scheduleTarget) scheduleRun {
 	}
 	run.activeEnergy += lastActive * float64(horizon-lastAt)
 
+	intervals := len(run.samples)
 	run.health = map[string]float64{}
 	var st, sr, mp, rankSum float64
 	for x, d := range ds {

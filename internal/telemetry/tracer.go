@@ -146,7 +146,7 @@ func NewTracer(cfg TracerConfig) *Tracer {
 	t := &Tracer{
 		cfg:       cfg,
 		rankNames: make([]string, cfg.Ranks),
-		state:     make([]dram.PowerState, cfg.Ranks),
+		state:     make([]dram.PowerState, cfg.Ranks), // all dram.Standby, the zero state
 		since:     make([]sim.Time, cfg.Ranks),
 	}
 	for i := range t.state {
