@@ -62,6 +62,7 @@ import (
 	"os"
 	"sort"
 
+	"dtl/internal/dram"
 	"dtl/internal/metrics"
 	"dtl/internal/telemetry"
 )
@@ -326,8 +327,12 @@ func (rep *readReport) render(w io.Writer) {
 		fmt.Fprintf(w, "  %-18s %d\n", r, rep.Reasons[r])
 	}
 
-	fmt.Fprintf(w, "\nenergy proxy: %s (weight x us, standby=1.0 self-refresh=0.2 mpsm=0.068)\n",
-		fmtEnergy(rep.EnergyProxy))
+	pm := dram.DefaultPowerModel()
+	fmt.Fprintf(w, "\nenergy proxy: %s (weight x us,", fmtEnergy(rep.EnergyProxy))
+	for s := dram.Standby; s <= dram.MPSM; s++ {
+		fmt.Fprintf(w, " %s=%s", s, dram.FormatPower(pm.Background(s)))
+	}
+	fmt.Fprintln(w, ")")
 
 	if len(rep.Events) > 0 {
 		fmt.Fprintln(w, "\nevents:")

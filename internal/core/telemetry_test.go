@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dtl/internal/dram"
+	"dtl/internal/sim"
 	"dtl/internal/telemetry"
 )
 
@@ -87,9 +88,15 @@ func TestStartTraceSeedsMidRunStates(t *testing.T) {
 
 	tr := d.StartTrace(5000)
 	tr.Finish(6000)
-	res := tr.Residency(d.codec.GlobalRank(down[0].Channel, down[0].Rank))
-	if res[dram.MPSM] != 1000 {
-		t.Fatalf("mid-run MPSM rank residency = %v, want full 1000 in MPSM", res)
+	gr := d.codec.GlobalRank(down[0].Channel, down[0].Rank)
+	var mpsm sim.Time
+	for _, s := range tr.PowerSpans() {
+		if s.Rank == gr && s.State == dram.MPSM {
+			mpsm += s.Duration()
+		}
+	}
+	if mpsm != 1000 {
+		t.Fatalf("mid-run MPSM rank residency = %v, want full 1000 in MPSM", mpsm)
 	}
 }
 

@@ -38,6 +38,14 @@ func TestTable2NormalizedPower(t *testing.T) {
 	}
 }
 
+func TestFormatPowerKeepsOneFractionalDigit(t *testing.T) {
+	for p, want := range map[float64]string{1: "1.0", 0.2: "0.2", 0.068: "0.068", 1.25: "1.25", 0: "0.0", 12: "12.0"} {
+		if got := FormatPower(p); got != want {
+			t.Errorf("FormatPower(%v) = %q, want %q", p, got, want)
+		}
+	}
+}
+
 func TestActivePowerLinear(t *testing.T) {
 	m := DefaultPowerModel()
 	p1 := m.Active(1)

@@ -2,6 +2,8 @@ package dram
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"dtl/internal/sim"
 )
@@ -84,6 +86,17 @@ func (m PowerModel) Background(s PowerState) float64 {
 	default:
 		panic(fmt.Sprintf("dram: unknown power state %d", int(s)))
 	}
+}
+
+// FormatPower renders a normalized power as Table 2 prints it: the shortest
+// decimal that reads back exactly, with at least one fractional digit
+// (1.0, 0.2, 0.068).
+func FormatPower(p float64) string {
+	s := strconv.FormatFloat(p, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
 }
 
 // Active reports the active power (normalized units) for a rank delivering

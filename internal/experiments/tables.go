@@ -12,12 +12,13 @@ import (
 
 // Table2 prints the normalized power of each DRAM power state.
 func Table2(o Options) Result {
+	pm := dram.DefaultPowerModel()
 	res := newResult("Table2", "Normalized power per DRAM state",
-		"standby 1.0, self-refresh 0.2, MPSM 0.068")
+		fmt.Sprintf("standby %s, self-refresh %s, MPSM %s", dram.FormatPower(pm.StandbyPower),
+			dram.FormatPower(pm.SelfRefreshPower), dram.FormatPower(pm.MPSMPower)))
 	w := o.out()
 	res.header(w)
 
-	pm := dram.DefaultPowerModel()
 	tab := metrics.NewTable("state", "normalized power")
 	for _, s := range []dram.PowerState{dram.Standby, dram.SelfRefresh, dram.MPSM} {
 		tab.AddRowf("%s\t%.3f", s, pm.Background(s))

@@ -55,8 +55,9 @@ func BenchmarkControllerAccess(b *testing.B) {
 // BenchmarkMixedReplay measures one access of the raw replay loop as it
 // runs: trace.Mixed.Next, the rank-interleaved codec and Controller.Access
 // interleaved on the 4ch×8rk×32 GiB device, with the ten-profile CloudSuite
-// stream at 16 GiB each. Next's generation overlaps the codec and the
-// controller here, as it does in replayController and bench/'s replay pass.
+// stream at 16 GiB each. Next's generation runs ahead on the producer
+// while the codec and the controller work, as it does in replayController
+// and bench/'s replay pass, so an op costs the longer of the two sides.
 func BenchmarkMixedReplay(b *testing.B) {
 	g := dram.Default1TB()
 	dev := dram.MustDevice(g, dram.DefaultPowerModel(), dram.DefaultTiming())

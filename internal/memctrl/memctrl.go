@@ -53,12 +53,6 @@ type Result struct {
 // Latency reports the request's total latency.
 func (r Result) Latency(arrive sim.Time) sim.Time { return r.Done - arrive }
 
-// RankStats is one rank's access counters.
-type RankStats struct {
-	Accesses int64
-	Bytes    int64
-}
-
 // Controller services requests for all channels of one device.
 type Controller struct {
 	dev   *dram.Device
@@ -267,15 +261,6 @@ func (c *Controller) afterRefresh(gr int, t sim.Time) sim.Time {
 		return t + (trfc - offset)
 	}
 	return t
-}
-
-// LifetimeStats returns total per-rank counters, indexed by global rank id.
-func (c *Controller) LifetimeStats() []RankStats {
-	out := make([]RankStats, len(c.lifeAccesses))
-	for i, n := range c.lifeAccesses {
-		out[i] = RankStats{Accesses: n, Bytes: n * LineBytes}
-	}
-	return out
 }
 
 // TotalBytes reports all bytes transferred since construction.

@@ -102,12 +102,11 @@ func TestWindowCounters(t *testing.T) {
 	chan1Seg := codec.DSNToDPA(codec.EncodeDSN(dram.Loc{Rank: 0, Channel: 1, Index: 0}))
 	c.Access(Request{Addr: chan1Seg, Arrive: 300})
 
-	life := c.LifetimeStats()
-	if gr := codec.GlobalRank(0, 0); life[gr].Accesses != 3 || life[gr].Bytes != 3*LineBytes {
-		t.Fatalf("ch0/rk0 lifetime = %+v, want 3 accesses", life[gr])
+	if gr := codec.GlobalRank(0, 0); c.lifeAccesses[gr] != 3 {
+		t.Fatalf("ch0/rk0 lifetime = %d accesses, want 3", c.lifeAccesses[gr])
 	}
-	if gr := codec.GlobalRank(1, 0); life[gr].Accesses != 1 {
-		t.Fatalf("ch1/rk0 lifetime = %+v, want 1 access", life[gr])
+	if gr := codec.GlobalRank(1, 0); c.lifeAccesses[gr] != 1 {
+		t.Fatalf("ch1/rk0 lifetime = %d accesses, want 1", c.lifeAccesses[gr])
 	}
 	if c.TotalBytes() != 4*LineBytes {
 		t.Fatalf("total bytes = %d", c.TotalBytes())

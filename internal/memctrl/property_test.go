@@ -61,11 +61,7 @@ func TestPropertyCountersConserved(t *testing.T) {
 			addr := dram.DPA(rng.Int63n(g.TotalBytes())) &^ 63
 			c.Access(Request{Addr: addr, Arrive: sim.Time(i * 10)})
 		}
-		var lifeTotal int64
-		for _, s := range c.LifetimeStats() {
-			lifeTotal += s.Accesses
-		}
-		if lifeTotal != n {
+		if lifeTotal := sumI64(c.lifeAccesses); lifeTotal != n {
 			t.Logf("seed %d: lifetime %d want %d", seed, lifeTotal, n)
 			return false
 		}

@@ -349,19 +349,3 @@ func (t *Tracer) PowerSpans() []PowerSpan {
 	}
 	return append([]PowerSpan(nil), t.spans...)
 }
-
-// Residency sums the time rank spent in each power state across closed
-// spans, indexed by state code. Call after Finish for full-run totals.
-func (t *Tracer) Residency(rank int) []sim.Time {
-	out := make([]sim.Time, dram.MPSM+1)
-	for _, s := range t.spans {
-		if s.Rank != rank {
-			continue
-		}
-		for int(s.State) >= len(out) {
-			out = append(out, 0)
-		}
-		out[s.State] += s.Duration()
-	}
-	return out
-}

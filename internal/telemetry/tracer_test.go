@@ -61,11 +61,13 @@ func TestSpanPartitionInvariant(t *testing.T) {
 	tr.Finish(horizon)
 
 	perRank := make(map[int]sim.Time)
+	residency := make(map[[2]int]sim.Time) // by rank and state
 	for _, s := range tr.PowerSpans() {
 		if s.End < s.Start {
 			t.Fatalf("negative span %+v", s)
 		}
 		perRank[s.Rank] += s.Duration()
+		residency[[2]int{s.Rank, int(s.State)}] += s.Duration()
 	}
 	for rank := 0; rank < 4; rank++ {
 		if perRank[rank] != horizon {
@@ -73,12 +75,11 @@ func TestSpanPartitionInvariant(t *testing.T) {
 		}
 	}
 
-	res := tr.Residency(0)
-	if res[0] != 100+650 || res[2] != 150+100 {
-		t.Fatalf("rank 0 residency = %v", res)
+	if residency[[2]int{0, 0}] != 100+650 || residency[[2]int{0, 2}] != 150+100 {
+		t.Fatalf("rank 0 residency = %v", residency)
 	}
-	if r1 := tr.Residency(1); r1[0] != 40 || r1[1] != 960 {
-		t.Fatalf("rank 1 residency = %v", r1)
+	if residency[[2]int{1, 0}] != 40 || residency[[2]int{1, 1}] != 960 {
+		t.Fatalf("rank 1 residency = %v", residency)
 	}
 }
 

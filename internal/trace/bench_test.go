@@ -4,10 +4,10 @@ import "testing"
 
 // BenchmarkMixedNext measures the consumer side of one access of the raw
 // replay workload's stream: the ten CloudSuite profiles at 16 GiB each,
-// merged by Mixed. The loop does nothing else, so there is no work for the
-// next batch's generation to overlap, and each op costs about what
-// generating one access does. BenchmarkMixedReplay (internal/memctrl)
-// times Next in the replay loop's state.
+// merged by Mixed. The loop does nothing else, so it always waits on the
+// producer, which keeps running while a buffer is free: each op costs what
+// generating one access does, the generation rate. BenchmarkMixedReplay
+// (internal/memctrl) times Next in the replay loop's state.
 func BenchmarkMixedNext(b *testing.B) {
 	ps := CloudSuite()
 	for i := range ps {

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Mixed interleaves several generators into one merged post-cache stream,
 // modeling multiple application copies (or VMs) sharing the device. Each
@@ -9,15 +12,14 @@ import "fmt"
 // often per unit of instructions), which is how independently progressing
 // applications merge in time.
 //
-// Generation runs one batch ahead of the caller: while Next plays one
-// buffer of packed accesses, a goroutine fills the other (see mixSource).
+// Generation runs ahead of the caller: while Next plays one buffer of
+// packed accesses, a producer goroutine fills the others (see mixSource).
 // The stream is the same, bit for bit, as generating each access on demand.
 // A Mixed is not safe for concurrent use.
 type Mixed struct {
 	src   *mixSource
 	cur   []uint64 // the batch Next is playing
 	pos   int
-	done  chan []uint64 // the fill in flight hands its buffer back here
 	instr int64
 	// step is the whole part of 1000/wsum, the instructions per merged
 	// access; the generator packs the fractional carry into each word.
@@ -27,7 +29,7 @@ type Mixed struct {
 
 // mixSource is the generating state. It is its own allocation, apart from
 // the consumer's cursor and clock, so the caller's per-access writes do not
-// share a cache line with the fill goroutine's reads.
+// share a cache line with the producer's reads.
 type mixSource struct {
 	gens     []*Generator
 	bases    []int64
@@ -35,8 +37,13 @@ type mixSource struct {
 	weight   []float64
 	wsum     float64
 	stepFrac float64
-	out      []uint64 // the buffer the next fill writes
-	fill     func()   // built once: generate into out, send it on done
+	// Buffers circulate free → producer → full → Next → free. Each
+	// channel has room for every buffer, so no send ever blocks.
+	free, full chan []uint64
+	// running is set while a producer may still take a free buffer; only
+	// the goroutine that switches it from false to true may generate.
+	running atomic.Bool
+	produce func() // built once: fill free buffers until none is left
 }
 
 // A packed access holds the address in bits 0–61, the clock's fractional
@@ -44,6 +51,7 @@ type mixSource struct {
 // footprint below 2^62 bytes so addresses never reach the flag bits.
 const (
 	mixBatch     = 4096
+	mixBuffers   = 3 // one played, two filled ahead
 	maxFootprint = 1 << 62
 	carryBit     = 1 << 62
 	writeBit     = 1 << 63
@@ -81,12 +89,27 @@ func NewMixed(profiles []Profile, seed int64) (*Mixed, error) {
 		s.gens = append(s.gens, g)
 	}
 	s.stepFrac = frac(1000.0 / s.wsum)
-	done := make(chan []uint64, 1)
-	s.fill = func() {
-		s.generate(s.out)
-		done <- s.out
+	s.free = make(chan []uint64, mixBuffers)
+	s.full = make(chan []uint64, mixBuffers)
+	s.produce = func() {
+		for {
+			select {
+			case buf := <-s.free:
+				s.generate(buf)
+				s.full <- buf
+			default:
+				// Out of buffers. One freed after the select, while
+				// running still read true, started no producer: look
+				// again, and take the run back unless refill has
+				// already started another.
+				s.running.Store(false)
+				if len(s.free) == 0 || !s.running.CompareAndSwap(false, true) {
+					return
+				}
+			}
+		}
 	}
-	return &Mixed{src: s, done: done, step: int64(1000.0 / s.wsum), footprint: total}, nil
+	return &Mixed{src: s, step: int64(1000.0 / s.wsum), footprint: total}, nil
 }
 
 // MustMixed is NewMixed that panics on error.
@@ -118,23 +141,29 @@ func (m *Mixed) Next() Access {
 	return Access{Addr: int64(w &^ (carryBit | writeBit)), Write: w&writeBit != 0, Instr: m.instr}
 }
 
-// refill swaps in the next batch and starts filling the one just played.
-// The first call allocates both buffers and generates the first batch
-// inline. At most one fill is ever in flight, and it sends on a channel
-// with room for its buffer, so a Mixed dropped mid-stream leaves one
-// goroutine that finishes its batch and exits.
+// refill hands the played batch back and takes the next one. The first
+// call allocates the buffers and generates the first batch inline. The
+// producer exits when it finds no free buffer, and refill starts it again;
+// one producer at a time and first-in, first-out channels keep the stream
+// in order. A Mixed dropped mid-stream leaves at most one producer, which
+// fills the free buffers and exits.
 func (m *Mixed) refill() {
+	s := m.src
 	if m.cur == nil {
-		m.cur = make([]uint64, mixBatch)
-		m.src.generate(m.cur)
-		m.src.out = make([]uint64, mixBatch)
+		first := make([]uint64, mixBatch)
+		s.generate(first)
+		s.full <- first
+		for i := 1; i < mixBuffers; i++ {
+			s.free <- make([]uint64, mixBatch)
+		}
 	} else {
-		full := <-m.done
-		m.src.out = m.cur
-		m.cur = full
+		s.free <- m.cur
 	}
+	if s.running.CompareAndSwap(false, true) {
+		go s.produce()
+	}
+	m.cur = <-s.full
 	m.pos = 0
-	go m.src.fill()
 }
 
 // generate fills buf with the next len(buf) packed accesses.

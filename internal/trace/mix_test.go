@@ -1,15 +1,17 @@
 package trace
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// serialMixed is Mixed as it was before generation moved a batch ahead:
-// each Next draws the component, generates its access and advances the
-// clock on demand. It is the reference the pipelined stream must equal.
+// serialMixed is Mixed as it was before generation moved onto a producer
+// goroutine: each Next draws the component, generates its access and
+// advances the clock on demand. It is the reference the pipelined stream
+// must equal.
 type serialMixed struct {
 	gens     []*Generator
 	bases    []int64
@@ -57,9 +59,9 @@ func (m *serialMixed) Next() Access {
 	return a
 }
 
-// TestMixedMatchesSerial holds the pipelined stream to the serial
-// reference at every batch edge, over several seeds and profile sets.
-func TestMixedMatchesSerial(t *testing.T) {
+// mixedTestSets are profile sets small enough to build many times: the
+// whole CloudSuite mix, one profile alone, and a drifting pair.
+func mixedTestSets() map[string][]Profile {
 	cloud := CloudSuite()
 	for i := range cloud {
 		cloud[i].FootprintBytes = 64 << 20
@@ -74,14 +76,21 @@ func TestMixedMatchesSerial(t *testing.T) {
 	caching.FootprintBytes = 1792 << 20
 	caching.HotBias = 0.99
 	caching.UntouchedFraction = 0.5
-	sets := map[string][]Profile{
+	return map[string][]Profile{
 		"cloudsuite": cloud,
 		"one":        {caching},
 		"drift-pair": {drift, graph},
 	}
-	for name, ps := range sets {
+}
+
+// TestMixedMatchesSerial holds the pipelined stream to the serial
+// reference at every batch edge, over several seeds and profile sets, and
+// over lengths that cycle every buffer of the ring several times.
+func TestMixedMatchesSerial(t *testing.T) {
+	lengths := []int{0, 1, mixBatch - 1, mixBatch, mixBatch + 1, 3*mixBatch + 5, 7*mixBatch + 3}
+	for name, ps := range mixedTestSets() {
 		for _, seed := range []int64{0, 1, 7, -3} {
-			for _, n := range []int{0, 1, mixBatch - 1, mixBatch, mixBatch + 1, 3*mixBatch + 5} {
+			for _, n := range lengths {
 				got, want := MustMixed(ps, seed), newSerialMixed(ps, seed)
 				for i := 0; i < n; i++ {
 					if g, w := got.Next(), want.Next(); g != w {
@@ -90,6 +99,39 @@ func TestMixedMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMixedMatchesSerialAcrossRestarts pauses the consumer at batch edges
+// until the producer has filled every free buffer and cleared running, so
+// each later batch comes from a producer that refill started again. The
+// stream must still equal the serial one.
+func TestMixedMatchesSerialAcrossRestarts(t *testing.T) {
+	for name, ps := range mixedTestSets() {
+		got, want := MustMixed(ps, 11), newSerialMixed(ps, 11)
+		idle := func() bool { return !got.src.running.Load() }
+		for i := 0; i < 6*mixBatch+7; i++ {
+			// Pause at batch edges and just inside them, so the producer
+			// is restarted with the consumer at different points.
+			if j := i % mixBatch; j == 0 || j == mixBatch-1 {
+				waitFor(t, name+": producer idle", idle)
+			}
+			if g, w := got.Next(), want.Next(); g != w {
+				t.Fatalf("%s: access %d = %+v, want %+v", name, i, g, w)
+			}
+		}
+	}
+}
+
+// waitFor polls cond until it holds, and fails the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -108,21 +150,19 @@ func TestMixedRejectsFootprintOverflow(t *testing.T) {
 	}
 }
 
-// TestDroppedMixedLeavesNoGoroutine drops a Mixed with a fill in flight:
-// the fill finishes its batch and exits, so the goroutine count settles.
+// TestDroppedMixedLeavesNoGoroutine drops a Mixed at several points of
+// the stream, with a producer running or not: a producer fills the free
+// buffers and exits, so the goroutine count settles.
 func TestDroppedMixedLeavesNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
-	func() {
-		m := MustMixed(CloudSuite(), 5)
-		for i := 0; i < mixBatch+10; i++ {
-			m.Next()
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, %d before the Mixed", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
+	for _, n := range []int{0, 1, mixBatch, mixBatch + 10, 5 * mixBatch} {
+		before := runtime.NumGoroutine()
+		func() {
+			m := MustMixed(CloudSuite(), 5)
+			for i := 0; i < n; i++ {
+				m.Next()
+			}
+		}()
+		waitFor(t, fmt.Sprintf("drop after %d accesses: goroutines back to %d", n, before),
+			func() bool { return runtime.NumGoroutine() <= before })
 	}
 }
